@@ -240,10 +240,59 @@ static void BM_PvarSessionRead(benchmark::State& state) {
 }
 BENCHMARK(BM_PvarSessionRead);
 
+static void BM_TraceSummaryBuild(benchmark::State& state) {
+  // Trace stitching over two skewed stores: the origin process (ep 1)
+  // records t1/t14 and the target (ep 2, clock 250 us ahead) records
+  // t5/t8. Each request is one root span plus three nested child spans, so
+  // the skew estimate, the per-request assembly and the parent resolution
+  // all run over the whole span count.
+  const auto root = prof::hash16("bench_root_rpc");
+  const auto child = prof::extend(root, prof::hash16("bench_child_rpc"));
+  constexpr sim::TimeNs kSkew = 250'000;
+  prof::TraceStore origin;
+  prof::TraceStore target;
+  const auto n_spans = static_cast<std::uint64_t>(state.range(0));
+  sim::Rng rng(7);
+  auto emit = [&](std::uint64_t rid, prof::Breadcrumb bc, std::uint32_t order,
+                  sim::TimeNs t1, sim::TimeNs t14) {
+    const sim::TimeNs fwd = 1'000 + rng.uniform(500);
+    const sim::TimeNs bwd = 1'000 + rng.uniform(500);
+    const auto span = prof::make_action_span(rid, bc, 1, t1, t14, 4 * order);
+    for (std::uint32_t k = 0; k < 4; ++k) {
+      prof::TraceEvent ev = span[k];
+      ev.order = order + k;
+      ev.peer_ep = 2;
+      if (k == 1 || k == 2) {
+        ev.self_ep = 2;
+        ev.peer_ep = 1;
+        ev.local_ts = (k == 1 ? t1 + fwd : t14 - bwd) + kSkew;
+      }
+      (k == 1 || k == 2 ? target : origin).append(ev);
+    }
+  };
+  for (std::uint64_t i = 0; i < n_spans / 4; ++i) {
+    const sim::TimeNs t0 = 1'000'000 + 20'000 * i;
+    emit(i + 1, root, 0, t0, t0 + 18'000);
+    for (std::uint32_t c = 0; c < 3; ++c) {
+      const sim::TimeNs t1 = t0 + 1'000 + 5'000 * c;
+      emit(i + 1, child, 4 * (c + 1), t1, t1 + 4'800);
+    }
+  }
+  for (auto _ : state) {
+    auto summary = prof::TraceSummary::build({&origin, &target});
+    benchmark::DoNotOptimize(summary);
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(n_spans));
+}
+BENCHMARK(BM_TraceSummaryBuild)->Arg(16384)->Arg(65536)
+    ->Unit(benchmark::kMillisecond);
+
 static void BM_ZipkinExport(benchmark::State& state) {
   // Incremental export path: parent links come precomputed from
-  // TraceSummary::build and the output string is reserved once, so the
-  // per-span work is one snprintf + one append — no heap churn.
+  // TraceSummary::build, leaf names are resolved once per call and the
+  // output string is reserved once, so each span is a handful of direct
+  // appends into that string — no heap churn.
   prof::NameRegistry::global().register_name("bench_rpc");
   const auto bc = prof::hash16("bench_rpc");
   prof::TraceStore store;

@@ -4,8 +4,10 @@
 #include <array>
 #include <cstdio>
 #include <map>
-#include <set>
+#include <tuple>
 #include <unordered_map>
+
+#include "symbiosys/flat_hash.hpp"
 
 namespace sym::prof {
 namespace {
@@ -153,6 +155,10 @@ std::string ProfileSummary::format(std::size_t top_n) const {
 // ---------------------------------------------------------------------------
 // TraceSummary
 // ---------------------------------------------------------------------------
+//
+// The stitcher keeps every per-span structure flat: one slot vector indexed
+// by a FlatHashMap while collecting, sorted once by SpanKey, then walked
+// linearly for the skew estimate and the per-request assembly.
 
 namespace {
 
@@ -160,13 +166,27 @@ namespace {
 /// consecutive order slots per call: origin start = n, target start = n+1,
 /// target end = n+2, origin end = n+3.
 struct SpanKey {
-  std::uint64_t request_id;
-  Breadcrumb bc;
-  std::uint32_t base_order;
-  bool operator<(const SpanKey& o) const {
-    if (request_id != o.request_id) return request_id < o.request_id;
-    if (bc != o.bc) return bc < o.bc;
-    return base_order < o.base_order;
+  std::uint64_t request_id = 0;
+  Breadcrumb bc = 0;
+  std::uint32_t base_order = 0;
+  bool operator==(const SpanKey&) const = default;
+};
+
+struct SpanKeyHash {
+  std::size_t operator()(const SpanKey& k) const noexcept {
+    std::uint64_t h = k.request_id * 0x9E3779B97F4A7C15ULL;
+    h ^= k.bc * 0xC2B2AE3D27D4EB4FULL;
+    h ^= static_cast<std::uint64_t>(k.base_order) * 0x165667B19E3779F9ULL;
+    h ^= h >> 32;
+    h *= 0xBF58476D1CE4E5B9ULL;
+    return static_cast<std::size_t>(h ^ (h >> 29));
+  }
+};
+
+struct U64Hash {
+  std::size_t operator()(std::uint64_t v) const noexcept {
+    v *= 0x9E3779B97F4A7C15ULL;
+    return static_cast<std::size_t>(v ^ (v >> 32));
   }
 };
 
@@ -180,120 +200,245 @@ std::uint32_t base_order_of(const TraceEvent& ev) {
   return ev.order;
 }
 
+/// One span under assembly: the span itself, its raw node-local t1, t5,
+/// t8, t14 (0 = event missing) and the endpoint pair it belongs to.
+struct SpanSlot {
+  Span sp;
+  std::array<sim::TimeNs, 4> ts{};
+  std::uint32_t pair = 0;
+
+  /// SpanKey order: (request id, breadcrumb, base order).
+  [[nodiscard]] bool before(const SpanSlot& o) const noexcept {
+    return std::tie(sp.request_id, sp.breadcrumb, sp.base_order) <
+           std::tie(o.sp.request_id, o.sp.breadcrumb, o.sp.base_order);
+  }
+};
+
+/// One (origin, target) endpoint pair: its skew-estimate accumulator and,
+/// once the offsets are known, the two offsets to subtract.
+struct EndpointPair {
+  std::uint32_t origin_ep = 0;
+  std::uint32_t target_ep = 0;
+  double theta_sum = 0;
+  int theta_count = 0;
+  double origin_off = 0;
+  double target_off = 0;
+};
+
+/// Pass 1: one pass over the stores into a flat slot vector, sorted once by
+/// SpanKey. A later event of the same kind overwrites an earlier one, in
+/// store-argument order.
+std::vector<SpanSlot> collect_spans(
+    const std::vector<const TraceStore*>& stores, std::size_t total_events) {
+  std::vector<SpanSlot> slots;
+  slots.reserve(total_events / 4 + 1);
+  FlatHashMap<SpanKey, std::uint32_t, SpanKeyHash> index;  // slot + 1
+  index.reserve(total_events / 4 + 1);
+  for (const TraceStore* store : stores) {
+    for (const TraceEvent& ev : store->events()) {
+      const SpanKey key{ev.request_id, ev.breadcrumb, base_order_of(ev)};
+      std::uint32_t& pos = index.find_or_insert(key);
+      if (pos == 0) {
+        SpanSlot& fresh = slots.emplace_back();
+        fresh.sp.request_id = key.request_id;
+        fresh.sp.breadcrumb = key.bc;
+        fresh.sp.base_order = key.base_order;
+        pos = static_cast<std::uint32_t>(slots.size());
+      }
+      SpanSlot& slot = slots[pos - 1];
+      switch (ev.kind) {
+        case TraceEventKind::kOriginStart:
+          slot.sp.origin_ep = ev.self_ep;
+          slot.sp.target_ep = ev.peer_ep;
+          slot.ts[0] = ev.local_ts;
+          break;
+        case TraceEventKind::kTargetStart:
+          slot.sp.target_ep = ev.self_ep;
+          slot.sp.target_blocked_ults = ev.blocked_ults;
+          slot.ts[1] = ev.local_ts;
+          break;
+        case TraceEventKind::kTargetEnd:
+          slot.ts[2] = ev.local_ts;
+          break;
+        case TraceEventKind::kOriginEnd:
+          slot.sp.origin_ofi_events_read = ev.num_ofi_events_read;
+          slot.ts[3] = ev.local_ts;
+          break;
+      }
+    }
+  }
+  std::sort(slots.begin(), slots.end(),
+            [](const SpanSlot& a, const SpanSlot& b) { return a.before(b); });
+  return slots;
+}
+
+/// Pass 2: clock-skew estimation. For every (origin, target) endpoint pair
+/// with complete spans, the NTP-style symmetric-delay estimate of the
+/// target's offset relative to the origin is
+///     theta = ((t5 - t1) - (t14 - t8)) / 2
+/// Averaging over spans cancels queueing noise; a BFS over the pair graph
+/// anchors every endpoint to the smallest endpoint id (the reference).
+/// Thetas accumulate in SpanKey order and the graph is walked from
+/// endpoints in ascending order, so the offsets do not depend on the order
+/// the stores were recorded in. Fills `offsets` and the per-pair offsets.
+std::vector<EndpointPair> estimate_offsets(
+    std::vector<SpanSlot>& slots, std::map<std::uint32_t, double>& offsets) {
+  std::vector<EndpointPair> pairs;
+  FlatHashMap<std::uint64_t, std::uint32_t, U64Hash> pair_index;  // pair + 1
+  for (SpanSlot& slot : slots) {
+    const Span& sp = slot.sp;
+    const std::uint64_t key =
+        (static_cast<std::uint64_t>(sp.origin_ep) << 32) | sp.target_ep;
+    std::uint32_t& pos = pair_index.find_or_insert(key);
+    if (pos == 0) {
+      pairs.push_back({sp.origin_ep, sp.target_ep});
+      pos = static_cast<std::uint32_t>(pairs.size());
+    }
+    slot.pair = pos - 1;
+    const auto& ts = slot.ts;
+    if (ts[0] == 0 || ts[1] == 0 || ts[2] == 0 || ts[3] == 0) continue;
+    if (sp.origin_ep == sp.target_ep) continue;
+    const double fwd = static_cast<double>(ts[1]) - static_cast<double>(ts[0]);
+    const double bwd = static_cast<double>(ts[3]) - static_cast<double>(ts[2]);
+    EndpointPair& acc = pairs[slot.pair];
+    acc.theta_sum += (fwd - bwd) / 2.0;
+    acc.theta_count += 1;
+  }
+
+  std::vector<std::uint32_t> eps;
+  eps.reserve(2 * pairs.size());
+  for (const EndpointPair& p : pairs) {
+    eps.push_back(p.origin_ep);
+    eps.push_back(p.target_ep);
+  }
+  std::sort(eps.begin(), eps.end());
+  eps.erase(std::unique(eps.begin(), eps.end()), eps.end());
+  const auto pos_of = [&eps](std::uint32_t ep) {
+    return static_cast<std::size_t>(
+        std::lower_bound(eps.begin(), eps.end(), ep) - eps.begin());
+  };
+
+  // Adjacency with averaged thetas in both directions, built in ascending
+  // (origin, target) order.
+  std::vector<EndpointPair> sorted = pairs;
+  std::sort(sorted.begin(), sorted.end(),
+            [](const EndpointPair& a, const EndpointPair& b) {
+              return std::tie(a.origin_ep, a.target_ep) <
+                     std::tie(b.origin_ep, b.target_ep);
+            });
+  std::vector<std::vector<std::pair<std::size_t, double>>> adj(eps.size());
+  for (const EndpointPair& p : sorted) {
+    if (p.theta_count == 0) continue;
+    const double theta = p.theta_sum / p.theta_count;
+    adj[pos_of(p.origin_ep)].emplace_back(pos_of(p.target_ep), theta);
+    adj[pos_of(p.target_ep)].emplace_back(pos_of(p.origin_ep), -theta);
+  }
+
+  // BFS from each yet-unvisited endpoint (reference offset 0).
+  std::vector<double> off(eps.size(), 0.0);
+  std::vector<std::uint8_t> seen(eps.size(), 0);
+  std::vector<std::size_t> queue;
+  for (std::size_t ref = 0; ref < eps.size(); ++ref) {
+    if (seen[ref] != 0) continue;
+    seen[ref] = 1;
+    queue.assign(1, ref);
+    while (!queue.empty()) {
+      const std::size_t u = queue.back();
+      queue.pop_back();
+      for (const auto& [v, theta] : adj[u]) {
+        if (seen[v] != 0) continue;
+        seen[v] = 1;
+        off[v] = off[u] + theta;
+        queue.push_back(v);
+      }
+    }
+  }
+  for (std::size_t i = 0; i < eps.size(); ++i) {
+    offsets.emplace_hint(offsets.end(), eps[i], off[i]);
+  }
+  for (EndpointPair& p : pairs) {
+    p.origin_off = off[pos_of(p.origin_ep)];
+    p.target_off = off[pos_of(p.target_ep)];
+  }
+  return pairs;
+}
+
+sim::TimeNs corrected(sim::TimeNs local, double off) {
+  if (local == 0) return 0;
+  const double t = static_cast<double>(local) - off;
+  return t < 0 ? 0 : static_cast<sim::TimeNs>(t);
+}
+
+/// Parent links of one request. A parent is a span whose breadcrumb is the
+/// child's breadcrumb with the leaf popped, that started no later than the
+/// child, and whose interval covers the child's start; the latest-starting
+/// such span wins. `by_bc` is caller-owned scratch reused across requests.
+void resolve_parents(std::vector<Span>& spans,
+                     std::vector<std::pair<Breadcrumb, std::uint32_t>>& by_bc) {
+  by_bc.clear();
+  for (std::uint32_t i = 0; i < spans.size(); ++i) {
+    by_bc.emplace_back(spans[i].breadcrumb, i);
+  }
+  std::sort(by_bc.begin(), by_bc.end());
+  for (Span& sp : spans) {
+    const Breadcrumb parent_bc = sp.breadcrumb >> 16;
+    if (parent_bc == 0) continue;
+    // Candidates of one breadcrumb are ascending in index, hence in
+    // origin_start (spans are sorted): the last candidate not starting
+    // after the child wins.
+    auto it = std::lower_bound(by_bc.begin(), by_bc.end(),
+                               std::make_pair(parent_bc, std::uint32_t{0}));
+    for (; it != by_bc.end() && it->first == parent_bc; ++it) {
+      const Span& cand = spans[it->second];
+      if (cand.origin_start > sp.origin_start) break;
+      if (cand.origin_end != 0 && cand.origin_end < sp.origin_start) {
+        continue;
+      }
+      sp.parent = static_cast<std::int32_t>(it->second);
+    }
+  }
+}
+
 }  // namespace
 
 TraceSummary TraceSummary::build(
     const std::vector<const TraceStore*>& stores) {
   TraceSummary out;
+  for (const TraceStore* store : stores) out.total_events += store->size();
 
-  // Pass 1: group raw events into spans (uncorrected timestamps).
-  std::map<SpanKey, Span> spans;
-  std::map<SpanKey, std::array<sim::TimeNs, 4>> raw_ts;  // local clocks
-  for (const TraceStore* store : stores) {
-    for (const TraceEvent& ev : store->events()) {
-      ++out.total_events;
-      const SpanKey key{ev.request_id, ev.breadcrumb, base_order_of(ev)};
-      Span& sp = spans[key];
-      sp.request_id = ev.request_id;
-      sp.breadcrumb = ev.breadcrumb;
-      sp.base_order = key.base_order;
-      auto& ts = raw_ts[key];
-      switch (ev.kind) {
-        case TraceEventKind::kOriginStart:
-          sp.origin_ep = ev.self_ep;
-          sp.target_ep = ev.peer_ep;
-          ts[0] = ev.local_ts;
-          break;
-        case TraceEventKind::kTargetStart:
-          sp.target_ep = ev.self_ep;
-          sp.target_blocked_ults = ev.blocked_ults;
-          ts[1] = ev.local_ts;
-          break;
-        case TraceEventKind::kTargetEnd:
-          ts[2] = ev.local_ts;
-          break;
-        case TraceEventKind::kOriginEnd:
-          sp.origin_ofi_events_read = ev.num_ofi_events_read;
-          ts[3] = ev.local_ts;
-          break;
-      }
+  std::vector<SpanSlot> slots = collect_spans(stores, out.total_events);
+  out.total_spans = slots.size();
+  const std::vector<EndpointPair> pairs =
+      estimate_offsets(slots, out.clock_offset_ns);
+
+  // Pass 3: apply corrections, assemble per-request traces and link
+  // parents. Request ids are contiguous in SpanKey order, so each request
+  // is one run of slots.
+  std::size_t n_requests = 0;
+  for (std::size_t i = 0; i < slots.size(); ++i) {
+    if (i == 0 || slots[i].sp.request_id != slots[i - 1].sp.request_id) {
+      ++n_requests;
     }
   }
-
-  // Pass 2: clock-skew estimation. For every (origin, target) endpoint pair
-  // with complete spans, the NTP-style symmetric-delay estimate of the
-  // target's offset relative to the origin is
-  //     theta = ((t5 - t1) - (t14 - t8)) / 2
-  // Averaging over spans cancels queueing noise; a BFS over the pair graph
-  // anchors every endpoint to the smallest endpoint id (the reference).
-  std::map<std::pair<std::uint32_t, std::uint32_t>, std::pair<double, int>>
-      pair_theta;
-  for (const auto& [key, sp] : spans) {
-    const auto& ts = raw_ts[key];
-    if (ts[0] == 0 || ts[1] == 0 || ts[2] == 0 || ts[3] == 0) continue;
-    if (sp.origin_ep == sp.target_ep) continue;
-    const double fwd = static_cast<double>(ts[1]) - static_cast<double>(ts[0]);
-    const double bwd = static_cast<double>(ts[3]) - static_cast<double>(ts[2]);
-    const double theta = (fwd - bwd) / 2.0;
-    auto& acc = pair_theta[{sp.origin_ep, sp.target_ep}];
-    acc.first += theta;
-    acc.second += 1;
-  }
-
-  std::set<std::uint32_t> eps;
-  for (const auto& [key, sp] : spans) {
-    eps.insert(sp.origin_ep);
-    eps.insert(sp.target_ep);
-  }
-  std::map<std::uint32_t, double>& offset = out.clock_offset_ns;
-  if (!eps.empty()) {
-    // adjacency with averaged thetas in both directions
-    std::map<std::uint32_t, std::vector<std::pair<std::uint32_t, double>>> adj;
-    for (const auto& [pair, acc] : pair_theta) {
-      const double theta = acc.first / acc.second;
-      adj[pair.first].emplace_back(pair.second, theta);
-      adj[pair.second].emplace_back(pair.first, -theta);
+  out.requests.reserve(n_requests);
+  out.request_index.reserve(n_requests);
+  std::vector<std::pair<Breadcrumb, std::uint32_t>> by_bc;
+  for (std::size_t begin = 0, end = 0; begin < slots.size(); begin = end) {
+    const std::uint64_t rid = slots[begin].sp.request_id;
+    end = begin + 1;
+    while (end < slots.size() && slots[end].sp.request_id == rid) ++end;
+    RequestTrace& rt = out.requests.emplace_back();
+    rt.request_id = rid;
+    rt.spans.reserve(end - begin);
+    for (std::size_t i = begin; i < end; ++i) {
+      const SpanSlot& slot = slots[i];
+      const EndpointPair& p = pairs[slot.pair];
+      Span& sp = rt.spans.emplace_back(slot.sp);
+      sp.origin_start = corrected(slot.ts[0], p.origin_off);
+      sp.target_start = corrected(slot.ts[1], p.target_off);
+      sp.target_end = corrected(slot.ts[2], p.target_off);
+      sp.origin_end = corrected(slot.ts[3], p.origin_off);
     }
-    // BFS from each yet-unvisited endpoint (reference offset 0).
-    for (const auto ref : eps) {
-      if (offset.count(ref) != 0) continue;
-      offset[ref] = 0;
-      std::vector<std::uint32_t> queue{ref};
-      while (!queue.empty()) {
-        const auto u = queue.back();
-        queue.pop_back();
-        for (const auto& [v, theta] : adj[u]) {
-          if (offset.count(v) != 0) continue;
-          offset[v] = offset[u] + theta;
-          queue.push_back(v);
-        }
-      }
-    }
-  }
-
-  // Pass 3: apply corrections and assemble per-request traces.
-  auto corrected = [&](std::uint32_t ep, sim::TimeNs local) -> sim::TimeNs {
-    if (local == 0) return 0;
-    const auto it = offset.find(ep);
-    const double off = it == offset.end() ? 0.0 : it->second;
-    const double t = static_cast<double>(local) - off;
-    return t < 0 ? 0 : static_cast<sim::TimeNs>(t);
-  };
-
-  std::map<std::uint64_t, RequestTrace> by_request;
-  for (auto& [key, sp] : spans) {
-    const auto& ts = raw_ts[key];
-    sp.origin_start = corrected(sp.origin_ep, ts[0]);
-    sp.target_start = corrected(sp.target_ep, ts[1]);
-    sp.target_end = corrected(sp.target_ep, ts[2]);
-    sp.origin_end = corrected(sp.origin_ep, ts[3]);
-    auto& rt = by_request[sp.request_id];
-    rt.request_id = sp.request_id;
-    rt.spans.push_back(sp);
-    ++out.total_spans;
-  }
-  out.requests.reserve(by_request.size());
-  for (auto& [rid, rt] : by_request) {
     std::sort(rt.spans.begin(), rt.spans.end(),
               [](const Span& a, const Span& b) {
                 if (a.origin_start != b.origin_start) {
@@ -301,39 +446,8 @@ TraceSummary TraceSummary::build(
                 }
                 return a.base_order < b.base_order;
               });
-    out.request_index.emplace(rid, out.requests.size());
-    out.requests.push_back(std::move(rt));
-  }
-
-  // Pass 4: resolve parent links once per request. A parent is a span whose
-  // breadcrumb is the child's breadcrumb with the leaf popped, that started
-  // no later than the child, and whose interval covers the child's start;
-  // the latest-starting such span wins. Export paths (zipkin, Gantt) used
-  // to re-derive this per span with a full re-scan of the span list.
-  for (auto& rt : out.requests) {
-    std::unordered_map<Breadcrumb, std::vector<std::size_t>> by_bc;
-    by_bc.reserve(rt.spans.size());
-    for (std::size_t i = 0; i < rt.spans.size(); ++i) {
-      by_bc[rt.spans[i].breadcrumb].push_back(i);
-    }
-    for (auto& sp : rt.spans) {
-      const Breadcrumb parent_bc = sp.breadcrumb >> 16;
-      if (parent_bc == 0) continue;
-      const auto it = by_bc.find(parent_bc);
-      if (it == by_bc.end()) continue;
-      // Candidate indices are ascending in origin_start (spans are sorted),
-      // so the last candidate not starting after the child is the winner.
-      std::int32_t best = -1;
-      for (const std::size_t idx : it->second) {
-        const Span& cand = rt.spans[idx];
-        if (cand.origin_start > sp.origin_start) break;
-        if (cand.origin_end != 0 && cand.origin_end < sp.origin_start) {
-          continue;
-        }
-        best = static_cast<std::int32_t>(idx);
-      }
-      sp.parent = best;
-    }
+    resolve_parents(rt.spans, by_bc);
+    out.request_index.emplace(rid, out.requests.size() - 1);
   }
   return out;
 }

@@ -1,5 +1,7 @@
 #include "symbiosys/records.hpp"
 
+#include <cstdio>
+
 #include "symbiosys/breadcrumb.hpp"
 
 namespace sym::prof {
@@ -46,7 +48,9 @@ std::string NameRegistry::lookup(std::uint16_t h) const {
   const std::lock_guard<std::mutex> lock(mu_);
   auto it = names_.find(h);
   if (it != names_.end()) return it->second;
-  return "<0x" + std::to_string(h) + ">";
+  char buf[sizeof("<0xffff>")];
+  std::snprintf(buf, sizeof(buf), "<0x%04x>", static_cast<unsigned>(h));
+  return buf;
 }
 
 void NameRegistry::clear() {

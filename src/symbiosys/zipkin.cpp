@@ -1,17 +1,40 @@
 #include "symbiosys/zipkin.hpp"
 
-#include <cinttypes>
-#include <cstdio>
+#include <charconv>
+#include <limits>
+#include <vector>
 
 #include "symbiosys/breadcrumb.hpp"
+#include "symbiosys/flat_hash.hpp"
 
 namespace sym::prof {
 namespace {
 
-std::string hex64(std::uint64_t v) {
-  char buf[17];
-  std::snprintf(buf, sizeof(buf), "%016" PRIx64, v);
-  return buf;
+constexpr char kHexDigits[] = "0123456789abcdef";
+
+/// Append `v` as 16 lowercase, zero-padded hex digits.
+void append_hex64(std::string& out, std::uint64_t v) {
+  char buf[16];
+  for (int i = 15; i >= 0; --i) {
+    buf[i] = kHexDigits[v & 0xF];
+    v >>= 4;
+  }
+  out.append(buf, sizeof(buf));
+}
+
+void append_u32(std::string& out, std::uint32_t v) {
+  char buf[std::numeric_limits<std::uint32_t>::digits10 + 1];
+  const auto res = std::to_chars(buf, buf + sizeof(buf), v);
+  out.append(buf, res.ptr);
+}
+
+/// Append `v` rounded to an integer: the same digits as printf's "%.0f".
+void append_fixed0(std::string& out, double v) {
+  // Sign plus every integer digit of the largest finite double.
+  char buf[std::numeric_limits<double>::max_exponent10 + 3];
+  const auto res =
+      std::to_chars(buf, buf + sizeof(buf), v, std::chars_format::fixed, 0);
+  out.append(buf, res.ptr);
 }
 
 std::uint64_t span_id(const Span& sp) {
@@ -22,51 +45,78 @@ std::uint64_t span_id(const Span& sp) {
   return h == 0 ? 1 : h;
 }
 
+struct LeafHash {
+  std::size_t operator()(std::uint16_t leaf) const noexcept {
+    return static_cast<std::size_t>((leaf * 0x9E3779B97F4A7C15ULL) >> 32);
+  }
+};
+
+/// Leaf names resolved once per export call: NameRegistry::lookup takes a
+/// mutex and copies the name, which per span would dominate the writer.
+class LeafNames {
+ public:
+  const std::string& operator()(std::uint16_t leaf) {
+    std::uint32_t& pos = index_.find_or_insert(leaf);  // name index + 1
+    if (pos == 0) {
+      names_.push_back(NameRegistry::global().lookup(leaf));
+      pos = static_cast<std::uint32_t>(names_.size());
+    }
+    return names_[pos - 1];
+  }
+
+ private:
+  FlatHashMap<std::uint16_t, std::uint32_t, LeafHash> index_;
+  std::vector<std::string> names_;
+};
+
 void append_span_json(std::string& out, const RequestTrace& rt,
-                      const Span& sp, bool& first) {
+                      const Span& sp, LeafNames& names, bool& first) {
   if (!first) out += ",\n";
   first = false;
-  const auto& reg = NameRegistry::global();
-  const std::string name = reg.lookup(leaf_of(sp.breadcrumb));
-  // Parent linkage is resolved once in TraceSummary::build (Span::parent);
-  // the export no longer re-scans the span list per span.
-  const Span* parent =
-      sp.parent >= 0 ? &rt.spans[static_cast<std::size_t>(sp.parent)]
-                     : nullptr;
-
-  char buf[512];
+  out += "  {\"traceId\": \"";
+  append_hex64(out, sp.request_id);
+  out += "\", \"id\": \"";
+  append_hex64(out, span_id(sp));
+  out += "\",";
+  // Parent linkage is resolved once in TraceSummary::build (Span::parent).
+  if (sp.parent >= 0) {
+    out += " \"parentId\": \"";
+    append_hex64(out, span_id(rt.spans[static_cast<std::size_t>(sp.parent)]));
+    out += "\",";
+  }
+  out += " \"name\": \"";
+  out += names(leaf_of(sp.breadcrumb));
   // Zipkin v2 timestamps/durations are in microseconds.
-  const double ts_us = static_cast<double>(sp.origin_start) / 1e3;
-  const double dur_us = static_cast<double>(sp.duration()) / 1e3;
-  std::snprintf(buf, sizeof(buf),
-                "  {\"traceId\": \"%s\", \"id\": \"%s\",%s%s%s \"name\": "
-                "\"%s\", \"timestamp\": %.0f, \"duration\": %.0f, "
-                "\"kind\": \"CLIENT\", \"localEndpoint\": {\"serviceName\": "
-                "\"ep-%u\"}, \"remoteEndpoint\": {\"serviceName\": "
-                "\"ep-%u\"}, \"tags\": {\"breadcrumb\": \"%s\", "
-                "\"blocked_ults\": \"%u\", \"ofi_events_read\": \"%.0f\"}}",
-                hex64(sp.request_id).c_str(), hex64(span_id(sp)).c_str(),
-                parent != nullptr ? " \"parentId\": \"" : "",
-                parent != nullptr ? hex64(span_id(*parent)).c_str() : "",
-                parent != nullptr ? "\"," : "", name.c_str(), ts_us, dur_us,
-                sp.origin_ep, sp.target_ep,
-                hex64(sp.breadcrumb).c_str(), sp.target_blocked_ults,
-                static_cast<double>(sp.origin_ofi_events_read));
-  out += buf;
+  out += "\", \"timestamp\": ";
+  append_fixed0(out, static_cast<double>(sp.origin_start) / 1e3);
+  out += ", \"duration\": ";
+  append_fixed0(out, static_cast<double>(sp.duration()) / 1e3);
+  out += ", \"kind\": \"CLIENT\", \"localEndpoint\": {\"serviceName\": \"ep-";
+  append_u32(out, sp.origin_ep);
+  out += "\"}, \"remoteEndpoint\": {\"serviceName\": \"ep-";
+  append_u32(out, sp.target_ep);
+  out += "\"}, \"tags\": {\"breadcrumb\": \"";
+  append_hex64(out, sp.breadcrumb);
+  out += "\", \"blocked_ults\": \"";
+  append_u32(out, sp.target_blocked_ults);
+  out += "\", \"ofi_events_read\": \"";
+  append_fixed0(out, static_cast<double>(sp.origin_ofi_events_read));
+  out += "\"}}";
 }
 
-}  // namespace
-
-// Every span serializes from a 512-byte stack buffer, so pre-sizing the
-// output to ~512 bytes/span makes the append loop allocation-free.
+// A span with a short leaf name serializes to ~350 bytes, so pre-sizing the
+// output to 512 bytes/span keeps the append loop reallocation-free.
 constexpr std::size_t kSpanJsonReserve = 512;
+
+}  // namespace
 
 std::string to_zipkin_json(const RequestTrace& rt) {
   std::string out;
   out.reserve(8 + rt.spans.size() * kSpanJsonReserve);
   out += "[\n";
+  LeafNames names;
   bool first = true;
-  for (const auto& sp : rt.spans) append_span_json(out, rt, sp, first);
+  for (const auto& sp : rt.spans) append_span_json(out, rt, sp, names, first);
   out += "\n]\n";
   return out;
 }
@@ -75,9 +125,12 @@ std::string to_zipkin_json(const TraceSummary& summary) {
   std::string out;
   out.reserve(8 + summary.total_spans * kSpanJsonReserve);
   out += "[\n";
+  LeafNames names;
   bool first = true;
   for (const auto& rt : summary.requests) {
-    for (const auto& sp : rt.spans) append_span_json(out, rt, sp, first);
+    for (const auto& sp : rt.spans) {
+      append_span_json(out, rt, sp, names, first);
+    }
   }
   out += "\n]\n";
   return out;
