@@ -9,8 +9,10 @@
 #include <string>
 #include <vector>
 
+#include "margolite/instance.hpp"
 #include "merclite/core.hpp"
 #include "merclite/proc.hpp"
+#include "services/sdskv/sdskv.hpp"
 #include "services/sonata/json.hpp"
 #include "services/sonata/jx9lite.hpp"
 #include "simkit/cluster.hpp"
@@ -27,6 +29,8 @@ namespace sim = sym::sim;
 namespace hg = sym::hg;
 namespace prof = sym::prof;
 namespace ofi = sym::ofi;
+namespace margo = sym::margo;
+namespace sdskv = sym::sdskv;
 
 // ---------------------------------------------------------------------------
 // simkit primitives
@@ -368,32 +372,31 @@ static void BM_RpcHeaderRoundTrip(benchmark::State& state) {
 BENCHMARK(BM_RpcHeaderRoundTrip);
 
 // Full eager-path request/response round trip driven without margolite,
-// measuring the host-side ns/send of the RPC layer. Arg(0) disables the
-// wire-buffer pool (every send and receive allocates fresh payload
-// storage); Arg(1) runs with the default pool, where receive-side buffers
-// are recycled into subsequent sends. The before/after pair quantifies the
-// allocation churn removed from the eager path; simulated timing is
-// identical in both arms.
+// measuring the host-side ns/send of the RPC layer. Payloads are written
+// through a BufWriter, as services do, so both messages go on the wire in
+// their own buffers (frames_in_place counts them) and each receiver adopts
+// the buffer it was sent.
 static void BM_MercliteEagerSend(benchmark::State& state) {
-  const bool pooled = state.range(0) != 0;
   sim::Engine eng;
   sim::Cluster cluster(eng, sim::ClusterParams{.node_count = 1});
   ofi::Fabric fabric{cluster};
   auto& cproc = cluster.spawn_process(0, "bench-origin");
   auto& sproc = cluster.spawn_process(0, "bench-target");
-  hg::ClassConfig cc;
-  cc.buffer_pool_limit = pooled ? 64 : 0;
-  hg::Class client(fabric, cproc, cc);
-  hg::Class server(fabric, sproc, cc);
-  server.register_rpc("bench_echo", [&server](hg::HandlePtr h) {
-    server.respond(h, std::vector<std::byte>(256), nullptr);
+  hg::Class client(fabric, cproc);
+  hg::Class server(fabric, sproc);
+  const auto payload = [](std::size_t n) {
+    hg::BufWriter w;
+    w.write_zeros(n);
+    return w.take();
+  };
+  server.register_rpc("bench_echo", [&server, &payload](hg::HandlePtr h) {
+    server.respond(h, payload(256), nullptr);
   });
   const auto rpc = client.register_rpc("bench_echo", nullptr);
-  const std::vector<std::byte> payload(1024);
   std::uint64_t completed = 0;
   for (auto _ : state) {
     auto h = client.create_handle(server.addr(), rpc, 0);
-    client.forward(h, payload,
+    client.forward(h, payload(1024),
                    [&completed](const hg::HandlePtr&) { ++completed; });
     eng.run();          // deliver the request
     server.progress();  // arrival callback -> respond()
@@ -405,10 +408,56 @@ static void BM_MercliteEagerSend(benchmark::State& state) {
     state.SkipWithError("rpc round trips did not complete");
   }
   state.SetItemsProcessed(state.iterations());
-  state.counters["pool_hits"] = static_cast<double>(
-      client.buffer_pool_hits() + server.buffer_pool_hits());
+  state.counters["frames_in_place"] = static_cast<double>(
+      client.frames_in_place() + server.frames_in_place());
 }
-BENCHMARK(BM_MercliteEagerSend)->Arg(0)->Arg(1);
+BENCHMARK(BM_MercliteEagerSend);
+
+// One 512-entry sdskv_list_keyvals round trip through margolite/merclite on
+// one lane — the dominant call of Mobject's read path. The provider writes
+// the pairs straight from its map into the response and the client walks
+// them in place. The benchmark loop runs inside the client ULT, so each
+// iteration is a full simulated RPC; instrumentation is off to time the
+// message path alone.
+static void BM_SdskvListKeyvals(benchmark::State& state) {
+  sim::Engine eng;
+  sim::Cluster cluster(eng, sim::ClusterParams{.node_count = 1});
+  ofi::Fabric fabric{cluster};
+  auto& sproc = cluster.spawn_process(0, "bench-kv");
+  auto& cproc = cluster.spawn_process(0, "bench-client");
+  margo::Instance server(
+      fabric, sproc,
+      margo::InstanceConfig{.server = true, .instr = prof::Level::kOff});
+  margo::Instance client(fabric, cproc,
+                         margo::InstanceConfig{.instr = prof::Level::kOff});
+  sdskv::Provider provider(server, 1, sdskv::ProviderConfig{});
+  sdskv::Client kv(client);
+  std::size_t pairs = 0;
+  server.start();
+  client.start();
+  client.spawn([&] {
+    for (int i = 0; i < 512; ++i) {
+      kv.put(server.addr(), 1, 0,
+             "extent/ior-obj-" + std::to_string(i) + "/0000000000000001",
+             std::to_string(1000 + i));
+    }
+    for (auto _ : state) {
+      const auto list = kv.list_keyvals(server.addr(), 1, 0, "extent/", 512);
+      for (const auto& kvp : list) {
+        benchmark::DoNotOptimize(kvp);
+        ++pairs;
+      }
+    }
+    client.finalize();
+    server.finalize();
+  });
+  eng.run();
+  if (pairs != 512 * static_cast<std::size_t>(state.iterations())) {
+    state.SkipWithError("scan did not return 512 pairs");
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_SdskvListKeyvals);
 
 // ---------------------------------------------------------------------------
 // Sonata JSON / jx9lite

@@ -377,12 +377,13 @@ const std::vector<std::byte>& PendingOp::wait_retry(
     abt::sleep_for(backoff);
     backoff *= 2;
     ++attempts_;
-    // The origin handle still holds the request input and attachment, so
-    // the op can be re-issued verbatim; adopt the retry's handle so the
-    // caller sees the final attempt's response and flags.
+    // The busy reject handed the request input back on the handle, which
+    // also keeps the attachment, so the op is re-issued verbatim; adopt the
+    // retry's handle so the caller sees the final attempt's response and
+    // flags.
     auto retry = inst_->forward_async(
         handle_->peer_addr(), handle_->header.provider_id,
-        handle_->header.rpc_id, handle_->body, handle_->attachment,
+        handle_->header.rpc_id, std::move(handle_->body), handle_->attachment,
         handle_->attachment_bytes);
     retry->wait();
     handle_ = retry->handle_;
@@ -409,7 +410,9 @@ Instance::RetryResult Instance::forward_retry(ofi::EpAddr dest,
                                               sim::DurationNs initial_backoff) {
   RetryResult result;
   auto op = forward_async(dest, provider_id, rpc, std::move(input));
-  result.response = op->wait_retry(max_attempts, initial_backoff);
+  op->wait_retry(max_attempts, initial_backoff);
+  // The handle is released with `op`: hand its response buffer out.
+  result.response = std::move(op->handle()->response_body);
   result.attempts = op->attempts();
   result.busy = op->busy();
   return result;

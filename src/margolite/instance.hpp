@@ -69,7 +69,8 @@ class PendingOp {
 
   /// wait(), then transparently re-issue the RPC after an exponentially
   /// growing backoff while the target keeps early-rejecting it with
-  /// kFlagBusy (admission control). Adopts the final attempt's response:
+  /// kFlagBusy (admission control); each reject hands the request input
+  /// back for the next attempt. Adopts the final attempt's response:
   /// afterwards busy() reports whether the last attempt was still
   /// rejected. Each retry is a fresh forward, so retries show up as
   /// additional origin spans in the trace.
@@ -204,12 +205,13 @@ class Instance {
   /// Synchronous forward: forward_async() + wait(). Busy early-rejects are
   /// retried via forward_retry() with the default backoff schedule, so
   /// callers transparently cooperate with target-side admission control.
+  /// The response is the received message buffer, moved out.
   std::vector<std::byte> forward(ofi::EpAddr dest, std::uint16_t provider_id,
                                  hg::RpcId rpc, std::vector<std::byte> input);
 
   /// Outcome of a forward_retry() loop.
   struct RetryResult {
-    std::vector<std::byte> response;  ///< valid when !busy
+    std::vector<std::byte> response;  ///< valid when !busy; moved out
     unsigned attempts = 0;            ///< total forwards issued
     bool busy = false;  ///< still rejected after max_attempts
   };

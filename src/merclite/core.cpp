@@ -1,5 +1,6 @@
 #include "merclite/core.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 #include <utility>
@@ -34,15 +35,6 @@ void get(BufReader& r, RpcHeader& h) {
   get(r, h.lamport);
   get(r, h.flags);
   get(r, h.body_size);
-}
-
-std::size_t rpc_header_wire_size() noexcept {
-  static const std::size_t size = [] {
-    BufWriter w;
-    put(w, RpcHeader{});
-    return w.size();
-  }();
-  return size;
 }
 
 // ---------------------------------------------------------------------------
@@ -152,11 +144,13 @@ void Class::register_pvars() {
              [this](const Handle*) {
                return static_cast<double>(callback_queue_hwm_);
              });
+  // The name predates in-place framing, when a send with no fresh wire
+  // buffer was one served from a recycle pool.
   pvars_.add({"wire_buffer_pool_hits",
-              "Wire-buffer sends served from the recycle pool",
+              "Sends that went on the wire in their payload buffer",
               PvarClass::kCounter, PvarBind::kNoObject},
              [this](const Handle*) {
-               return static_cast<double>(buffer_pool_hits_);
+               return static_cast<double>(frames_in_place_);
              });
   pvars_.add({"min_ofi_events_read",
               "Lowest non-trivial OFI event batch read by progress",
@@ -228,26 +222,25 @@ void Class::forward(const HandlePtr& h, std::vector<std::byte> input,
   h->set_timer(kHtInputSer, static_cast<double>(cost));
   charge_compute(cost);
 
-  h->body = std::move(input);
   posted_[h->header.op_seq] = h;
   completion_cbs_[h->header.op_seq] = std::move(on_complete);
   ++num_rpcs_invoked_;
 
-  // Build the wire message: header + body. If the body exceeds the eager
-  // limit only the eager portion is charged to the wire here; the target
-  // fetches the remainder with an internal RDMA before dispatch (t3->t4).
-  const std::size_t header_size = rpc_header_wire_size();
+  // The wire message is the input itself plus the header trailer. If the
+  // body exceeds the eager limit only the eager portion is charged to the
+  // wire here; the target fetches the remainder with an internal RDMA
+  // before dispatch (t3->t4).
   std::uint64_t wire_bytes = 0;  // 0 => full size
-  if (h->body.size() > config_.eager_limit) {
+  if (input.size() > config_.eager_limit) {
     h->header.flags |= kFlagEagerOverflow;
     ++eager_overflows_;
-    wire_bytes = header_size + config_.eager_limit;
+    wire_bytes = kRpcHeaderWireSize + config_.eager_limit;
   }
-
-  BufWriter w(acquire_buffer());
-  put(w, h->header);
-  w.write_raw(h->body.data(), h->body.size());
-  endpoint_.post_send(h->peer_, kTagRequest, w.take(), /*context=*/0,
+  // The input moves to the target, which adopts it as its body; should the
+  // target early-reject the request as busy, it hands the input back for
+  // the retry (see respond()).
+  endpoint_.post_send(h->peer_, kTagRequest,
+                      frame(std::move(input), h->header), /*context=*/0,
                       wire_bytes, h->attachment);
 }
 
@@ -260,15 +253,19 @@ void Class::respond(const HandlePtr& h, std::vector<std::byte> output,
   h->set_timer(kHtOutputSer, static_cast<double>(cost));
   charge_compute(cost);
 
-  h->response_body = std::move(output);
-
   RpcHeader resp = h->header;
   // Only the library-status bits echo back to the origin.
   resp.flags = h->header.flags & (kFlagError | kFlagBusy);
-  resp.body_size = h->response_body.size();
-  BufWriter w(acquire_buffer());
-  put(w, resp);
-  w.write_raw(h->response_body.data(), h->response_body.size());
+  resp.body_size = output.size();
+  std::uint64_t wire_bytes = 0;  // 0 => full size
+  if ((resp.flags & kFlagBusy) != 0) {
+    // A busy early-reject is an empty response. It carries the request
+    // input back to the origin, which re-sends it on retry; the input rides
+    // as content only, so the wire is charged for the empty response.
+    assert(output.empty() && "a busy early-reject has no output");
+    output = std::move(h->body);
+    wire_bytes = kRpcHeaderWireSize;
+  }
 
   // Register the sent-completion continuation (t13) before posting.
   const std::uint64_t ctx = next_ctx_++;
@@ -279,7 +276,8 @@ void Class::respond(const HandlePtr& h, std::vector<std::byte> output,
       enqueue_callback([hp, cb] { cb(hp); });
     };
   }
-  endpoint_.post_send(h->peer_, kTagResponse, w.take(), ctx);
+  endpoint_.post_send(h->peer_, kTagResponse, frame(std::move(output), resp),
+                      ctx, wire_bytes);
 }
 
 void Class::bulk_transfer(const HandlePtr& h, std::uint64_t bytes,
@@ -313,23 +311,32 @@ void Class::charge_input_deserialize(const HandlePtr& h) {
   charge_compute(cost);
 }
 
-std::vector<std::byte> Class::acquire_buffer() {
-  if (!buffer_pool_.empty()) {
-    std::vector<std::byte> buf = std::move(buffer_pool_.back());
-    buffer_pool_.pop_back();
-    ++buffer_pool_hits_;
-    return buf;
+std::vector<std::byte> Class::frame(std::vector<std::byte> msg,
+                                   const RpcHeader& h) {
+  const std::size_t framed = msg.size() + kRpcHeaderWireSize;
+  if (msg.capacity() < framed) {
+    // No room for the trailer: the payload did not come from a BufWriter,
+    // or small fields written after its last growth used up the tailroom.
+    ++frames_grown_;
+    msg.reserve(framed);
+  } else {
+    ++frames_in_place_;
   }
-  ++buffer_pool_misses_;
-  return {};
+  BufWriter w(std::move(msg));
+  put(w, h);
+  return w.take();
 }
 
-void Class::recycle_buffer(std::vector<std::byte>&& buf) {
-  if (config_.buffer_pool_limit == 0 || buf.capacity() == 0 ||
-      buffer_pool_.size() >= config_.buffer_pool_limit) {
-    return;  // pooling disabled, nothing worth keeping, or pool full
+bool Class::unframe(std::vector<std::byte>& msg, RpcHeader& h) {
+  if (msg.size() < kRpcHeaderWireSize) {
+    ++malformed_drops_;
+    return false;
   }
-  buffer_pool_.push_back(std::move(buf));
+  const std::size_t body_size = msg.size() - kRpcHeaderWireSize;
+  BufReader r(msg.data() + body_size, kRpcHeaderWireSize);
+  get(r, h);
+  msg.resize(body_size);  // shrinks in place: capacity is kept
+  return true;
 }
 
 void Class::enqueue_callback(std::function<void()> fn) {
@@ -340,19 +347,15 @@ void Class::enqueue_callback(std::function<void()> fn) {
 }
 
 void Class::handle_request_arrival(ofi::CqEntry&& entry) {
-  BufReader r(entry.data);
+  RpcHeader header;
+  if (!unframe(entry.data, header)) return;
   auto h = std::make_shared<Handle>();
-  get(r, h->header);
+  h->header = header;
   h->target_side_ = true;
   h->peer_ = entry.peer;
   h->received_at_ = engine().now();  // t3
-  h->body.assign(entry.data.begin() +
-                     static_cast<std::ptrdiff_t>(r.position()),
-                 entry.data.end());
+  h->body = std::move(entry.data);  // the wire buffer, adopted
   h->attachment = std::move(entry.attachment);
-  // The header and body were copied out above; the wire buffer's storage
-  // goes back to the pool for the next send.
-  recycle_buffer(std::move(entry.data));
   ++num_rpcs_handled_;
 
   auto it = rpc_handlers_.find(h->header.rpc_id);
@@ -383,17 +386,17 @@ void Class::handle_request_arrival(ofi::CqEntry&& entry) {
 }
 
 void Class::handle_response_arrival(ofi::CqEntry&& entry) {
-  BufReader r(entry.data);
   RpcHeader resp;
-  get(r, resp);
+  if (!unframe(entry.data, resp)) return;
   auto it = posted_.find(resp.op_seq);
   if (it == posted_.end()) return;  // stale/duplicate
-  HandlePtr h = it->second;
+  HandlePtr h = std::move(it->second);
   posted_.erase(it);
-  h->response_body.assign(entry.data.begin() +
-                              static_cast<std::ptrdiff_t>(r.position()),
-                          entry.data.end());
-  recycle_buffer(std::move(entry.data));
+  if ((resp.flags & kFlagBusy) != 0) {
+    h->body = std::move(entry.data);  // the input, handed back for a retry
+  } else {
+    h->response_body = std::move(entry.data);
+  }
   h->response_queued_at_ = engine().now();  // t12
   // Carry the responder's Lamport clock back to the origin so the tracing
   // layer can apply the receive-side max+1 update, and surface the
@@ -414,7 +417,12 @@ void Class::handle_response_arrival(ofi::CqEntry&& entry) {
 }
 
 std::size_t Class::progress() {
+  // One allocation sized to the batch. Not a member scratch vector: with
+  // no such allocation on the hot path, glibc leaves its unsorted free
+  // list unsorted for the whole run, and the first allocations of the
+  // analysis after the run spend milliseconds sorting it.
   std::vector<ofi::CqEntry> events;
+  events.reserve(std::min(endpoint_.cq().size(), config_.max_events));
   const std::size_t n = endpoint_.cq().read(events, config_.max_events);
   last_ofi_events_read_ = n;
   if (n > 0 && n < min_ofi_events_read_) min_ofi_events_read_ = n;

@@ -70,42 +70,47 @@ struct ClassConfig {
   sim::DurationNs progress_per_event_cost = sim::nsec(800);
   /// CPU cost of dispatching one completion callback in trigger().
   sim::DurationNs trigger_dispatch_cost = sim::nsec(600);
-
-  /// Eager-path buffer pool: payload buffers taken off the wire are
-  /// recycled through a per-instance free list (up to this many) instead of
-  /// being freed and re-allocated for every RPC. 0 disables recycling.
-  /// Host-side optimization only — wire sizes and timing are unchanged.
-  std::size_t buffer_pool_limit = 64;
 };
 
-/// Wire header carried by every RPC request, including the SYMBIOSYS
+/// Wire header carried by every RPC message, including the SYMBIOSYS
 /// metadata the paper propagates: the 64-bit callpath breadcrumb, the
 /// globally unique request id, the per-request event order counter, and the
 /// Lamport clock.
+///
+/// On the wire it is a *trailer*: a message is the body followed by the
+/// header. The receiver reads the header off the end and truncates it, so
+/// the message buffer itself becomes the handle's body with no copy, and a
+/// sender appends the header into the tailroom BufWriter leaves.
+///
+/// Members are ordered for packing; the wire order is put()'s.
 struct RpcHeader {
   RpcId rpc_id = 0;
-  std::uint16_t provider_id = 0;
   std::uint64_t op_seq = 0;
   std::uint64_t breadcrumb = 0;
   std::uint64_t request_id = 0;
-  std::uint32_t trace_order = 0;
   std::uint64_t lamport = 0;
-  std::uint8_t flags = 0;
   std::uint64_t body_size = 0;
+  std::uint32_t trace_order = 0;
+  std::uint16_t provider_id = 0;
+  std::uint8_t flags = 0;
 };
 
 void put(BufWriter& w, const RpcHeader& h);
 void get(BufReader& r, RpcHeader& h);
 
 /// Serialized size of an RpcHeader on the wire.
-[[nodiscard]] std::size_t rpc_header_wire_size() noexcept;
+inline constexpr std::size_t kRpcHeaderWireSize =
+    sizeof(RpcId) + sizeof(std::uint16_t) + 4 * sizeof(std::uint64_t) +
+    sizeof(std::uint32_t) + sizeof(std::uint8_t) + sizeof(std::uint64_t);
+static_assert(kRpcHeaderWireSize <= kWriterTailroom,
+              "BufWriter tailroom must fit the RPC trailer");
 
 class Class;
 
 /// One RPC operation's state, on either the origin or the target side.
 /// HANDLE-bound PVARs (Table II) live inside the handle and go out of scope
 /// with it, exactly as the paper describes.
-class Handle : public std::enable_shared_from_this<Handle> {
+class Handle {
  public:
   RpcHeader header;
   std::vector<std::byte> body;           ///< serialized request input
@@ -199,12 +204,16 @@ class Class {
                                         std::uint16_t provider_id);
 
   /// Origin: serialize (charging t2->t3 cost), post the request, register
-  /// the completion callback. Must run in ULT context.
+  /// the completion callback. Must run in ULT context. `input` itself goes
+  /// on the wire and becomes the target's body; the origin handle's body
+  /// stays empty unless a busy early-reject hands the input back.
   void forward(const HandlePtr& h, std::vector<std::byte> input,
                CompletionCallback on_complete);
 
   /// Target: serialize the output (t9->t10), post the response, register
-  /// the sent callback (t13). Must run in ULT context.
+  /// the sent callback (t13). Must run in ULT context. `output` itself goes
+  /// on the wire with the header appended; the origin adopts it as its
+  /// response_body.
   void respond(const HandlePtr& h, std::vector<std::byte> output,
                SentCallback on_sent);
 
@@ -275,13 +284,18 @@ class Class {
   [[nodiscard]] std::uint64_t cancellations() const noexcept {
     return cancellations_;
   }
-  /// Wire-buffer pool hits (a send or receive reused a recycled buffer).
-  [[nodiscard]] std::uint64_t buffer_pool_hits() const noexcept {
-    return buffer_pool_hits_;
+  /// Sends whose payload buffer had tailroom for the header and went on
+  /// the wire as-is.
+  [[nodiscard]] std::uint64_t frames_in_place() const noexcept {
+    return frames_in_place_;
   }
-  /// Wire-buffer requests served by a fresh allocation.
-  [[nodiscard]] std::uint64_t buffer_pool_misses() const noexcept {
-    return buffer_pool_misses_;
+  /// Sends whose payload buffer had to grow to take the header.
+  [[nodiscard]] std::uint64_t frames_grown() const noexcept {
+    return frames_grown_;
+  }
+  /// Received messages dropped because they were shorter than a header.
+  [[nodiscard]] std::uint64_t malformed_drops() const noexcept {
+    return malformed_drops_;
   }
 
  private:
@@ -291,11 +305,13 @@ class Class {
 
   void handle_request_arrival(ofi::CqEntry&& entry);
   void handle_response_arrival(ofi::CqEntry&& entry);
-  /// Take a (cleared) wire buffer from the pool, or a fresh one.
-  [[nodiscard]] std::vector<std::byte> acquire_buffer();
-  /// Return a wire buffer's storage to the pool once its bytes were copied
-  /// out (receive path) — capacity is retained for the next send.
-  void recycle_buffer(std::vector<std::byte>&& buf);
+  /// Append `h` to `msg` as the message trailer. A payload written through
+  /// a BufWriter usually has the room; one without grows once.
+  [[nodiscard]] std::vector<std::byte> frame(std::vector<std::byte> msg,
+                                             const RpcHeader& h);
+  /// Read the header trailer off a received message and truncate it, so
+  /// `msg` holds just the body. False (and counted) if `msg` is too short.
+  bool unframe(std::vector<std::byte>& msg, RpcHeader& h);
   void enqueue_callback(std::function<void()> fn);
   void charge_compute(sim::DurationNs d);
   [[nodiscard]] sim::DurationNs ser_cost(std::size_t bytes) const noexcept;
@@ -334,12 +350,10 @@ class Class {
   std::uint64_t bulk_bytes_total_ = 0;
   std::uint64_t eager_overflows_ = 0;
   std::uint64_t cancellations_ = 0;
+  std::uint64_t malformed_drops_ = 0;
+  std::uint64_t frames_in_place_ = 0;
+  std::uint64_t frames_grown_ = 0;
   std::size_t callback_queue_hwm_ = 0;
-
-  // Eager-path wire-buffer free list (see ClassConfig::buffer_pool_limit).
-  std::vector<std::vector<std::byte>> buffer_pool_;
-  std::uint64_t buffer_pool_hits_ = 0;
-  std::uint64_t buffer_pool_misses_ = 0;
 };
 
 }  // namespace sym::hg

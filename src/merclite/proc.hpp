@@ -20,16 +20,19 @@
 
 namespace sym::hg {
 
+/// Spare capacity a BufWriter adds whenever it grows, so that the RPC layer
+/// can append its fixed-size message trailer (core.hpp) to a finished
+/// payload without reallocating it.
+inline constexpr std::size_t kWriterTailroom = 64;
+
 /// Growable output buffer.
 class BufWriter {
  public:
   BufWriter() = default;
-  /// Adopt `storage` as the backing buffer (cleared, capacity kept). Used
-  /// by the RPC layer's buffer pool to recycle payload allocations.
+  /// Adopt `storage` as the backing buffer: its bytes are kept and writes
+  /// append after them (a trailer added to a received payload, say).
   explicit BufWriter(std::vector<std::byte> storage) noexcept
-      : buf_(std::move(storage)) {
-    buf_.clear();
-  }
+      : buf_(std::move(storage)) {}
 
   [[nodiscard]] const std::vector<std::byte>& buffer() const noexcept {
     return buf_;
@@ -39,16 +42,40 @@ class BufWriter {
   }
   [[nodiscard]] std::size_t size() const noexcept { return buf_.size(); }
 
+  /// Make room for `n` more bytes plus the tailroom, so a payload whose
+  /// size is known up front is written without any reallocation.
+  void reserve(std::size_t n) {
+    buf_.reserve(buf_.size() + n + kWriterTailroom);
+  }
+
   void write_raw(const void* data, std::size_t n) {
+    grow_for(n);
     const auto* p = static_cast<const std::byte*>(data);
     buf_.insert(buf_.end(), p, p + n);
   }
 
   /// Append `n` zero bytes: models payload regions whose content is
   /// irrelevant to the experiment but whose size must hit the wire.
-  void write_zeros(std::size_t n) { buf_.resize(buf_.size() + n); }
+  void write_zeros(std::size_t n) {
+    grow_for(n);
+    buf_.resize(buf_.size() + n);
+  }
+
+  /// Overwrite `n` already-written bytes at `pos` (a count or length that
+  /// is only known after the fields following it were written).
+  void patch_raw(std::size_t pos, const void* data, std::size_t n) {
+    if (pos + n > buf_.size()) throw std::out_of_range("proc: patch overrun");
+    std::memcpy(buf_.data() + pos, data, n);
+  }
 
  private:
+  void grow_for(std::size_t n) {
+    if (buf_.capacity() - buf_.size() >= n) return;
+    const std::size_t doubled = 2 * buf_.capacity();
+    const std::size_t needed = buf_.size() + n;
+    buf_.reserve((doubled > needed ? doubled : needed) + kWriterTailroom);
+  }
+
   std::vector<std::byte> buf_;
 };
 

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <stdexcept>
 
 #include "argolite/runtime.hpp"
 
@@ -17,6 +18,12 @@ constexpr const char* kProbeRpc = "bake_probe_rpc";
 
 // Memory-copy CPU cost for staging bulk data into a region.
 constexpr double kCopyNsPerByte = 0.05;
+
+// A read response is the data followed by a fixed trailer (u8 status, u32
+// length), so the client strips the trailer and returns the received
+// buffer without copying the data out of it.
+constexpr std::size_t kReadTrailerBytes =
+    sizeof(std::uint8_t) + sizeof(std::uint32_t);
 
 }  // namespace
 
@@ -81,10 +88,19 @@ Status Provider::do_write(std::uint64_t rid, std::uint64_t offset,
   // Staging copy into the region buffer.
   abt::compute(static_cast<sim::DurationNs>(
       std::llround(static_cast<double>(bytes) * kCopyNsPerByte)));
-  if (region.data.size() < offset + bytes) region.data.resize(offset + bytes);
-  if (content != nullptr && !content->empty()) {
-    std::memcpy(region.data.data() + offset, content->data(),
-                std::min<std::size_t>(content->size(), bytes));
+  const std::size_t copy =
+      content != nullptr ? std::min<std::size_t>(content->size(), bytes) : 0;
+  if (offset == region.data.size() && copy == bytes && copy > 0) {
+    // Appending write: copy the content in without zero-filling first.
+    region.data.insert(region.data.end(), content->begin(),
+                       content->begin() + static_cast<std::ptrdiff_t>(copy));
+  } else {
+    if (region.data.size() < offset + bytes) {
+      region.data.resize(offset + bytes);
+    }
+    if (copy > 0) {
+      std::memcpy(region.data.data() + offset, content->data(), copy);
+    }
   }
   region.persisted = false;
   return Status::kOk;
@@ -140,21 +156,20 @@ void Provider::handle_read(margo::Request& req) {
   hg::get(r, rid);
   hg::get(r, offset);
   hg::get(r, len);
-  hg::BufWriter w;
   auto it = regions_.find(rid);
-  if (it == regions_.end()) {
-    hg::put(w, static_cast<std::uint8_t>(Status::kNoRegion));
-    hg::put(w, std::uint32_t{0});
-    req.respond(w.take());
-    return;
+  const Status status = it == regions_.end() ? Status::kNoRegion : Status::kOk;
+  std::uint64_t n = 0;
+  if (it != regions_.end()) {
+    const Region& region = it->second;
+    const std::uint64_t avail =
+        offset < region.data.size() ? region.data.size() - offset : 0;
+    n = std::min(len, avail);
   }
-  const Region& region = it->second;
-  const std::uint64_t avail =
-      offset < region.data.size() ? region.data.size() - offset : 0;
-  const std::uint64_t n = std::min(len, avail);
-  hg::put(w, static_cast<std::uint8_t>(Status::kOk));
+  hg::BufWriter w;
+  w.reserve(n + kReadTrailerBytes);
+  if (n > 0) w.write_raw(it->second.data.data() + offset, n);
+  hg::put(w, static_cast<std::uint8_t>(status));
   hg::put(w, static_cast<std::uint32_t>(n));
-  w.write_raw(region.data.data() + offset, n);
   req.respond(w.take());
 }
 
@@ -183,18 +198,14 @@ std::uint64_t Client::create(ofi::EpAddr target, std::uint16_t provider,
 
 Status Client::write(ofi::EpAddr target, std::uint16_t provider,
                      std::uint64_t rid, std::uint64_t offset,
-                     std::vector<std::byte> data) {
-  const std::uint64_t bytes = data.size();
-  auto shared =
-      // symlint: allow(may-allocate) reason=payload moves once into a
-      // shared RPC buffer; client writes are service calls, not lane events
-      std::make_shared<const std::vector<std::byte>>(std::move(data));
+                     std::shared_ptr<const std::vector<std::byte>> data) {
+  const std::uint64_t bytes = data != nullptr ? data->size() : 0;
   hg::BufWriter w;
   hg::put(w, rid);
   hg::put(w, offset);
   hg::put(w, bytes);
-  auto op =
-      mid_.forward_async(target, provider, write_id_, w.take(), shared, bytes);
+  auto op = mid_.forward_async(target, provider, write_id_, w.take(),
+                               std::move(data), bytes);
   return static_cast<Status>(hg::decode<std::uint8_t>(op->wait()));
 }
 
@@ -224,15 +235,20 @@ std::vector<std::byte> Client::read(ofi::EpAddr target, std::uint16_t provider,
   hg::put(w, rid);
   hg::put(w, offset);
   hg::put(w, len);
-  const auto resp = mid_.forward(target, provider, read_id_, w.take());
-  hg::BufReader r(resp);
+  std::vector<std::byte> data =
+      mid_.forward(target, provider, read_id_, w.take());
+  if (data.size() < kReadTrailerBytes) {
+    throw std::out_of_range("bake: short read response");
+  }
+  const std::size_t n = data.size() - kReadTrailerBytes;
+  hg::BufReader r(data.data() + n, kReadTrailerBytes);
   std::uint8_t status = 0;
-  std::uint32_t n = 0;
+  std::uint32_t got = 0;
   hg::get(r, status);
-  hg::get(r, n);
-  std::vector<std::byte> out(n);
-  if (n > 0) r.read_raw(out.data(), n);
-  return out;
+  hg::get(r, got);
+  if (got != n) throw std::out_of_range("bake: read length mismatch");
+  data.resize(n);
+  return data;
 }
 
 std::uint64_t Client::probe(ofi::EpAddr target, std::uint16_t provider) {

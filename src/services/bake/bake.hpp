@@ -96,9 +96,12 @@ class Client {
   std::uint64_t create(ofi::EpAddr target, std::uint16_t provider,
                        std::uint64_t size);
 
-  /// Write `data` into a region at `offset` (bulk path).
+  /// Write `data` into a region at `offset` (bulk path). The buffer is
+  /// exposed to the provider as-is, so a relaying service passes on the
+  /// attachment it received instead of copying it.
   Status write(ofi::EpAddr target, std::uint16_t provider, std::uint64_t rid,
-               std::uint64_t offset, std::vector<std::byte> data);
+               std::uint64_t offset,
+               std::shared_ptr<const std::vector<std::byte>> data);
 
   /// Flush a region to the device.
   Status persist(ofi::EpAddr target, std::uint16_t provider,
@@ -109,7 +112,9 @@ class Client {
                                      std::uint16_t provider,
                                      std::vector<std::byte> data);
 
-  /// Read `len` bytes from a region at `offset`.
+  /// Read up to `len` bytes from a region at `offset` (fewer past the end
+  /// of the written data, none for an unknown region). The returned vector
+  /// is the received response buffer itself.
   std::vector<std::byte> read(ofi::EpAddr target, std::uint16_t provider,
                               std::uint64_t rid, std::uint64_t offset,
                               std::uint64_t len);

@@ -520,7 +520,11 @@ void Provider::writeback_run(const BlockKey& first, std::uint32_t count) {
   }
   const std::uint64_t rid = region_of(first.object);
   backend_.write(cfg_.backend, cfg_.backend_provider, rid, first.block * bs,
-                 std::move(payload));
+                 // symlint: allow(may-allocate) reason=payload moves once
+                 // into the shared buffer BAKE pulls from; writebacks are
+                 // service calls, not lane events
+                 std::make_shared<const std::vector<std::byte>>(
+                     std::move(payload)));
   ++writeback_ops_;
   writeback_bytes_ += static_cast<std::uint64_t>(count) * bs;
   mid_.record_action_span("bc_writeback", started);

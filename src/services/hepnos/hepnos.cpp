@@ -191,10 +191,11 @@ std::vector<sdskv::KeyValue> DataStore::scan_prefix(const std::string& prefix,
     // is strictly-greater-than, so back off by one character.
     std::string start = prefix;
     if (!start.empty()) --start.back();
-    auto chunk = kv_.list_keyvals(servers_.at(server), sdskv_provider_,
-                                  db % dbs_per_server_, start, max_per_db);
-    for (auto& kv : chunk) {
-      if (kv.first.rfind(prefix, 0) == 0) out.push_back(std::move(kv));
+    const auto chunk = kv_.list_keyvals(servers_.at(server), sdskv_provider_,
+                                        db % dbs_per_server_, start,
+                                        max_per_db);
+    for (const auto& [key, value] : chunk) {
+      if (key.starts_with(prefix)) out.emplace_back(key, value);
     }
   }
   std::sort(out.begin(), out.end());

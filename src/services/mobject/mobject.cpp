@@ -1,7 +1,9 @@
 #include "services/mobject/mobject.hpp"
 
+#include <charconv>
 #include <cstdio>
-#include <cstdlib>
+#include <stdexcept>
+#include <string_view>
 
 namespace sym::mobject {
 namespace {
@@ -79,13 +81,15 @@ void Server::handle_write_op(margo::Request& req) {
   // payload relayed via our attachment), persist.
   const std::uint64_t rid = blob_->create(self, bkp, bytes);        // 5 bake
   {
-    // Relay the attached payload to BAKE. We hand BAKE a copy of the
-    // attachment content (sizes drive the timing; content rides along).
-    const auto* payload = req.handle()->attached<std::vector<std::byte>>();
-    std::vector<std::byte> data =
-        payload != nullptr ? *payload : std::vector<std::byte>(bytes);
+    // Relay the client's attached payload to BAKE as the same buffer
+    // (sizes drive the timing; content rides along).
+    auto payload = std::static_pointer_cast<const std::vector<std::byte>>(
+        req.handle()->attachment);
+    if (payload == nullptr) {
+      payload = std::make_shared<const std::vector<std::byte>>(bytes);
+    }
     req.bulk_pull(bytes);  // pull the client's payload into our memory
-    blob_->write(self, bkp, rid, 0, std::move(data));               // 6 bake
+    blob_->write(self, bkp, rid, 0, std::move(payload));            // 6 bake
   }
   blob_->persist(self, bkp, rid);                                   // 7 bake
 
@@ -121,13 +125,16 @@ void Server::handle_read_op(margo::Request& req) {
 
   std::vector<std::byte> data;
   if (!extents.empty()) {
-    const std::uint64_t rid =
-        std::strtoull(extents.back().second.c_str(), nullptr, 10);
+    std::string_view last_rid;
+    for (const auto& [key, value] : extents) last_rid = value;
+    std::uint64_t rid = 0;
+    std::from_chars(last_rid.data(), last_rid.data() + last_rid.size(), rid);
     data = blob_->read(self, bkp, rid, 0, ~0ULL >> 1);
   }
-  hg::BufWriter w;
-  hg::put(w, static_cast<std::uint32_t>(data.size()));
-  w.write_raw(data.data(), data.size());
+  // Response layout: the object bytes, then their u32 length. BAKE's read
+  // buffer is extended in place and the client returns it as received.
+  hg::BufWriter w(std::move(data));
+  hg::put(w, static_cast<std::uint32_t>(w.size()));
   req.respond(w.take());
 }
 
@@ -157,13 +164,18 @@ std::uint64_t Client::write_op(ofi::EpAddr target, std::uint16_t provider,
 std::vector<std::byte> Client::read_op(ofi::EpAddr target,
                                        std::uint16_t provider,
                                        const std::string& name) {
-  const auto resp = mid_.forward(target, provider, read_id_, hg::encode(name));
-  hg::BufReader r(resp);
-  std::uint32_t n = 0;
-  hg::get(r, n);
-  std::vector<std::byte> out(n);
-  if (n > 0) r.read_raw(out.data(), n);
-  return out;
+  std::vector<std::byte> data =
+      mid_.forward(target, provider, read_id_, hg::encode(name));
+  if (data.size() < sizeof(std::uint32_t)) {
+    throw std::out_of_range("mobject: short read response");
+  }
+  const std::size_t n = data.size() - sizeof(std::uint32_t);
+  hg::BufReader r(data.data() + n, sizeof(std::uint32_t));
+  std::uint32_t len = 0;
+  hg::get(r, len);
+  if (len != n) throw std::out_of_range("mobject: read length mismatch");
+  data.resize(n);
+  return data;
 }
 
 }  // namespace mobject = sym::mobject

@@ -53,11 +53,11 @@ void Provider::handle_migrate(margo::Request& req) {
   auto& db = local_kv_.db(src_db);
   std::vector<sdskv::KeyValue> all;
   std::string cursor;
-  while (true) {
-    auto chunk = db.list_keyvals(cursor, 256);
-    if (chunk.empty()) break;
-    cursor = chunk.back().first;
-    for (auto& kv : chunk) all.push_back(std::move(kv));
+  while (db.list_keyvals(cursor, 256,
+                         [&all](const std::string& k, const std::string& v) {
+                           all.emplace_back(k, v);
+                         }) > 0) {
+    cursor = all.back().first;
   }
   const std::uint64_t bytes = sdskv::payload_bytes(all);
   const auto items = static_cast<std::uint32_t>(all.size());

@@ -23,14 +23,15 @@ constexpr double kBtreePerByte = 0.4;
 constexpr sim::DurationNs kPageSplitCost = sim::usec(25);
 constexpr std::uint64_t kSplitEvery = 128;
 
-std::vector<KeyValue> scan(const std::map<std::string, std::string>& m,
-                           const std::string& start_key, std::size_t max) {
-  std::vector<KeyValue> out;
-  for (auto it = m.upper_bound(start_key); it != m.end() && out.size() < max;
-       ++it) {
-    out.emplace_back(it->first, it->second);
+std::size_t scan(const std::map<std::string, std::string>& m,
+                 const std::string& start_key, std::size_t max,
+                 const ScanVisitor& visit) {
+  std::size_t n = 0;
+  for (auto it = m.upper_bound(start_key); it != m.end() && n < max;
+       ++it, ++n) {
+    visit(it->first, it->second);
   }
-  return out;
+  return n;
 }
 
 }  // namespace
@@ -81,11 +82,12 @@ bool MapBackend::get(const std::string& key, std::string* value) {
   return true;
 }
 
-std::vector<KeyValue> MapBackend::list_keyvals(const std::string& start_key,
-                                               std::size_t max) {
-  auto out = scan(map_, start_key, max);
-  abt::compute(kListBase + kListPerItem * out.size());
-  return out;
+std::size_t MapBackend::list_keyvals(const std::string& start_key,
+                                     std::size_t max,
+                                     const ScanVisitor& visit) {
+  const std::size_t n = scan(map_, start_key, max, visit);
+  abt::compute(kListBase + kListPerItem * n);
+  return n;
 }
 
 bool MapBackend::erase(const std::string& key) {
@@ -139,14 +141,27 @@ bool LevelDbBackend::get(const std::string& key, std::string* value) {
   return false;
 }
 
-std::vector<KeyValue> LevelDbBackend::list_keyvals(
-    const std::string& start_key, std::size_t max) {
-  // Merge-scan of memtable and levels.
-  std::map<std::string, std::string> merged = levels_;
-  for (const auto& [k, v] : memtable_) merged.insert_or_assign(k, v);
-  auto out = scan(merged, start_key, max);
-  abt::compute(2 * kListBase + kListPerItem * out.size());
-  return out;
+std::size_t LevelDbBackend::list_keyvals(const std::string& start_key,
+                                         std::size_t max,
+                                         const ScanVisitor& visit) {
+  // Merge-scan of memtable and levels; on equal keys the memtable's newer
+  // value shadows the level's.
+  auto lv = levels_.upper_bound(start_key);
+  auto mt = memtable_.upper_bound(start_key);
+  std::size_t n = 0;
+  for (; n < max && (lv != levels_.end() || mt != memtable_.end()); ++n) {
+    if (mt == memtable_.end() ||
+        (lv != levels_.end() && lv->first < mt->first)) {
+      visit(lv->first, lv->second);
+      ++lv;
+      continue;
+    }
+    if (lv != levels_.end() && lv->first == mt->first) ++lv;
+    visit(mt->first, mt->second);
+    ++mt;
+  }
+  abt::compute(2 * kListBase + kListPerItem * n);
+  return n;
 }
 
 bool LevelDbBackend::erase(const std::string& key) {
@@ -206,11 +221,12 @@ bool BerkeleyDbBackend::get(const std::string& key, std::string* value) {
   return true;
 }
 
-std::vector<KeyValue> BerkeleyDbBackend::list_keyvals(
-    const std::string& start_key, std::size_t max) {
-  auto out = scan(tree_, start_key, max);
-  abt::compute(kListBase + kListPerItem * out.size());
-  return out;
+std::size_t BerkeleyDbBackend::list_keyvals(const std::string& start_key,
+                                            std::size_t max,
+                                            const ScanVisitor& visit) {
+  const std::size_t n = scan(tree_, start_key, max, visit);
+  abt::compute(kListBase + kListPerItem * n);
+  return n;
 }
 
 bool BerkeleyDbBackend::erase(const std::string& key) {

@@ -14,6 +14,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -30,6 +31,12 @@ enum class BackendType : std::uint8_t { kMap, kLevelDb, kBerkeleyDb };
 [[nodiscard]] const char* to_string(BackendType t) noexcept;
 
 using KeyValue = std::pair<std::string, std::string>;
+
+/// Receives the pairs of a range scan in ascending key order. The
+/// references point into the store and are valid only during the call, so
+/// a visitor copies what it keeps and must not block.
+using ScanVisitor =
+    std::function<void(const std::string& key, const std::string& value)>;
 
 class Backend {
  public:
@@ -50,9 +57,12 @@ class Backend {
   /// Lookup. Returns false if absent.
   virtual bool get(const std::string& key, std::string* value) = 0;
 
-  /// Range scan: up to `max` pairs with key > `start_key`, ascending.
-  virtual std::vector<KeyValue> list_keyvals(const std::string& start_key,
-                                             std::size_t max) = 0;
+  /// Range scan: visit up to `max` pairs with key > `start_key`, in
+  /// ascending order, in place, then charge the scan's cost. Returns the
+  /// number of pairs visited.
+  virtual std::size_t list_keyvals(const std::string& start_key,
+                                   std::size_t max,
+                                   const ScanVisitor& visit) = 0;
 
   /// Remove a key; returns true if it existed.
   virtual bool erase(const std::string& key) = 0;
@@ -88,8 +98,8 @@ class MapBackend final : public Backend {
   void put(const std::string& key, const std::string& value) override;
   void put_multi(const std::vector<KeyValue>& kvs) override;
   bool get(const std::string& key, std::string* value) override;
-  std::vector<KeyValue> list_keyvals(const std::string& start_key,
-                                     std::size_t max) override;
+  std::size_t list_keyvals(const std::string& start_key, std::size_t max,
+                           const ScanVisitor& visit) override;
   bool erase(const std::string& key) override;
   [[nodiscard]] std::size_t size() const noexcept override {
     return map_.size();
@@ -116,8 +126,8 @@ class LevelDbBackend final : public Backend {
   }
   void put(const std::string& key, const std::string& value) override;
   bool get(const std::string& key, std::string* value) override;
-  std::vector<KeyValue> list_keyvals(const std::string& start_key,
-                                     std::size_t max) override;
+  std::size_t list_keyvals(const std::string& start_key, std::size_t max,
+                           const ScanVisitor& visit) override;
   bool erase(const std::string& key) override;
   [[nodiscard]] std::size_t size() const noexcept override;
   [[nodiscard]] std::size_t lock_waiters() const noexcept override {
@@ -148,8 +158,8 @@ class BerkeleyDbBackend final : public Backend {
   }
   void put(const std::string& key, const std::string& value) override;
   bool get(const std::string& key, std::string* value) override;
-  std::vector<KeyValue> list_keyvals(const std::string& start_key,
-                                     std::size_t max) override;
+  std::size_t list_keyvals(const std::string& start_key, std::size_t max,
+                           const ScanVisitor& visit) override;
   bool erase(const std::string& key) override;
   [[nodiscard]] std::size_t size() const noexcept override {
     return tree_.size();

@@ -1,5 +1,7 @@
 #include "services/sdskv/sdskv.hpp"
 
+#include <cstring>
+
 #include "argolite/runtime.hpp"
 
 namespace sym::sdskv {
@@ -18,6 +20,59 @@ std::uint64_t payload_bytes(const std::vector<KeyValue>& kvs) {
   std::uint64_t n = 0;
   for (const auto& [k, v] : kvs) n += k.size() + v.size() + 8;
   return n;
+}
+
+// ---------------------------------------------------------------------------
+// KeyValueList
+// ---------------------------------------------------------------------------
+
+namespace {
+
+// Encoded pair list: u32 count, then per pair u32 key length, key bytes,
+// u32 value length, value bytes (the proc encoding of vector<pair>).
+std::uint32_t load_u32(const std::byte* p) noexcept {
+  std::uint32_t v = 0;
+  std::memcpy(&v, p, sizeof v);
+  return v;
+}
+
+std::string_view view_at(const std::byte* p) noexcept {
+  return {reinterpret_cast<const char*>(p + sizeof(std::uint32_t)),
+          load_u32(p)};
+}
+
+}  // namespace
+
+KeyValueList::KeyValueList(std::vector<std::byte> encoded)
+    : buf_(std::move(encoded)) {
+  // Walk the whole list once, so iteration never needs a bounds check.
+  hg::BufReader r(buf_);
+  hg::get(r, count_);
+  for (std::uint64_t i = 0; i < 2 * std::uint64_t{count_}; ++i) {
+    std::uint32_t n = 0;
+    hg::get(r, n);
+    r.skip(n);
+  }
+  end_ = r.position();
+}
+
+KeyValueList::iterator KeyValueList::begin() const noexcept {
+  return iterator(buf_.data() + (count_ == 0 ? end_ : sizeof(count_)));
+}
+
+KeyValueList::iterator KeyValueList::end() const noexcept {
+  return iterator(buf_.data() + end_);
+}
+
+KeyValueList::value_type KeyValueList::iterator::operator*() const noexcept {
+  const std::string_view key = view_at(p_);
+  return {key, view_at(p_ + sizeof(std::uint32_t) + key.size())};
+}
+
+KeyValueList::iterator& KeyValueList::iterator::operator++() noexcept {
+  const auto [key, value] = **this;
+  p_ += 2 * sizeof(std::uint32_t) + key.size() + value.size();
+  return *this;
 }
 
 // ---------------------------------------------------------------------------
@@ -127,9 +182,21 @@ void Provider::handle_list_keyvals(margo::Request& req) {
   hg::get(r, start_key);
   hg::get(r, max);
   Backend* db = db_or_null(db_id);
-  std::vector<KeyValue> out;
-  if (db != nullptr) out = db->list_keyvals(start_key, max);
-  req.respond_value(out);
+  // Serialize the pairs straight from the store into the response: the
+  // bytes are those of hg::encode(std::vector<KeyValue>), the count patched
+  // in once the scan is done.
+  hg::BufWriter w;
+  hg::put(w, std::uint32_t{0});
+  std::uint32_t count = 0;
+  if (db != nullptr) {
+    count = static_cast<std::uint32_t>(db->list_keyvals(
+        start_key, max, [&w](const std::string& k, const std::string& v) {
+          hg::put(w, k);
+          hg::put(w, v);
+        }));
+  }
+  w.patch_raw(0, &count, sizeof count);
+  req.respond(w.take());
 }
 
 void Provider::handle_length(margo::Request& req) {
@@ -223,8 +290,8 @@ margo::PendingOpPtr Client::iput_packed(ofi::EpAddr target,
 
 Status Client::finish_put_packed(const margo::PendingOpPtr& op) {
   // Busy early-rejects (admission control) are retried with backoff; the
-  // request input and bulk attachment stay on the handle, so the op can be
-  // re-forwarded as-is.
+  // reject hands the request input back and the bulk attachment stays on
+  // the handle, so the op can be re-forwarded as-is.
   const auto& resp = op->wait_retry();
   if (op->busy()) return Status::kBusy;
   return static_cast<Status>(hg::decode<std::uint8_t>(resp));
@@ -235,17 +302,15 @@ Status Client::put_packed(ofi::EpAddr target, std::uint16_t provider,
   return finish_put_packed(iput_packed(target, provider, db, std::move(kvs)));
 }
 
-std::vector<KeyValue> Client::list_keyvals(ofi::EpAddr target,
-                                           std::uint16_t provider,
-                                           std::uint32_t db,
-                                           const std::string& start_key,
-                                           std::uint32_t max) {
+KeyValueList Client::list_keyvals(ofi::EpAddr target, std::uint16_t provider,
+                                  std::uint32_t db,
+                                  const std::string& start_key,
+                                  std::uint32_t max) {
   hg::BufWriter w;
   hg::put(w, db);
   hg::put(w, start_key);
   hg::put(w, max);
-  const auto resp = mid_.forward(target, provider, list_id_, w.take());
-  return hg::decode<std::vector<KeyValue>>(resp);
+  return KeyValueList(mid_.forward(target, provider, list_id_, w.take()));
 }
 
 Status Client::length(ofi::EpAddr target, std::uint16_t provider,

@@ -16,8 +16,11 @@
 #pragma once
 
 #include <cstdint>
+#include <iterator>
 #include <memory>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "margolite/instance.hpp"
@@ -37,6 +40,57 @@ enum class Status : std::uint8_t {
 struct ProviderConfig {
   BackendType backend = BackendType::kMap;
   std::uint32_t db_count = 1;
+};
+
+/// A list_keyvals response viewed in place. It owns the response buffer
+/// (encoded exactly like hg::encode(std::vector<KeyValue>)) and iterates
+/// (key, value) string_views into it, so a caller copies only the pairs it
+/// keeps. The views live as long as the list.
+class KeyValueList {
+ public:
+  using value_type = std::pair<std::string_view, std::string_view>;
+
+  class iterator {
+   public:
+    using iterator_category = std::input_iterator_tag;  // yields by value
+    using value_type = KeyValueList::value_type;
+    using difference_type = std::ptrdiff_t;
+    using pointer = void;
+    using reference = value_type;
+
+    iterator() = default;
+    [[nodiscard]] value_type operator*() const noexcept;
+    iterator& operator++() noexcept;
+    iterator operator++(int) noexcept {
+      iterator old = *this;
+      ++*this;
+      return old;
+    }
+    bool operator==(const iterator& o) const noexcept { return p_ == o.p_; }
+
+   private:
+    friend class KeyValueList;
+    explicit iterator(const std::byte* p) noexcept : p_(p) {}
+    const std::byte* p_ = nullptr;
+  };
+
+  KeyValueList() = default;
+  /// Adopt an encoded pair list; throws std::out_of_range if malformed.
+  explicit KeyValueList(std::vector<std::byte> encoded);
+
+  [[nodiscard]] std::size_t size() const noexcept { return count_; }
+  [[nodiscard]] bool empty() const noexcept { return count_ == 0; }
+  [[nodiscard]] iterator begin() const noexcept;
+  [[nodiscard]] iterator end() const noexcept;
+  /// The encoded response, as received.
+  [[nodiscard]] const std::vector<std::byte>& bytes() const noexcept {
+    return buf_;
+  }
+
+ private:
+  std::vector<std::byte> buf_;
+  std::uint32_t count_ = 0;
+  std::size_t end_ = 0;  ///< offset just past the last pair
 };
 
 /// Server-side SDSKV provider: registers handlers on a margolite instance.
@@ -94,10 +148,11 @@ class Client {
                                   std::uint32_t db, std::vector<KeyValue> kvs);
   static Status finish_put_packed(const margo::PendingOpPtr& op);
 
-  std::vector<KeyValue> list_keyvals(ofi::EpAddr target,
-                                     std::uint16_t provider, std::uint32_t db,
-                                     const std::string& start_key,
-                                     std::uint32_t max);
+  /// Up to `max` pairs with key > `start_key`, ascending. An unknown
+  /// database gives an empty list.
+  KeyValueList list_keyvals(ofi::EpAddr target, std::uint16_t provider,
+                            std::uint32_t db, const std::string& start_key,
+                            std::uint32_t max);
   Status length(ofi::EpAddr target, std::uint16_t provider, std::uint32_t db,
                 const std::string& key, std::uint64_t* len);
   Status erase(ofi::EpAddr target, std::uint16_t provider, std::uint32_t db,

@@ -29,7 +29,8 @@ static_assert(kHeapFanout == 2 || kHeapFanout == 4 || kHeapFanout == 8,
               "SYM_HEAP_FANOUT must be 2, 4 or 8");
 
 /// Append `e` and restore the heap property. `before(a, b)` is the strict
-/// ordering (min element at index 0).
+/// ordering (min element at index 0); pass a function object, not a
+/// function pointer, so the comparison inlines into the sift loops.
 template <unsigned Arity, typename T, typename Before>
 void dheap_push(std::vector<T>& h, T e, Before before) {
   h.push_back(e);  // placeholder; overwritten by the hole shift below

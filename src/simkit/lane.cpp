@@ -32,12 +32,12 @@ void Lane::reserve_outbox(std::uint32_t dst, std::uint32_t n) {
 
 void Lane::heap_push(HeapEntry e) {
   if (heap_.size() == heap_.capacity()) ++arena_.stats.container_growths;
-  dheap_push<kHeapFanout>(heap_, e, &Lane::before);
+  dheap_push<kHeapFanout>(heap_, e, Before{});
 }
 
 Lane::HeapEntry Lane::heap_pop() {
   assert(!heap_.empty());
-  return dheap_pop<kHeapFanout>(heap_, &Lane::before);
+  return dheap_pop<kHeapFanout>(heap_, Before{});
 }
 
 void Lane::drop_cancelled_top() {

@@ -162,11 +162,15 @@ class Lane {
     Callback cb;
   };
 
-  [[nodiscard]] static bool before(const HeapEntry& a,
-                                   const HeapEntry& b) noexcept {
-    if (a.t != b.t) return a.t < b.t;
-    return a.seq < b.seq;
-  }
+  /// Heap order: time, then FIFO sequence. A stateless functor rather
+  /// than a function pointer, so the dheap sifts inline the comparison.
+  struct Before {
+    [[nodiscard]] bool operator()(const HeapEntry& a,
+                                  const HeapEntry& b) const noexcept {
+      if (a.t != b.t) return a.t < b.t;
+      return a.seq < b.seq;
+    }
+  };
 
   void heap_push(HeapEntry e);
   /// Remove and return the top entry (caller checks non-empty).

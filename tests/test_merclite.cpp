@@ -104,7 +104,7 @@ TEST(Proc, RpcHeaderRoundTrip) {
   h.body_size = 4096;
   hg::BufWriter w;
   hg::put(w, h);
-  EXPECT_EQ(w.size(), hg::rpc_header_wire_size());
+  EXPECT_EQ(w.size(), hg::kRpcHeaderWireSize);
   hg::BufReader r(w.buffer());
   hg::RpcHeader out;
   hg::get(r, out);
@@ -435,4 +435,112 @@ TEST(HgClass, UnknownRpcIsDropped) {
   EXPECT_EQ(f.server.progress(), 1u);  // event read...
   EXPECT_EQ(f.server.num_rpcs_handled(), 1u);
   EXPECT_EQ(f.server.completion_queue_size(), 0u);  // ...but nothing queued
+}
+
+// ---------------------------------------------------------------------------
+// Message buffers: trailer framing and ownership transfer
+// ---------------------------------------------------------------------------
+
+namespace {
+
+/// A payload written the way services write them: through a BufWriter,
+/// which leaves tailroom for the header trailer.
+std::vector<std::byte> written(std::size_t n, std::byte fill) {
+  hg::BufWriter w;
+  const std::vector<std::byte> content(n, fill);
+  w.write_raw(content.data(), content.size());
+  return w.take();
+}
+
+}  // namespace
+
+TEST(HgMessage, ReceiversAdoptTheBuffersSendersPosted) {
+  HgFixture f;
+  hg::HandlePtr arrived;
+  f.server.register_rpc("adopt", [&](hg::HandlePtr h) { arrived = h; });
+  const auto rpc = f.client.register_rpc("adopt", nullptr);
+
+  auto input = written(300, std::byte{0x11});
+  const std::byte* request_buf = input.data();
+  auto h = f.client.create_handle(f.server.addr(), rpc, 0);
+  hg::HandlePtr done;
+  f.client.forward(h, std::move(input),
+                   [&](const hg::HandlePtr& d) { done = d; });
+  f.eng.run();
+  f.server.progress();
+  ASSERT_NE(arrived, nullptr);
+  EXPECT_EQ(arrived->body.data(), request_buf);  // no copy on the way in
+  ASSERT_EQ(arrived->body.size(), 300u);         // trailer truncated off
+  EXPECT_EQ(arrived->body[299], std::byte{0x11});
+
+  auto output = written(700, std::byte{0x22});
+  const std::byte* response_buf = output.data();
+  f.server.respond(arrived, std::move(output), nullptr);
+  f.eng.run();
+  f.client.progress();
+  f.client.trigger();
+  ASSERT_NE(done, nullptr);
+  EXPECT_EQ(done->response_body.data(), response_buf);  // nor on the way out
+  ASSERT_EQ(done->response_body.size(), 700u);
+  EXPECT_EQ(done->response_body[0], std::byte{0x22});
+  EXPECT_EQ(f.client.frames_in_place() + f.server.frames_in_place(), 2u);
+}
+
+TEST(HgMessage, FramingKeepsWireSizes) {
+  HgFixture f;
+  hg::HandlePtr arrived;
+  f.server.register_rpc("size", [&](hg::HandlePtr h) { arrived = h; });
+  const auto rpc = f.client.register_rpc("size", nullptr);
+  auto h = f.client.create_handle(f.server.addr(), rpc, 0);
+  // An exact-size payload has no tailroom: it grows once to take the
+  // header, and the wire still carries body + header bytes.
+  f.client.forward(h, std::vector<std::byte>(100), nullptr);
+  EXPECT_EQ(f.client.frames_grown(), 1u);
+  EXPECT_EQ(f.client.endpoint().bytes_sent(), 100u + hg::kRpcHeaderWireSize);
+  f.eng.run();
+  f.server.progress();
+  ASSERT_NE(arrived, nullptr);
+  EXPECT_EQ(arrived->body.size(), 100u);
+  f.server.respond(arrived, written(9, std::byte{1}), nullptr);
+  EXPECT_EQ(f.server.endpoint().bytes_sent(), 9u + hg::kRpcHeaderWireSize);
+}
+
+TEST(HgMessage, BusyRejectHandsTheInputBackUncharged) {
+  HgFixture f;
+  f.server.register_rpc("busy", [&](hg::HandlePtr h) {
+    h->header.flags |= hg::kFlagBusy;
+    f.server.respond(h, {}, nullptr);
+  });
+  const auto rpc = f.client.register_rpc("busy", nullptr);
+  auto h = f.client.create_handle(f.server.addr(), rpc, 0);
+  f.client.forward(h, written(40, std::byte{0x7E}), nullptr);
+  EXPECT_TRUE(h->body.empty());  // the input went on the wire
+  f.eng.run();
+  f.server.progress();
+  // The reject is charged as the empty response it is.
+  EXPECT_EQ(f.server.endpoint().bytes_sent(), hg::kRpcHeaderWireSize);
+  f.eng.run();
+  f.client.progress();
+  EXPECT_NE(h->header.flags & hg::kFlagBusy, 0);
+  EXPECT_TRUE(h->response_body.empty());
+  ASSERT_EQ(h->body.size(), 40u);  // back on the handle for the retry
+  EXPECT_EQ(h->body[39], std::byte{0x7E});
+}
+
+TEST(HgMessage, TruncatedMessagesAreDroppedAndCounted) {
+  HgFixture f;
+  bool dispatched = false;
+  f.server.register_rpc("short", [&](hg::HandlePtr) { dispatched = true; });
+  // Shorter than a header: nothing to read a trailer from.
+  f.client.endpoint().post_send(f.server.addr(), hg::kTagRequest,
+                                std::vector<std::byte>(10), 0);
+  f.server.endpoint().post_send(f.client.addr(), hg::kTagResponse,
+                                std::vector<std::byte>(3), 0);
+  f.eng.run();
+  EXPECT_EQ(f.server.progress(), 2u);  // the arrival + its own send event
+  EXPECT_EQ(f.client.progress(), 2u);
+  EXPECT_FALSE(dispatched);
+  EXPECT_EQ(f.server.malformed_drops(), 1u);
+  EXPECT_EQ(f.client.malformed_drops(), 1u);
+  EXPECT_EQ(f.server.num_rpcs_handled(), 0u);
 }

@@ -194,7 +194,10 @@ TEST(Admission, ForwardRetryBacksOffUntilAccepted) {
   w.server->register_rpc("slow_rpc", 1, [&](margo::Request& req) {
     abt::compute(sim::usec(200));
     ++handled;
-    req.respond_value<int>(42);
+    // Echo the input back: a retried request must carry the original one.
+    req.respond_value<int>(req.body().size() == sizeof(int)
+                               ? hg::decode<int>(req.body()) + 42
+                               : -1);
   });
   const auto rpc = w.client->register_client_rpc("slow_rpc");
   w.server->set_admission_limit(2);
@@ -205,12 +208,13 @@ TEST(Admission, ForwardRetryBacksOffUntilAccepted) {
   unsigned max_attempts_seen = 0;
   constexpr int kClients = 16;
   for (int i = 0; i < kClients; ++i) {
-    w.client->spawn([&] {
-      auto r = w.client->forward_retry(w.server->addr(), 1, rpc, {},
+    w.client->spawn([&, i] {
+      auto r = w.client->forward_retry(w.server->addr(), 1, rpc,
+                                       hg::encode(i),
                                        /*max_attempts=*/20,
                                        /*initial_backoff=*/sim::usec(100));
       EXPECT_FALSE(r.busy);  // every caller eventually gets through
-      EXPECT_EQ(hg::decode<int>(r.response), 42);
+      EXPECT_EQ(hg::decode<int>(r.response), i + 42);
       max_attempts_seen = std::max(max_attempts_seen, r.attempts);
       if (++done == kClients) {
         w.client->finalize();

@@ -3,7 +3,9 @@
 // margolite/merclite/sofi/argolite stack.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <set>
+#include <stdexcept>
 #include <string>
 
 #include "margolite/instance.hpp"
@@ -59,6 +61,25 @@ struct ServiceWorld {
   margo::Instance client;
 };
 
+/// Copy the pairs of an in-place backend scan out (must run in a ULT).
+std::vector<sdskv::KeyValue> collect(sdskv::Backend& db,
+                                     const std::string& start_key,
+                                     std::size_t max) {
+  std::vector<sdskv::KeyValue> out;
+  db.list_keyvals(start_key, max,
+                  [&out](const std::string& k, const std::string& v) {
+                    out.emplace_back(k, v);
+                  });
+  return out;
+}
+
+/// Copy the pairs of a list_keyvals response out.
+std::vector<sdskv::KeyValue> collect(const sdskv::KeyValueList& list) {
+  std::vector<sdskv::KeyValue> out;
+  for (const auto& [k, v] : list) out.emplace_back(k, v);
+  return out;
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -88,12 +109,12 @@ TEST_P(BackendTest, PutGetEraseListSemantics) {
     EXPECT_EQ(v, "1bis");
     EXPECT_FALSE(backend->get("zz", &v));
 
-    const auto scan = backend->list_keyvals("", 10);
+    const auto scan = collect(*backend, "", 10);
     ASSERT_EQ(scan.size(), 3u);
     EXPECT_EQ(scan[0].first, "a");  // sorted ascending
     EXPECT_EQ(scan[2].first, "c");
 
-    const auto bounded = backend->list_keyvals("a", 1);
+    const auto bounded = collect(*backend, "a", 1);
     ASSERT_EQ(bounded.size(), 1u);
     EXPECT_EQ(bounded[0].first, "b");  // strictly greater than start key
 
@@ -233,11 +254,95 @@ TEST(Sdskv, ListKeyvalsOverRpc) {
     for (const char* k : {"alpha", "beta", "gamma"}) {
       cl.put(w.server.addr(), 1, 0, k, "v");
     }
-    const auto scan = cl.list_keyvals(w.server.addr(), 1, 0, "alpha", 10);
+    const auto scan =
+        collect(cl.list_keyvals(w.server.addr(), 1, 0, "alpha", 10));
     ASSERT_EQ(scan.size(), 2u);
     EXPECT_EQ(scan[0].first, "beta");
     EXPECT_EQ(scan[1].first, "gamma");
   });
+}
+
+// The provider serializes list_keyvals straight from the store. Its bytes
+// must be exactly hg::encode(std::vector<KeyValue>) of the same scan, and
+// the scan must cost the same virtual time, on every backend.
+class InPlaceScanTest
+    : public ::testing::TestWithParam<sdskv::BackendType> {};
+
+TEST_P(InPlaceScanTest, BytesAndCostMatchTheEncodedVector) {
+  ServiceWorld w;
+  sdskv::Provider provider(
+      w.server, 1, sdskv::ProviderConfig{.backend = GetParam(), .db_count = 2});
+  sdskv::Client cl(w.client);
+  const sim::DurationNs list_base =
+      GetParam() == sdskv::BackendType::kLevelDb ? 5000 : 2500;
+  w.run_client([&] {
+    std::map<std::string, std::string> model;  // what a scan must see
+    auto& db = provider.db(0);
+    const auto put = [&](const std::string& k, const std::string& v) {
+      db.put(k, v);
+      model[k] = v;
+    };
+    // Four 1 MiB values fill the LevelDB memtable and flush it to the
+    // levels; the later keys and the overwrite stay in the memtable, so
+    // its scan merges both and the newer value shadows the flushed one.
+    for (int i = 0; i < 4; ++i) {
+      put("big/" + std::to_string(i),
+          std::string(1 << 20, static_cast<char>('a' + i)));
+    }
+    for (int i = 0; i < 40; ++i) {
+      put("k" + std::to_string(10 + i), "v" + std::to_string(i));
+    }
+    put("big/1", "shadowed");
+    if (auto* lsm = dynamic_cast<sdskv::LevelDbBackend*>(&db)) {
+      ASSERT_EQ(lsm->flush_count(), 1u);
+    }
+
+    const auto expected = [&](const std::string& start, std::size_t max) {
+      std::vector<sdskv::KeyValue> out;
+      for (auto it = model.upper_bound(start);
+           it != model.end() && out.size() < max; ++it) {
+        out.emplace_back(it->first, it->second);
+      }
+      return out;
+    };
+    const std::pair<std::string, std::uint32_t> scans[] = {
+        {"", 512}, {"big/0", 3}, {"k20", 5}, {"", 0}, {"k49", 10}, {"zz", 4}};
+    for (const auto& [start, max] : scans) {
+      const auto want = expected(start, max);
+      const auto got = cl.list_keyvals(w.server.addr(), 1, 0, start, max);
+      EXPECT_EQ(got.bytes(), hg::encode(want)) << start << " max " << max;
+      EXPECT_EQ(got.size(), want.size());
+      EXPECT_EQ(collect(got), want);
+
+      // Virtual cost: the backend's base plus a per-pair charge.
+      const sim::TimeNs t0 = w.eng.now();
+      const std::size_t n = db.list_keyvals(
+          start, max, [](const std::string&, const std::string&) {});
+      EXPECT_EQ(n, want.size());
+      EXPECT_EQ(w.eng.now() - t0,
+                list_base + static_cast<sim::DurationNs>(2000 * n));
+    }
+    const auto none = hg::encode(std::vector<sdskv::KeyValue>{});
+    EXPECT_EQ(cl.list_keyvals(w.server.addr(), 1, 1, "", 10).bytes(), none)
+        << "empty database";
+    const auto bad = cl.list_keyvals(w.server.addr(), 1, 7, "", 10);
+    EXPECT_EQ(bad.bytes(), none) << "unknown database id";
+    EXPECT_TRUE(bad.empty());
+    EXPECT_EQ(bad.begin(), bad.end());
+  });
+}
+
+INSTANTIATE_TEST_SUITE_P(AllBackends, InPlaceScanTest,
+                         ::testing::Values(sdskv::BackendType::kMap,
+                                           sdskv::BackendType::kLevelDb,
+                                           sdskv::BackendType::kBerkeleyDb));
+
+TEST(Sdskv, KeyValueListRejectsMalformedResponses) {
+  auto truncated = hg::encode(std::vector<sdskv::KeyValue>{{"key", "value"}});
+  truncated.pop_back();
+  EXPECT_THROW(sdskv::KeyValueList{truncated}, std::out_of_range);
+  EXPECT_THROW(sdskv::KeyValueList{std::vector<std::byte>{}},
+               std::out_of_range);
 }
 
 // ---------------------------------------------------------------------------
@@ -252,7 +357,9 @@ TEST(Bake, CreateWritePersistRead) {
     const auto rid = cl.create(w.server.addr(), 2, 1024);
     EXPECT_GT(rid, 0u);
     std::vector<std::byte> blob(1024, std::byte{0xAB});
-    EXPECT_EQ(cl.write(w.server.addr(), 2, rid, 0, blob), bake::Status::kOk);
+    EXPECT_EQ(cl.write(w.server.addr(), 2, rid, 0,
+                       std::make_shared<const std::vector<std::byte>>(blob)),
+              bake::Status::kOk);
     EXPECT_EQ(cl.persist(w.server.addr(), 2, rid), bake::Status::kOk);
     const auto back = cl.read(w.server.addr(), 2, rid, 0, 1024);
     ASSERT_EQ(back.size(), 1024u);
@@ -263,6 +370,32 @@ TEST(Bake, CreateWritePersistRead) {
   ASSERT_NE(provider.region(1), nullptr);
   EXPECT_TRUE(provider.region(1)->persisted);
   EXPECT_EQ(provider.device().bytes_written(), 1024u);
+}
+
+TEST(Bake, ReadReturnsExactBytesAtAnyOffset) {
+  ServiceWorld w;
+  bake::Provider provider(w.server, 2);
+  bake::Client cl(w.client);
+  w.run_client([&] {
+    auto blob = std::make_shared<std::vector<std::byte>>(10000);
+    for (std::size_t i = 0; i < blob->size(); ++i) {
+      (*blob)[i] = static_cast<std::byte>(i % 251);
+    }
+    const auto addr = w.server.addr();
+    const auto rid = cl.create(addr, 2, blob->size());
+    ASSERT_EQ(cl.write(addr, 2, rid, 0, blob), bake::Status::kOk);
+    const auto slice = [&](std::size_t off, std::size_t len) {
+      return std::vector<std::byte>(blob->begin() + off,
+                                    blob->begin() + off + len);
+    };
+    EXPECT_EQ(cl.read(addr, 2, rid, 0, 10000), *blob);
+    EXPECT_EQ(cl.read(addr, 2, rid, 4321, 1000), slice(4321, 1000));
+    EXPECT_TRUE(cl.read(addr, 2, rid, 100, 0).empty());      // zero length
+    EXPECT_EQ(cl.read(addr, 2, rid, 9990, 64), slice(9990, 10));  // clipped
+    EXPECT_TRUE(cl.read(addr, 2, rid, 10000, 16).empty());   // at the end
+    EXPECT_TRUE(cl.read(addr, 2, rid, 20000, 16).empty());   // past the end
+    EXPECT_TRUE(cl.read(addr, 2, 999, 0, 16).empty());       // no region
+  });
 }
 
 TEST(Bake, CreateWritePersistComposite) {
@@ -392,6 +525,23 @@ TEST(Mobject, WriteThenReadObject) {
     EXPECT_EQ(back[123], std::byte{0x42});
   });
   EXPECT_EQ(srv.write_ops(), 1u);
+  EXPECT_EQ(srv.read_ops(), 1u);
+}
+
+TEST(Mobject, ReadOpReturnsTheLastWrittenObjectsBytes) {
+  ServiceWorld w(8);
+  mobject::Server srv(w.server);
+  mobject::Client cl(w.client);
+  w.run_client([&] {
+    std::vector<std::byte> first(3000, std::byte{0x01});
+    std::vector<std::byte> last(5000);
+    for (std::size_t i = 0; i < last.size(); ++i) {
+      last[i] = static_cast<std::byte>(i * 7);
+    }
+    cl.write_op(w.server.addr(), 1, "obj-a", first);
+    cl.write_op(w.server.addr(), 1, "obj-b", last);
+    EXPECT_EQ(cl.read_op(w.server.addr(), 1, "obj-b"), last);
+  });
   EXPECT_EQ(srv.read_ops(), 1u);
 }
 
