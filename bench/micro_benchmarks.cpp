@@ -59,13 +59,11 @@ static void BM_FiberSwitchPair(benchmark::State& state) {
 }
 BENCHMARK(BM_FiberSwitchPair);
 
-// d-ary heap fanout ablation backing the SYM_HEAP_FANOUT default (see
-// simkit/dheap.hpp): push/pop a fixed pseudo-random schedule through each
-// arity side by side. The workload mirrors the Lane event heap — a mixed
-// stream where every pop is chased by a push, keeping the heap near its
-// steady-state size rather than draining it.
-template <unsigned Arity>
-static void BM_HeapFanout(benchmark::State& state) {
+// The Lane event heap's sift primitives (simkit/dheap.hpp): push/pop a
+// fixed pseudo-random schedule. The workload mirrors the Lane event heap —
+// a mixed stream where every pop is chased by a push, keeping the heap near
+// its steady-state size rather than draining it.
+static void BM_DHeapPushPop(benchmark::State& state) {
   const auto keep = static_cast<std::size_t>(state.range(0));
   const auto before = [](std::uint64_t a, std::uint64_t b) { return a < b; };
   sim::Rng seed_rng(11);
@@ -77,20 +75,18 @@ static void BM_HeapFanout(benchmark::State& state) {
   for (auto _ : state) {
     heap.clear();
     std::size_t i = 0;
-    for (; i < keep; ++i) sim::dheap_push<Arity>(heap, draws[i], before);
+    for (; i < keep; ++i) sim::dheap_push(heap, draws[i], before);
     for (; i < draws.size(); ++i) {
-      sink ^= sim::dheap_pop<Arity>(heap, before);
-      sim::dheap_push<Arity>(heap, draws[i], before);
+      sink ^= sim::dheap_pop(heap, before);
+      sim::dheap_push(heap, draws[i], before);
     }
-    while (!heap.empty()) sink ^= sim::dheap_pop<Arity>(heap, before);
+    while (!heap.empty()) sink ^= sim::dheap_pop(heap, before);
   }
   benchmark::DoNotOptimize(sink);
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(draws.size()));
 }
-BENCHMARK(BM_HeapFanout<2>)->Arg(256)->Arg(4096);
-BENCHMARK(BM_HeapFanout<4>)->Arg(256)->Arg(4096);
-BENCHMARK(BM_HeapFanout<8>)->Arg(256)->Arg(4096);
+BENCHMARK(BM_DHeapPushPop)->Arg(256)->Arg(4096);
 
 static void BM_RngNext(benchmark::State& state) {
   sim::Rng rng(7);

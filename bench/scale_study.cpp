@@ -229,7 +229,6 @@ void write_json(const std::string& path, bool smoke, unsigned host_cpus,
   out << "{\n  \"bench\": \"scale_study\",\n"
       << "  \"smoke\": " << (smoke ? "true" : "false") << ",\n"
       << "  \"host_cpus\": " << host_cpus << ",\n"
-      << "  \"heap_fanout\": " << SYM_HEAP_FANOUT << ",\n"
       << "  \"cells\": [\n";
   for (std::size_t i = 0; i < cells.size(); ++i) {
     const auto& c = cells[i];
@@ -328,8 +327,7 @@ int main(int argc, char** argv) {
       smoke ? std::vector<std::uint32_t>{1, 2}
             : std::vector<std::uint32_t>{1, 2, 4, 8};
 
-  std::printf("host cpus: %u  heap fanout: %u\n\n", host_cpus,
-              static_cast<unsigned>(SYM_HEAP_FANOUT));
+  std::printf("host cpus: %u\n\n", host_cpus);
 
   std::vector<Cell> cells;
   bool det_pass = true;

@@ -237,16 +237,8 @@ class Instance {
   [[nodiscard]] const InstanceConfig& config() const noexcept { return cfg_; }
   [[nodiscard]] prof::Level level() const noexcept { return cfg_.instr; }
 
-  /// The consolidated per-process callpath profile. Recording goes to
-  /// per-execution-stream shards (handler ULTs on different ESs never
-  /// contend); this accessor merges any shard contents into the
-  /// consolidated store first, so readers always see the full profile.
-  [[nodiscard]] prof::ProfileStore& profile() {
-    if (!profile_shards_.all_empty()) {
-      profile_shards_.consolidate_into(profile_);
-    }
-    return profile_;
-  }
+  /// The per-process callpath profile.
+  [[nodiscard]] prof::ProfileStore& profile() noexcept { return profile_; }
   [[nodiscard]] prof::TraceStore& trace() noexcept { return trace_; }
   [[nodiscard]] prof::SysStatStore& sysstats() noexcept { return sysstats_; }
 
@@ -327,22 +319,18 @@ class Instance {
   void run_handler(hg::HandlePtr h, const Handler& handler, sim::TimeNs t4);
   void complete_op(PendingOp& op);
 
-  /// Hot-path profile recording: write into the shard of the execution
-  /// stream this ULT runs on, so concurrent handler ULTs touch disjoint
-  /// stores. Event-context callers (no ES) fall back to shard 0.
+  /// Hot-path profile recording. Every ES of an instance runs on its
+  /// lane's single thread, so one store serves them all.
   void record_profile(const prof::CallpathKey& key, prof::Interval iv,
                       double ns) {
-    const abt::Xstream* xs = abt::Xstream::current();
-    profile_shards_.shard(xs != nullptr ? xs->rank() : 0).record(key, iv, ns);
+    profile_.record(key, iv, ns);
   }
-  /// Batched variant: one shard/key resolution for a completion callback
-  /// that records several intervals on the same callpath back to back.
+  /// Batched variant: one key resolution for a completion callback that
+  /// records several intervals on the same callpath back to back.
   template <typename... Samples>
   void record_profile_batch(const prof::CallpathKey& key,
                             Samples... samples) {
-    const abt::Xstream* xs = abt::Xstream::current();
-    profile_shards_.shard(xs != nullptr ? xs->rank() : 0)
-        .record_batch(key, samples...);
+    profile_.record_batch(key, samples...);
   }
   void emit_trace(prof::TraceEventKind kind, std::uint64_t request_id,
                   std::uint32_t order, prof::Breadcrumb bc, ofi::EpAddr peer);
@@ -381,8 +369,7 @@ class Instance {
   hg::PvarHandle pv_origin_cb_{};
   hg::PvarHandle pv_output_deser_{};
 
-  prof::ShardedProfileStore profile_shards_;  ///< hot-path recording
-  prof::ProfileStore profile_;                ///< consolidated view
+  prof::ProfileStore profile_;
   prof::TraceStore trace_;
   prof::SysStatStore sysstats_;
 

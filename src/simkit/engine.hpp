@@ -36,12 +36,11 @@
 //    (id = lane << 56 | generation << 28 | slot). cancel() is a direct O(1)
 //    slot access — no hash-set insert, and a stale id from a fired event
 //    simply fails the generation check instead of poisoning a tombstone set.
-//  * The priority queue is an explicit d-ary heap (fanout = SYM_HEAP_FANOUT,
-//    default 4, see dheap.hpp): shallower than a binary heap (log_d n
-//    levels) and with a node's children on one cache line's worth of
-//    entries, which measurably speeds up the sift-down on pop. Cancelled
-//    entries are skipped with a flag test when they surface, not a set
-//    lookup per pop.
+//  * The priority queue is an explicit 4-ary heap (see dheap.hpp):
+//    shallower than a binary heap (log_4 n levels) and with a node's
+//    children on one cache line's worth of entries, which measurably
+//    speeds up the sift-down on pop. Cancelled entries are skipped with a
+//    flag test when they surface, not a set lookup per pop.
 //  * Per-event memory is arena-owned (arena.hpp): slots recycle through an
 //    intrusive freelist, callbacks are inline-buffer SmallFn, and
 //    Engine::arena_stats() aggregates the per-lane allocation counters the

@@ -27,17 +27,17 @@ void Lane::reserve_outbox(std::uint32_t dst, std::uint32_t n) {
 }
 
 // ---------------------------------------------------------------------------
-// d-ary heap (fanout = kHeapFanout, see dheap.hpp)
+// 4-ary event heap (see dheap.hpp)
 // ---------------------------------------------------------------------------
 
 void Lane::heap_push(HeapEntry e) {
   if (heap_.size() == heap_.capacity()) ++arena_.stats.container_growths;
-  dheap_push<kHeapFanout>(heap_, e, Before{});
+  dheap_push(heap_, e, Before{});
 }
 
 Lane::HeapEntry Lane::heap_pop() {
   assert(!heap_.empty());
-  return dheap_pop<kHeapFanout>(heap_, Before{});
+  return dheap_pop(heap_, Before{});
 }
 
 void Lane::drop_cancelled_top() {

@@ -1,15 +1,15 @@
 // simkit/lane.hpp
 //
 // One shard of the discrete-event engine. A Lane owns everything the old
-// single-threaded engine owned — a d-ary heap of generation-tagged event
-// slots (fanout via the SYM_HEAP_FANOUT knob, see dheap.hpp), a virtual
-// clock, a FIFO sequence counter and an independently seeded Rng stream —
-// for the subset of simulated nodes mapped to it (node % lane_count). During
-// a safe window (see engine.hpp) every lane is executed by exactly one
-// worker thread and touches only lane-local state; events destined for
-// another lane are appended to a per-destination outbox that the coordinator
-// merges at the window barrier in (src-lane, append) order, which keeps the
-// merged schedule independent of the worker count.
+// single-threaded engine owned — a 4-ary heap of generation-tagged event
+// slots (see dheap.hpp), a virtual clock, a FIFO sequence counter and an
+// independently seeded Rng stream — for the subset of simulated nodes
+// mapped to it (node % lane_count). During a safe window (see engine.hpp)
+// every lane is executed by exactly one worker thread and touches only
+// lane-local state; events destined for another lane are appended to a
+// per-destination outbox that the coordinator merges at the window barrier
+// in (src-lane, append) order, which keeps the merged schedule independent
+// of the worker count.
 //
 // Memory model: every per-event byte lives in the lane's arena (arena.hpp)
 // or in vectors the lane recycles in place. Callbacks are SmallFn (inline

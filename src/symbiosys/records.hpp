@@ -8,7 +8,6 @@
 
 #include <array>
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -157,16 +156,6 @@ class ProfileStore {
     stats_for(key).at(iv).merge(stats);
   }
 
-  /// Merge every entry of `other` into this store (shard consolidation).
-  void merge_store(const ProfileStore& other) {
-    for (const auto& [key, stats] : other.entries()) {
-      CallpathStats& dst = stats_for(key);
-      for (int i = 0; i < static_cast<int>(Interval::kCount); ++i) {
-        dst.intervals[i].merge(stats.intervals[i]);
-      }
-    }
-  }
-
   [[nodiscard]] const Map& entries() const noexcept { return data_; }
   [[nodiscard]] std::size_t size() const noexcept { return data_.size(); }
   [[nodiscard]] bool empty() const noexcept { return data_.empty(); }
@@ -212,50 +201,6 @@ class ProfileStore {
   CallpathKey memo_keys_[kMemoSlots]{};
   CallpathStats* memo_vals_[kMemoSlots]{};
   std::uint64_t memo_generation_ = 0;
-};
-
-/// Per-execution-stream sharding of the callpath profile. Handler ULTs on
-/// different ESs record into disjoint shards (no shared cache line, no
-/// contention in a real multi-threaded deployment); consolidate_into()
-/// merges shards in rank order into a plain ProfileStore for analysis and
-/// export. Shard references stay stable while the set grows.
-class ShardedProfileStore {
- public:
-  /// The shard for execution-stream `rank`, created on first use.
-  [[nodiscard]] ProfileStore& shard(std::size_t rank) {
-    while (rank >= shards_.size()) {
-      shards_.push_back(std::make_unique<ProfileStore>());
-    }
-    return *shards_[rank];
-  }
-
-  [[nodiscard]] std::size_t shard_count() const noexcept {
-    return shards_.size();
-  }
-
-  /// True when no shard holds any entry (cheap consolidation skip).
-  [[nodiscard]] bool all_empty() const noexcept {
-    for (const auto& s : shards_) {
-      if (!s->empty()) return false;
-    }
-    return true;
-  }
-
-  /// Merge every shard into `target` (rank order, deterministic) and clear
-  /// the shards, so repeated consolidation never double-counts.
-  void consolidate_into(ProfileStore& target) {
-    for (auto& s : shards_) {
-      target.merge_store(*s);
-      s->clear();
-    }
-  }
-
-  void clear() {
-    for (auto& s : shards_) s->clear();
-  }
-
- private:
-  std::vector<std::unique_ptr<ProfileStore>> shards_;
 };
 
 /// Trace event kinds: t1/t14 on the origin, t5/t8 on the target (§IV-A2).

@@ -355,6 +355,14 @@ TEST(Margo, AsyncForwardOverlaps) {
   // under the 400us serial time.
   EXPECT_LT(elapsed, sim::usec(380));
   EXPECT_GE(elapsed, sim::usec(200));
+  // Both handlers record, from different ESs, into the instance's one
+  // profile.
+  EXPECT_EQ(count_interval(w.server.profile(), prof::Side::kTarget,
+                           prof::Interval::kTargetExec),
+            2u);
+  EXPECT_GE(sum_interval(w.server.profile(), prof::Side::kTarget,
+                         prof::Interval::kTargetExec),
+            400e3);
 }
 
 TEST(Margo, HandlerWaitGrowsWhenEsStarved) {

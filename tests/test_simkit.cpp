@@ -421,33 +421,22 @@ TEST(SmallFn, MoveTransfersOwnership) {
   EXPECT_EQ(counter.use_count(), 1);
 }
 
-namespace {
-
-template <unsigned Arity>
-void dheap_sorts(std::uint64_t seed) {
-  sim::Rng rng(seed);
+TEST(DHeap, PopsInSortedOrder) {
+  sim::Rng rng(11);
   std::vector<std::uint64_t> heap;
   std::vector<std::uint64_t> ref;
   const auto before = [](std::uint64_t x, std::uint64_t y) { return x < y; };
   for (int i = 0; i < 500; ++i) {
     const std::uint64_t v = rng.uniform(10000);
-    sim::dheap_push<Arity>(heap, v, before);
+    sim::dheap_push(heap, v, before);
     ref.push_back(v);
   }
   std::sort(ref.begin(), ref.end());
   for (std::size_t i = 0; i < ref.size(); ++i) {
-    ASSERT_EQ(heap.front(), ref[i]) << "arity " << Arity << " pop " << i;
-    sim::dheap_pop<Arity>(heap, before);
+    ASSERT_EQ(heap.front(), ref[i]) << "pop " << i;
+    sim::dheap_pop(heap, before);
   }
   EXPECT_TRUE(heap.empty());
-}
-
-}  // namespace
-
-TEST(DHeap, EveryFanoutPopsInSortedOrder) {
-  dheap_sorts<2>(11);
-  dheap_sorts<4>(11);
-  dheap_sorts<8>(11);
 }
 
 TEST(LaneArena, FreelistRecyclesSlotsWithFreshGenerations) {

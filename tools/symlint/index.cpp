@@ -1,26 +1,16 @@
 #include "index.hpp"
 
 #include <algorithm>
-#include <atomic>
-#include <cctype>
-#include <filesystem>
 #include <fstream>
-#include <mutex>
+#include <map>
 #include <set>
 #include <sstream>
-#include <thread>
 
 #include "lexer.hpp"
 #include "tables.hpp"
 
 namespace symlint {
 namespace {
-
-namespace fs = std::filesystem;
-
-// Bump on any change to what the indexer extracts: entries are validated by
-// content hash, so a format/semantic change must invalidate old entries.
-constexpr std::string_view kCacheMagic = "symlint-tui v6";
 
 std::string normalize(std::string_view path) {
   std::string norm(path);
@@ -705,285 +695,7 @@ class IndexScanner {
   std::vector<Held> held_;
 };
 
-// ---------------------------------------------------------------------------
-// Serialization
-// ---------------------------------------------------------------------------
-
-std::string esc(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    if (c == '\\') out += "\\\\";
-    else if (c == '\t') out += "\\t";
-    else if (c == '\n') out += "\\n";
-    else out += c;
-  }
-  return out;
-}
-
-std::string unesc(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (std::size_t i = 0; i < s.size(); ++i) {
-    if (s[i] == '\\' && i + 1 < s.size()) {
-      ++i;
-      if (s[i] == 't') out += '\t';
-      else if (s[i] == 'n') out += '\n';
-      else out += s[i];
-    } else {
-      out += s[i];
-    }
-  }
-  return out;
-}
-
-std::string join(const std::vector<std::string>& v) {
-  std::string out;
-  for (std::size_t i = 0; i < v.size(); ++i) {
-    if (i != 0) out += ',';
-    out += v[i];
-  }
-  return out;
-}
-
-std::vector<std::string> split_commas(std::string_view s) {
-  std::vector<std::string> out;
-  std::size_t pos = 0;
-  while (pos <= s.size() && !s.empty()) {
-    auto c = s.find(',', pos);
-    if (c == std::string_view::npos) c = s.size();
-    if (c > pos) out.emplace_back(s.substr(pos, c - pos));
-    pos = c + 1;
-    if (pos > s.size()) break;
-  }
-  return out;
-}
-
-std::vector<std::string_view> split_tabs(std::string_view line) {
-  std::vector<std::string_view> out;
-  std::size_t pos = 0;
-  while (pos <= line.size()) {
-    auto tb = line.find('\t', pos);
-    if (tb == std::string_view::npos) tb = line.size();
-    out.push_back(line.substr(pos, tb - pos));
-    pos = tb + 1;
-    if (tb == line.size()) break;
-  }
-  return out;
-}
-
-long to_long(std::string_view s) {
-  long v = 0;
-  bool neg = false;
-  std::size_t i = 0;
-  if (i < s.size() && s[i] == '-') {
-    neg = true;
-    ++i;
-  }
-  for (; i < s.size(); ++i) {
-    if (!std::isdigit(static_cast<unsigned char>(s[i]))) break;
-    v = v * 10 + (s[i] - '0');
-  }
-  return neg ? -v : v;
-}
-
-std::string hex64(std::uint64_t v) {
-  static const char* kDigits = "0123456789abcdef";
-  std::string out(16, '0');
-  for (int i = 15; i >= 0; --i) {
-    out[static_cast<std::size_t>(i)] = kDigits[v & 0xF];
-    v >>= 4;
-  }
-  return out;
-}
-
-std::uint64_t from_hex64(std::string_view s) {
-  std::uint64_t v = 0;
-  for (const char c : s) {
-    v <<= 4;
-    if (c >= '0' && c <= '9') v |= static_cast<std::uint64_t>(c - '0');
-    else if (c >= 'a' && c <= 'f') v |= static_cast<std::uint64_t>(c - 'a' + 10);
-  }
-  return v;
-}
-
 }  // namespace
-
-std::string serialize_tu_index(const TuIndex& tu) {
-  std::ostringstream os;
-  os << kCacheMagic << '\n';
-  os << "P\t" << esc(tu.path) << '\t' << esc(tu.norm) << '\t'
-     << hex64(tu.self_hash) << '\n';
-  for (const auto& [dep, hash] : tu.deps) {
-    os << "D\t" << esc(dep) << '\t' << hex64(hash) << '\n';
-  }
-  for (const auto& inc : tu.raw_includes) os << "I\t" << esc(inc) << '\n';
-  for (const auto& [line, rule] : tu.allows) {
-    os << "A\t" << line << '\t' << rule << '\n';
-  }
-  for (const auto& s : tu.statics) {
-    os << "S\t" << esc(s.name) << '\t' << s.line << '\t'
-       << (s.is_thread_local ? 1 : 0) << '\t' << (s.is_function_local ? 1 : 0)
-       << '\t' << esc(s.type_hint) << '\n';
-  }
-  for (const auto& m : tu.mutexes) {
-    os << "M\t" << esc(m.name) << '\t' << esc(m.cls) << '\t' << m.line << '\t'
-       << (m.is_member ? 1 : 0) << '\n';
-  }
-  auto put_regs = [&](char tag, const std::vector<NameReg>& regs) {
-    for (const auto& r : regs) {
-      os << tag << '\t' << esc(r.name) << '\t' << r.line << '\t'
-         << (r.dynamic ? 1 : 0) << '\n';
-    }
-  };
-  put_regs('v', tu.pvar_regs);
-  put_regs('x', tu.span_regs);
-  put_regs('y', tu.rule_regs);
-  for (const auto& fn : tu.functions) {
-    os << "F\t" << esc(fn.name) << '\t' << esc(fn.cls) << '\t' << fn.line
-       << '\t' << (fn.binds_lane ? 1 : 0) << '\n';
-    for (const auto& c : fn.calls) {
-      os << "c\t" << esc(c.callee) << '\t' << c.line << '\t' << join(c.held)
-         << '\n';
-    }
-    for (const auto& a : fn.acquires) {
-      os << "a\t" << esc(a.mutex) << '\t' << a.line << '\t' << join(a.held)
-         << '\n';
-    }
-    for (const auto& r : fn.static_refs) {
-      os << "r\t" << esc(r.name) << '\t' << r.line << '\n';
-    }
-    for (const auto& s : fn.sources) {
-      os << "s\t" << esc(s.primitive) << '\t' << s.line << '\n';
-    }
-    for (const auto& s : fn.blocking) {
-      os << "b\t" << esc(s.primitive) << '\t' << s.line << '\n';
-    }
-    for (const auto& s : fn.allocating) {
-      os << "B\t" << esc(s.primitive) << '\t' << s.line << '\n';
-    }
-    for (const auto& r : fn.fn_refs) {
-      os << "g\t" << esc(r.name) << '\t' << r.line << '\n';
-    }
-    for (const auto& k : fn.sinks) {
-      os << "k\t" << esc(k.name) << '\t' << k.line << '\t' << k.args << '\t'
-         << join(k.arg_idents) << '\t' << join(k.arg_calls) << '\n';
-    }
-    for (const auto& ta : fn.taints) {
-      os << "t\t" << esc(ta.var) << '\t' << ta.line << '\t'
-         << (ta.direct_source ? 1 : 0) << '\t' << join(ta.from_calls) << '\n';
-    }
-  }
-  for (const auto& f : tu.tu_findings) {
-    os << "f\t" << rule_id(f.rule) << '\t' << esc(f.file) << '\t' << f.line
-       << '\t' << esc(f.key) << '\t' << esc(f.message) << '\n';
-  }
-  return os.str();
-}
-
-bool deserialize_tu_index(std::string_view data, TuIndex& out) {
-  std::size_t pos = 0;
-  bool first = true;
-  FunctionInfo* fn = nullptr;
-  while (pos < data.size()) {
-    auto eol = data.find('\n', pos);
-    if (eol == std::string_view::npos) eol = data.size();
-    const std::string_view line = data.substr(pos, eol - pos);
-    pos = eol + 1;
-    if (line.empty()) continue;
-    if (first) {
-      if (line != kCacheMagic) return false;
-      first = false;
-      continue;
-    }
-    const auto f = split_tabs(line);
-    if (f.empty()) continue;
-    const std::string_view tag = f[0];
-    if (tag == "P" && f.size() >= 4) {
-      out.path = unesc(f[1]);
-      out.norm = unesc(f[2]);
-      out.self_hash = from_hex64(f[3]);
-    } else if (tag == "D" && f.size() >= 3) {
-      out.deps.emplace_back(unesc(f[1]), from_hex64(f[2]));
-    } else if (tag == "I" && f.size() >= 2) {
-      out.raw_includes.push_back(unesc(f[1]));
-    } else if (tag == "A" && f.size() >= 3) {
-      out.allows.emplace_back(static_cast<int>(to_long(f[1])),
-                              std::string(f[2]));
-    } else if (tag == "S" && f.size() >= 6) {
-      MutableStatic s;
-      s.name = unesc(f[1]);
-      s.line = static_cast<int>(to_long(f[2]));
-      s.is_thread_local = f[3] == "1";
-      s.is_function_local = f[4] == "1";
-      s.type_hint = unesc(f[5]);
-      out.statics.push_back(std::move(s));
-    } else if (tag == "M" && f.size() >= 5) {
-      MutexDecl m;
-      m.name = unesc(f[1]);
-      m.cls = unesc(f[2]);
-      m.line = static_cast<int>(to_long(f[3]));
-      m.is_member = f[4] == "1";
-      out.mutexes.push_back(std::move(m));
-    } else if (tag == "F" && f.size() >= 5) {
-      FunctionInfo info;
-      info.name = unesc(f[1]);
-      info.cls = unesc(f[2]);
-      info.line = static_cast<int>(to_long(f[3]));
-      info.binds_lane = f[4] == "1";
-      out.functions.push_back(std::move(info));
-      fn = &out.functions.back();
-    } else if (tag == "c" && f.size() >= 4 && fn != nullptr) {
-      fn->calls.push_back({unesc(f[1]), static_cast<int>(to_long(f[2])),
-                           split_commas(f[3])});
-    } else if (tag == "a" && f.size() >= 4 && fn != nullptr) {
-      fn->acquires.push_back({unesc(f[1]), static_cast<int>(to_long(f[2])),
-                              split_commas(f[3])});
-    } else if (tag == "r" && f.size() >= 3 && fn != nullptr) {
-      fn->static_refs.push_back({unesc(f[1]), static_cast<int>(to_long(f[2]))});
-    } else if (tag == "s" && f.size() >= 3 && fn != nullptr) {
-      fn->sources.push_back({unesc(f[1]), static_cast<int>(to_long(f[2]))});
-    } else if (tag == "b" && f.size() >= 3 && fn != nullptr) {
-      fn->blocking.push_back({unesc(f[1]), static_cast<int>(to_long(f[2]))});
-    } else if (tag == "B" && f.size() >= 3 && fn != nullptr) {
-      fn->allocating.push_back({unesc(f[1]), static_cast<int>(to_long(f[2]))});
-    } else if (tag == "g" && f.size() >= 3 && fn != nullptr) {
-      fn->fn_refs.push_back({unesc(f[1]), static_cast<int>(to_long(f[2]))});
-    } else if ((tag == "v" || tag == "x" || tag == "y") && f.size() >= 4) {
-      NameReg r;
-      r.name = unesc(f[1]);
-      r.line = static_cast<int>(to_long(f[2]));
-      r.dynamic = f[3] == "1";
-      if (tag == "v") out.pvar_regs.push_back(std::move(r));
-      else if (tag == "x") out.span_regs.push_back(std::move(r));
-      else out.rule_regs.push_back(std::move(r));
-    } else if (tag == "k" && f.size() >= 6 && fn != nullptr) {
-      SinkCall sc;
-      sc.name = unesc(f[1]);
-      sc.line = static_cast<int>(to_long(f[2]));
-      sc.args = static_cast<int>(to_long(f[3]));
-      sc.arg_idents = split_commas(f[4]);
-      sc.arg_calls = split_commas(f[5]);
-      fn->sinks.push_back(std::move(sc));
-    } else if (tag == "t" && f.size() >= 5 && fn != nullptr) {
-      TaintAssign ta;
-      ta.var = unesc(f[1]);
-      ta.line = static_cast<int>(to_long(f[2]));
-      ta.direct_source = f[3] == "1";
-      ta.from_calls = split_commas(f[4]);
-      fn->taints.push_back(std::move(ta));
-    } else if (tag == "f" && f.size() >= 6) {
-      Finding fd;
-      if (!rule_from_id(f[1], fd.rule)) return false;
-      fd.file = unesc(f[2]);
-      fd.line = static_cast<int>(to_long(f[3]));
-      fd.key = unesc(f[4]);
-      fd.message = unesc(f[5]);
-      out.tu_findings.push_back(std::move(fd));
-    }
-  }
-  return !first;
-}
 
 // ---------------------------------------------------------------------------
 // build_tu_index
@@ -993,8 +705,6 @@ TuIndex build_tu_index(std::string_view path, std::string_view content) {
   TuIndex tu;
   tu.path = std::string(path);
   tu.norm = normalize(path);
-  tu.self_hash = fnv1a64(content);
-  tu.raw_includes = extract_includes(content);
 
   // P1 registrations: string-literal-bearing calls (the main lexer strips
   // strings, so this is a separate raw-text scan).
@@ -1033,215 +743,28 @@ TuIndex build_tu_index(std::string_view path, std::string_view content) {
 }
 
 // ---------------------------------------------------------------------------
-// run_index: cache + parallel driver
+// run_index
 // ---------------------------------------------------------------------------
 
-namespace {
-
-bool read_file(const std::string& path, std::string& out) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return false;
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  out = buf.str();
-  return true;
-}
-
-}  // namespace
-
-std::vector<TuIndex> run_index(std::vector<std::string> files,
-                               const IndexOptions& options,
-                               IndexStats* stats) {
+std::vector<TuIndex> run_index(std::vector<std::string> files) {
   std::sort(files.begin(), files.end());
   files.erase(std::unique(files.begin(), files.end()), files.end());
-  const std::size_t n = files.size();
-
-  std::vector<std::string> contents(n);
-  std::vector<bool> readable(n, true);
-  std::map<std::string, std::uint64_t> hash_by_norm;
-  std::map<std::string, std::size_t> index_by_norm;
-  std::vector<std::string> norms(n);
-
-  for (std::size_t i = 0; i < n; ++i) {
-    norms[i] = normalize(files[i]);
-    readable[i] = read_file(files[i], contents[i]);
-    hash_by_norm[norms[i]] = readable[i] ? fnv1a64(contents[i]) : 0;
-    index_by_norm[norms[i]] = i;
-  }
-
-  // Direct include graph over the file set (resolved against the including
-  // file's directory, then each root).
-  auto resolve_include = [&](const std::string& from,
-                             const std::string& inc) -> std::string {
-    std::vector<std::string> candidates;
-    const fs::path dir = fs::path(from).parent_path();
-    candidates.push_back(normalize((dir / inc).lexically_normal().string()));
-    for (const auto& root : options.roots) {
-      candidates.push_back(
-          normalize((fs::path(root) / inc).lexically_normal().string()));
+  std::vector<TuIndex> out;
+  out.reserve(files.size());
+  for (const auto& file : files) {
+    std::ifstream in(file, std::ios::binary);
+    if (!in) {
+      TuIndex tu;
+      tu.path = file;
+      tu.norm = normalize(file);
+      tu.tu_findings.push_back(
+          {Rule::kAnnotation, file, 0, "cannot open file for linting"});
+      out.push_back(std::move(tu));
+      continue;
     }
-    for (const auto& c : candidates) {
-      if (hash_by_norm.count(c) != 0) return c;
-    }
-    return {};
-  };
-
-  std::vector<std::vector<std::size_t>> direct_deps(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    if (!readable[i]) continue;
-    for (const auto& inc : extract_includes(contents[i])) {
-      const std::string resolved = resolve_include(norms[i], inc);
-      if (resolved.empty()) continue;
-      const auto it = index_by_norm.find(resolved);
-      if (it != index_by_norm.end() && it->second != i) {
-        direct_deps[i].push_back(it->second);
-      }
-    }
-  }
-
-  // Transitive closure per file (the graphs are small; BFS each).
-  auto closure_of = [&](std::size_t i) {
-    std::vector<std::size_t> order;
-    std::set<std::size_t> seen;
-    std::vector<std::size_t> work(direct_deps[i].begin(),
-                                  direct_deps[i].end());
-    while (!work.empty()) {
-      const std::size_t d = work.back();
-      work.pop_back();
-      if (!seen.insert(d).second) continue;
-      order.push_back(d);
-      for (const auto nd : direct_deps[d]) work.push_back(nd);
-    }
-    std::sort(order.begin(), order.end());
-    return order;
-  };
-
-  // Diff-aware mode: the analysis set is the changed files (matched by
-  // normalized-path suffix) plus every reverse transitive include dependent.
-  // Files outside the set are loaded from cache *without* hash validation —
-  // their content is known-unchanged relative to the diff base, so a stale
-  // hash only means the base itself moved (handled by the periodic full run).
-  std::set<std::size_t> analysis_set;
-  if (options.diff_mode) {
-    std::vector<std::vector<std::size_t>> rdeps(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      for (const auto d : direct_deps[i]) rdeps[d].push_back(i);
-    }
-    std::vector<std::size_t> work;
-    for (std::size_t i = 0; i < n; ++i) {
-      for (const auto& c : options.changed) {
-        const std::string cn = normalize(c);
-        if (norms[i] == cn ||
-            (norms[i].size() > cn.size() + 1 &&
-             norms[i].compare(norms[i].size() - cn.size() - 1, cn.size() + 1,
-                              "/" + cn) == 0)) {
-          work.push_back(i);
-          break;
-        }
-      }
-    }
-    while (!work.empty()) {
-      const std::size_t d = work.back();
-      work.pop_back();
-      if (!analysis_set.insert(d).second) continue;
-      for (const auto rd : rdeps[d]) work.push_back(rd);
-    }
-  }
-
-  const bool caching = !options.cache_dir.empty();
-  if (caching) {
-    std::error_code ec;
-    fs::create_directories(options.cache_dir, ec);
-  }
-  auto cache_path = [&](const std::string& norm) {
-    return options.cache_dir + "/" + hex64(fnv1a64(norm)) + ".tui";
-  };
-
-  std::vector<TuIndex> out(n);
-  std::atomic<std::size_t> next{0};
-  std::atomic<std::size_t> hits{0};
-
-  auto worker = [&] {
-    for (;;) {
-      const std::size_t i = next.fetch_add(1);
-      if (i >= n) return;
-      if (!readable[i]) {
-        TuIndex tu;
-        tu.path = files[i];
-        tu.norm = norms[i];
-        tu.tu_findings.push_back({Rule::kAnnotation, files[i], 0,
-                                  "cannot open file for linting", {}});
-        out[i] = std::move(tu);
-        continue;
-      }
-      if (options.diff_mode && caching && analysis_set.count(i) == 0) {
-        // Outside the diff's analysis set: blind cache load, no validation.
-        std::string cached;
-        TuIndex tu;
-        if (read_file(cache_path(norms[i]), cached) &&
-            deserialize_tu_index(cached, tu)) {
-          tu.path = files[i];
-          tu.norm = norms[i];
-          tu.from_cache = true;
-          hits.fetch_add(1);
-          out[i] = std::move(tu);
-          continue;
-        }
-        // No usable cache entry: fall through to a full (re)index.
-      }
-      if (caching) {
-        std::string cached;
-        if (read_file(cache_path(norms[i]), cached)) {
-          TuIndex tu;
-          if (deserialize_tu_index(cached, tu) &&
-              tu.self_hash == hash_by_norm[norms[i]]) {
-            bool valid = true;
-            for (const auto& [dep, hash] : tu.deps) {
-              const auto it = hash_by_norm.find(dep);
-              if (it == hash_by_norm.end() || it->second != hash) {
-                valid = false;
-                break;
-              }
-            }
-            if (valid) {
-              tu.path = files[i];
-              tu.norm = norms[i];
-              tu.from_cache = true;
-              hits.fetch_add(1);
-              out[i] = std::move(tu);
-              continue;
-            }
-          }
-        }
-      }
-      TuIndex tu = build_tu_index(files[i], contents[i]);
-      for (const auto d : closure_of(i)) {
-        tu.deps.emplace_back(norms[d], hash_by_norm[norms[d]]);
-      }
-      if (caching) {
-        std::ofstream cache(cache_path(norms[i]),
-                            std::ios::binary | std::ios::trunc);
-        if (cache) cache << serialize_tu_index(tu);
-      }
-      out[i] = std::move(tu);
-    }
-  };
-
-  const unsigned jobs =
-      std::max(1u, std::min(options.jobs, static_cast<unsigned>(n)));
-  if (jobs <= 1) {
-    worker();
-  } else {
-    std::vector<std::thread> pool;
-    pool.reserve(jobs);
-    for (unsigned j = 0; j < jobs; ++j) pool.emplace_back(worker);
-    for (auto& th : pool) th.join();
-  }
-
-  if (stats != nullptr) {
-    stats->files = n;
-    stats->cache_hits = hits.load();
-    stats->reindexed = n - stats->cache_hits;
+    std::ostringstream buf;
+    buf << in.rdbuf();
+    out.push_back(build_tu_index(file, buf.str()));
   }
   return out;
 }

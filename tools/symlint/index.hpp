@@ -1,6 +1,6 @@
 // tools/symlint/index.hpp
 //
-// Pass 1 of symlint v2: the persistent cross-TU index.
+// Pass 1 of symlint v2: the in-memory cross-TU index.
 //
 // For every translation unit the indexer extracts, with one lexical
 // forward scan over the token stream:
@@ -12,21 +12,12 @@
 //   - mutable namespace-scope / function-local-static / class-static
 //     variable declarations (E1 subjects);
 //   - mutex object declarations (L1 nodes);
-//   - the allow() annotation map and the per-TU D-rule findings (cached so
-//     a warm run never re-lexes an unchanged file).
-//
-// The index is cached per TU under <cache-dir>/ keyed by a version-stamped
-// FNV-1a hash of the file path; an entry is valid only while the file's own
-// content hash AND the content hashes of its transitive project includes
-// are unchanged — touching a header re-indexes exactly its dependents.
+//   - the allow() annotation map and the per-TU D-rule findings.
 //
 // Everything here is deterministic: containers iterated for output are
-// ordered, and parallel indexing writes results into per-file slots so the
-// merge order is the sorted file order, not thread arrival order.
+// ordered, and run_index returns the TUs in sorted file order.
 #pragma once
 
-#include <cstdint>
-#include <map>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -123,10 +114,6 @@ struct MutexDecl {
 struct TuIndex {
   std::string path;  ///< as given (what findings report)
   std::string norm;  ///< normalized, '/'-separated
-  std::uint64_t self_hash = 0;
-  /// Transitive project includes with their content hash at index time.
-  std::vector<std::pair<std::string, std::uint64_t>> deps;
-  std::vector<std::string> raw_includes;  ///< unresolved #include "..." targets
   std::vector<FunctionInfo> functions;
   std::vector<MutableStatic> statics;
   std::vector<MutexDecl> mutexes;
@@ -136,46 +123,16 @@ struct TuIndex {
   std::vector<NameReg> pvar_regs;  ///< P1: PVAR registrations
   std::vector<NameReg> span_regs;  ///< P1: action-span names
   std::vector<NameReg> rule_regs;  ///< P1: policy-rule names (span prefixes)
-  std::vector<Finding> tu_findings;  ///< cached per-TU D-rule findings
-  bool from_cache = false;
+  std::vector<Finding> tu_findings;  ///< per-TU D-rule findings
 };
 
-/// Index one TU from memory (no cache, no include resolution). The
-/// fixture tests feed virtual paths through this.
+/// Index one TU from memory. The fixture tests feed virtual paths through
+/// this.
 [[nodiscard]] TuIndex build_tu_index(std::string_view path,
                                      std::string_view content);
 
-/// Cache round-trip (text format, version-stamped).
-[[nodiscard]] std::string serialize_tu_index(const TuIndex& tu);
-bool deserialize_tu_index(std::string_view data, TuIndex& out);
-
-struct IndexOptions {
-  std::string cache_dir;  ///< empty = no cache
-  unsigned jobs = 1;      ///< worker threads for the index pass
-  /// Roots that #include "..." paths are resolved against (in addition to
-  /// the including file's own directory).
-  std::vector<std::string> roots;
-  /// Diff-aware mode: when true, only files in `changed` (matched by
-  /// normalized-path suffix) plus their reverse transitive include
-  /// dependents are (re)validated and re-indexed; every other file is
-  /// loaded from cache as-is, *without* content-hash validation. Requires a
-  /// warm cache — files outside the analysis set with no cache entry fall
-  /// back to a full index.
-  bool diff_mode = false;
-  std::vector<std::string> changed;
-};
-
-struct IndexStats {
-  std::size_t files = 0;
-  std::size_t cache_hits = 0;
-  std::size_t reindexed = 0;
-};
-
-/// Index `files` (disk paths), using and refreshing the cache. Results are
-/// in sorted-path order regardless of `jobs`. Unreadable files get an A0
-/// finding in their tu_findings.
-[[nodiscard]] std::vector<TuIndex> run_index(std::vector<std::string> files,
-                                             const IndexOptions& options,
-                                             IndexStats* stats = nullptr);
+/// Read and index `files` (disk paths), in sorted, deduplicated path order.
+/// Unreadable files get an A0 finding in their tu_findings.
+[[nodiscard]] std::vector<TuIndex> run_index(std::vector<std::string> files);
 
 }  // namespace symlint

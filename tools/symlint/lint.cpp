@@ -38,7 +38,7 @@ class Scanner {
     // Malformed annotations are findings regardless of scope.
     for (const auto& e : lx_.annotation_errors) {
       findings_.push_back(
-          {Rule::kAnnotation, std::string(path_), e.line, e.message, {}});
+          {Rule::kAnnotation, std::string(path_), e.line, e.message});
     }
     apply_allows();
     return std::move(findings_);
@@ -86,7 +86,7 @@ class Scanner {
 
   void add(Rule rule, int line, std::string message) {
     findings_.push_back(
-        {rule, std::string(path_), line, std::move(message), {}});
+        {rule, std::string(path_), line, std::move(message)});
   }
 
   // --- D1 ---
@@ -295,24 +295,6 @@ std::string_view rule_name(Rule r) noexcept {
   return "unknown";
 }
 
-bool rule_from_id(std::string_view id, Rule& out) noexcept {
-  static const std::pair<std::string_view, Rule> kIds[] = {
-      {"A0", Rule::kAnnotation},    {"D1", Rule::kNondeterminism},
-      {"D2", Rule::kUnorderedIter}, {"D3", Rule::kFiberBlocking},
-      {"D4", Rule::kLaneAffinity},  {"L1", Rule::kLockOrder},
-      {"E1", Rule::kSharedEscape},  {"T1", Rule::kTaint},
-      {"B1", Rule::kMayBlock},      {"B2", Rule::kMayAlloc},
-      {"P1", Rule::kPvarContract},
-  };
-  for (const auto& [name, rule] : kIds) {
-    if (name == id) {
-      out = rule;
-      return true;
-    }
-  }
-  return false;
-}
-
 std::string Finding::format() const {
   std::ostringstream os;
   os << file << ':' << line << ": [" << rule_id(rule) << '/'
@@ -327,8 +309,8 @@ Scope classify(std::string_view path) {
 
   // The analyzer's own sources: the selfcheck gate. A lint tool whose
   // report order depends on hash layout or wall time is as useless as a
-  // nondeterministic simulator, so D1/D2 apply; it owns real threads for
-  // the parallel index pass, so D3/D4 do not.
+  // nondeterministic simulator, so D1/D2 apply; it is a host-side tool
+  // with no fibers and no lanes, so D3/D4 do not.
   if (norm.find("tools/symlint/") != std::string::npos) {
     s.scan = true;
     s.d1 = true;
@@ -396,7 +378,7 @@ bool lint_file(const std::string& path, std::vector<Finding>& out) {
   std::ifstream in(path, std::ios::binary);
   if (!in) {
     out.push_back(
-        {Rule::kAnnotation, path, 0, "cannot open file for linting", {}});
+        {Rule::kAnnotation, path, 0, "cannot open file for linting"});
     return false;
   }
   std::ostringstream buf;

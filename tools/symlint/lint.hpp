@@ -77,18 +77,11 @@ enum class Rule {
 [[nodiscard]] std::string_view rule_id(Rule r) noexcept;
 [[nodiscard]] std::string_view rule_name(Rule r) noexcept;
 
-/// Inverse of rule_id(); returns false for unknown ids (cache decode).
-bool rule_from_id(std::string_view id, Rule& out) noexcept;
-
 struct Finding {
   Rule rule;
   std::string file;  ///< path as given to lint_source()
   int line = 0;      ///< 1-based
   std::string message;
-  /// Stable identity for baseline matching, independent of line drift.
-  /// Cross-TU rules set a semantic key ("cycle:a->b->c", "static:file:name");
-  /// per-TU findings use the empty key (matched by message).
-  std::string key;
 
   /// "file:line: [D1/nondeterminism] message" — the stable CLI format the
   /// fixture tests pin.
@@ -99,8 +92,8 @@ struct Finding {
 /// the table in docs/STATIC_ANALYSIS.md); the cross-TU passes index every
 /// scanned file. tools/symlint itself is scanned (the selfcheck gate) under
 /// the determinism rules that make sense for a host-side tool: its *output*
-/// must be deterministic (D1, D2), but it legitimately owns threads (no D3)
-/// and has no lanes (no D4).
+/// must be deterministic (D1, D2), but it runs no fibers (no D3) and has
+/// no lanes (no D4).
 struct Scope {
   bool scan = false;  ///< file participates in analysis at all
   bool d1 = false;

@@ -1,36 +1,24 @@
 // symlint CLI. Usage:
 //
-//   symlint [--root DIR]... [--cache-dir DIR] [--baseline FILE]
-//           [--sarif FILE] [--jobs N] [--no-cross] [--stats]
-//           [--pvars-doc FILE] [--changed-list FILE] [--prune-baseline]
-//           [FILE]...
+//   symlint [--root DIR]... [--pvars-doc FILE] [FILE]...
 //
-// Pass 0 lints every .cpp/.hpp under each --root (recursively) plus any
-// explicit files with the per-TU rules; pass 1 builds (or refreshes) the
-// cross-TU index, cached incrementally under --cache-dir; pass 2 runs the
-// interprocedural rules (L1 lock-order, E1 shared-state-escape, T1
-// determinism-taint, B1/B2 hot-path may-block/may-allocate, and — when
-// --pvars-doc names the PVAR catalogue — P1 pvar-contract). Findings print
-// one per line, optionally also as SARIF 2.1.0, and are gated by the
-// checked-in baseline; a baseline entry that matches nothing is itself a
-// gate failure (fix the baseline, or pass --prune-baseline to rewrite it
-// without the stale entries). --changed-list FILE (newline-separated paths,
-// e.g. from `git diff --name-only`) switches pass 1 to diff-aware mode:
-// only the changed TUs and their reverse include-dependents are
-// re-analyzed, everything else is served from cache as-is. Exits 1 if any
-// unbaselined finding survives the allow() annotations or the baseline is
-// stale, 2 on usage errors. Run as the `symlint` ctest target over src/
-// (see tools/symlint/CMakeLists.txt and scripts/run_lint.sh).
-#include <algorithm>
+// Reads every .cpp/.hpp under each --root (recursively) plus any explicit
+// files, indexes each in memory with the per-TU rules (D1-D4, A0), then runs
+// the interprocedural rules over the whole index (L1 lock-order, E1
+// shared-state-escape, T1 determinism-taint, B1/B2 hot-path may-block/
+// may-allocate, and — when --pvars-doc names the PVAR catalogue — P1
+// pvar-contract). Findings print one per line. Exits 1 if any finding
+// survives the allow() annotations, 2 on usage errors (including any
+// unknown --flag). Run as the `symlint` ctest target over src/ (see
+// tools/symlint/CMakeLists.txt and scripts/run_lint.sh).
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
-#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
 
-#include "emit.hpp"
 #include "index.hpp"
 #include "lint.hpp"
 #include "rules.hpp"
@@ -38,6 +26,9 @@
 namespace fs = std::filesystem;
 
 namespace {
+
+constexpr const char* kUsage =
+    "usage: symlint [--root DIR]... [--pvars-doc FILE] [FILE]...\n";
 
 bool read_text(const std::string& path, std::string& out) {
   std::ifstream in(path, std::ios::binary);
@@ -48,29 +39,11 @@ bool read_text(const std::string& path, std::string& out) {
   return true;
 }
 
-unsigned parse_jobs(const std::string& arg) {
-  unsigned v = 0;
-  for (const char c : arg) {
-    if (c < '0' || c > '9') return 0;
-    v = v * 10 + static_cast<unsigned>(c - '0');
-  }
-  return v;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   std::vector<std::string> files;
-  std::vector<std::string> roots;
-  std::string cache_dir;
-  std::string baseline_path;
-  std::string sarif_path;
   std::string pvars_doc_path;
-  std::string changed_list_path;
-  unsigned jobs = 1;
-  bool cross = true;
-  bool stats_wanted = false;
-  bool prune_baseline = false;
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -89,7 +62,6 @@ int main(int argc, char** argv) {
                      root.string().c_str());
         return 2;
       }
-      roots.push_back(root.string());
       for (const auto& entry : fs::recursive_directory_iterator(root)) {
         if (!entry.is_regular_file()) continue;
         const auto ext = entry.path().extension().string();
@@ -97,37 +69,15 @@ int main(int argc, char** argv) {
           files.push_back(entry.path().string());
         }
       }
-    } else if (arg == "--cache-dir") {
-      cache_dir = next("a directory");
-    } else if (arg == "--baseline") {
-      baseline_path = next("a file");
-    } else if (arg == "--sarif") {
-      sarif_path = next("a file");
-    } else if (arg == "--jobs") {
-      jobs = parse_jobs(next("a positive integer"));
-      if (jobs == 0) {
-        std::fprintf(stderr, "symlint: --jobs requires a positive integer\n");
-        return 2;
-      }
-    } else if (arg == "--no-cross") {
-      cross = false;
-    } else if (arg == "--stats") {
-      stats_wanted = true;
     } else if (arg == "--pvars-doc") {
       pvars_doc_path = next("a file");
-    } else if (arg == "--changed-list") {
-      changed_list_path = next("a file");
-    } else if (arg == "--prune-baseline") {
-      prune_baseline = true;
     } else if (arg == "--help" || arg == "-h") {
-      std::printf(
-          "usage: symlint [--root DIR]... [--cache-dir DIR] [--baseline "
-          "FILE]\n"
-          "               [--sarif FILE] [--jobs N] [--no-cross] [--stats]\n"
-          "               [--pvars-doc FILE] [--changed-list FILE] "
-          "[--prune-baseline]\n"
-          "               [FILE]...\n");
+      std::printf("%s", kUsage);
       return 0;
+    } else if (arg.rfind("--", 0) == 0) {
+      std::fprintf(stderr, "symlint: unknown option %s\n%s", arg.c_str(),
+                   kUsage);
+      return 2;
     } else {
       files.push_back(arg);
     }
@@ -136,135 +86,36 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "symlint: no inputs (try --root src)\n");
     return 2;
   }
-  std::sort(files.begin(), files.end());  // deterministic report order
-  files.erase(std::unique(files.begin(), files.end()), files.end());
 
-  symlint::IndexOptions options;
-  options.cache_dir = cache_dir;
-  options.jobs = jobs;
-  options.roots = roots;
-  if (!changed_list_path.empty()) {
-    std::string text;
-    if (!read_text(changed_list_path, text)) {
-      std::fprintf(stderr, "symlint: cannot read changed list %s\n",
-                   changed_list_path.c_str());
-      return 2;
-    }
-    if (cache_dir.empty()) {
-      std::fprintf(stderr,
-                   "symlint: --changed-list needs --cache-dir (diff mode "
-                   "serves unchanged files from the warm cache)\n");
-      return 2;
-    }
-    options.diff_mode = true;
-    std::istringstream lines(text);
-    std::string ln;
-    while (std::getline(lines, ln)) {
-      while (!ln.empty() && (ln.back() == '\r' || ln.back() == ' ')) {
-        ln.pop_back();
-      }
-      if (!ln.empty()) options.changed.push_back(ln);
-    }
-  }
-  symlint::IndexStats stats;
-  const std::vector<symlint::TuIndex> tus =
-      symlint::run_index(files, options, &stats);
+  const std::vector<symlint::TuIndex> tus = symlint::run_index(files);
 
   std::vector<symlint::Finding> findings;
   for (const auto& tu : tus) {
     findings.insert(findings.end(), tu.tu_findings.begin(),
                     tu.tu_findings.end());
   }
-  if (cross) {
-    for (auto& f : symlint::analyze_project(tus)) {
-      findings.push_back(std::move(f));
+  for (auto& f : symlint::analyze_project(tus)) {
+    findings.push_back(std::move(f));
+  }
+  if (!pvars_doc_path.empty()) {
+    std::string doc;
+    if (!read_text(pvars_doc_path, doc)) {
+      std::fprintf(stderr, "symlint: cannot read pvars doc %s\n",
+                   pvars_doc_path.c_str());
+      return 2;
     }
-    if (!pvars_doc_path.empty()) {
-      std::string doc;
-      if (!read_text(pvars_doc_path, doc)) {
-        std::fprintf(stderr, "symlint: cannot read pvars doc %s\n",
-                     pvars_doc_path.c_str());
-        return 2;
-      }
-      for (auto& f :
-           symlint::check_pvar_contract(tus, doc, pvars_doc_path)) {
-        findings.push_back(std::move(f));
-      }
+    for (auto& f : symlint::check_pvar_contract(tus, doc, pvars_doc_path)) {
+      findings.push_back(std::move(f));
     }
   }
   symlint::sort_findings(findings);
 
-  std::size_t baselined = 0;
-  symlint::Baseline baseline;
-  std::vector<const symlint::BaselineEntry*> unused;
-  if (!baseline_path.empty()) {
-    std::string text;
-    if (!read_text(baseline_path, text)) {
-      std::fprintf(stderr, "symlint: cannot read baseline %s\n",
-                   baseline_path.c_str());
-      return 2;
-    }
-    std::string err;
-    if (!symlint::load_baseline(text, baseline, err)) {
-      std::fprintf(stderr, "symlint: %s\n", err.c_str());
-      return 2;
-    }
-    baselined = symlint::apply_baseline(baseline, findings, &unused);
-  }
-
-  if (!sarif_path.empty()) {
-    std::ofstream sarif(sarif_path, std::ios::binary | std::ios::trunc);
-    if (!sarif) {
-      std::fprintf(stderr, "symlint: cannot write %s\n", sarif_path.c_str());
-      return 2;
-    }
-    sarif << symlint::to_sarif(findings);
-  }
-
   for (const auto& f : findings) std::printf("%s\n", f.format().c_str());
-  bool stale = false;
-  for (const auto* entry : unused) {
-    std::printf(
-        "symlint: stale baseline entry (matched nothing): rule=%s file=%s "
-        "key=%s\n",
-        entry->rule.c_str(), entry->file.c_str(), entry->key.c_str());
-    stale = true;
-  }
-  if (stale && prune_baseline) {
-    std::set<const symlint::BaselineEntry*> drop(unused.begin(),
-                                                 unused.end());
-    symlint::Baseline pruned;
-    pruned.comment = baseline.comment;
-    for (const auto& e : baseline.entries) {
-      if (drop.count(&e) == 0) pruned.entries.push_back(e);
-    }
-    std::ofstream out(baseline_path, std::ios::binary | std::ios::trunc);
-    if (!out) {
-      std::fprintf(stderr, "symlint: cannot rewrite baseline %s\n",
-                   baseline_path.c_str());
-      return 2;
-    }
-    out << symlint::serialize_baseline(pruned);
-    std::printf("symlint: pruned %zu stale baseline entr%s from %s\n",
-                unused.size(), unused.size() == 1 ? "y" : "ies",
-                baseline_path.c_str());
-    stale = false;
-  }
-  if (stats_wanted) {
-    std::printf("symlint: index: %zu files, %zu cached, %zu reindexed\n",
-                stats.files, stats.cache_hits, stats.reindexed);
-  }
-
-  if (!findings.empty() || stale) {
-    std::printf("symlint: %zu finding(s) in %zu file(s) scanned",
-                findings.size(), files.size());
-    if (baselined != 0) std::printf(" (%zu baselined)", baselined);
-    if (stale) std::printf(" (stale baseline entries fail the gate)");
-    std::printf("\n");
+  if (!findings.empty()) {
+    std::printf("symlint: %zu finding(s) in %zu file(s) scanned\n",
+                findings.size(), tus.size());
     return 1;
   }
-  std::printf("symlint: OK (%zu files scanned", files.size());
-  if (baselined != 0) std::printf(", %zu baselined", baselined);
-  std::printf(")\n");
+  std::printf("symlint: OK (%zu files scanned)\n", tus.size());
   return 0;
 }

@@ -198,7 +198,7 @@ class LockOrder {
     }
 
     std::vector<Finding> out;
-    std::set<std::string> reported;  // canonical cycle keys already emitted
+    std::set<std::string> reported;  // canonical rings already emitted
     for (const auto& start : nodes) {
       // Shortest path start -> ... -> start via BFS (self-edges included).
       std::map<std::string, std::string> parent;
@@ -249,10 +249,10 @@ class LockOrder {
     std::vector<std::string> ring(path.begin(), path.end() - 1);
     const auto min_it = std::min_element(ring.begin(), ring.end());
     std::rotate(ring.begin(), min_it, ring.end());
-    std::string key = "cycle:";
-    for (const auto& m : ring) key += m + "->";
-    key += ring.front();
-    if (!reported.insert(key).second) return;
+    std::string ring_id;
+    for (const auto& m : ring) ring_id += m + "->";
+    ring_id += ring.front();
+    if (!reported.insert(ring_id).second) return;
 
     std::vector<const LockEdge*> witness;
     bool suppressed = false;
@@ -281,7 +281,6 @@ class LockOrder {
     f.file = witness.front()->file;
     f.line = witness.front()->line;
     f.message = msg.str();
-    f.key = std::move(key);
     out.push_back(std::move(f));
   }
 
@@ -411,7 +410,6 @@ class SharedEscape {
     f.file = tu.path;
     f.line = s.line;
     f.message = msg.str();
-    f.key = "static:" + rel + ":" + s.name;
     return f;
   }
 
@@ -570,8 +568,6 @@ class Taint {
     out.file = tu.path;
     out.line = sink.line;
     out.message = msg.str();
-    out.key = "taint:" + repo_rel(tu.norm) + ":" + unqualified(f.name) + ":" +
-              sink.name;
     return out;
   }
 
@@ -662,8 +658,6 @@ class HotPathCost {
       fd.file = tu.path;
       fd.line = s.line;
       fd.message = msg.str();
-      fd.key = std::string(block ? "block:" : "alloc:") + rel + ":" +
-               unqualified(f.name) + ":" + s.primitive;
       out.push_back(std::move(fd));
     }
   }
@@ -761,8 +755,6 @@ class HotPathCost {
     fd.file = root_tu.path;
     fd.line = root_fn.line;
     fd.message = msg.str();
-    fd.key = std::string(block ? "block:" : "alloc:") + root_rel + ":" +
-             root_fn.name;
     out.push_back(std::move(fd));
     return true;
   }
@@ -870,7 +862,7 @@ std::vector<Finding> check_pvar_contract(const std::vector<TuIndex>& tus,
   std::vector<Finding> out;
   auto code_side = [&](const std::map<std::string, RegSite>& code,
                        const std::map<std::string, DocName>& doc,
-                       const char* kind, const char* what) {
+                       const char* what) {
     for (const auto& [name, site] : code) {
       if (doc.count(name) != 0) continue;
       const TuIndex& tu = tus[site.tu];
@@ -884,13 +876,12 @@ std::vector<Finding> check_pvar_contract(const std::vector<TuIndex>& tus,
                   " but not documented in " + doc_path +
                   " — add a row (or annotate allow(pvar-contract) with a"
                   " reason).";
-      f.key = std::string(kind) + ":undocumented:" + name;
       out.push_back(std::move(f));
     }
   };
   auto doc_side = [&](const std::map<std::string, DocName>& doc,
                       const std::map<std::string, RegSite>& code,
-                      const char* kind, const char* what) {
+                      const char* what) {
     for (const auto& [name, dn] : doc) {
       if (code.count(name) != 0) continue;
       Finding f;
@@ -901,14 +892,13 @@ std::vector<Finding> check_pvar_contract(const std::vector<TuIndex>& tus,
                   doc_path + ":" + std::to_string(dn.line) +
                   " but never registered in src/ — stale doc row or a"
                   " registration that was removed.";
-      f.key = std::string(kind) + ":unregistered:" + name;
       out.push_back(std::move(f));
     }
   };
-  code_side(code_pvars, doc_pvars, "pvar", "PVAR");
-  code_side(code_spans, doc_spans, "span", "action span");
-  doc_side(doc_pvars, code_pvars, "pvar", "PVAR");
-  doc_side(doc_spans, code_spans, "span", "action span");
+  code_side(code_pvars, doc_pvars, "PVAR");
+  code_side(code_spans, doc_spans, "action span");
+  doc_side(doc_pvars, code_pvars, "PVAR");
+  doc_side(doc_spans, code_spans, "action span");
   sort_findings(out);
   return out;
 }
@@ -921,12 +911,11 @@ std::vector<Finding> analyze_project(const std::vector<TuIndex>& tus) {
   for (auto& f : Taint(project).run()) out.push_back(std::move(f));
   for (auto& f : HotPathCost(project).run()) out.push_back(std::move(f));
   sort_findings(out);
-  // A sink can be matched through both an argument call and a local; the
-  // semantic key dedupes.
+  // Report identical findings (same rule, site and message) once.
   out.erase(std::unique(out.begin(), out.end(),
                         [](const Finding& a, const Finding& b) {
                           return a.rule == b.rule && a.file == b.file &&
-                                 a.line == b.line && a.key == b.key;
+                                 a.line == b.line && a.message == b.message;
                         }),
             out.end());
   return out;

@@ -56,8 +56,7 @@
 namespace symlint {
 
 /// Run L1/E1/T1/B1/B2 over the indexed project. `tus` must be in
-/// deterministic (sorted-path) order; findings come out sorted and carry
-/// semantic keys.
+/// deterministic (sorted-path) order; findings come out sorted.
 [[nodiscard]] std::vector<Finding> analyze_project(
     const std::vector<TuIndex>& tus);
 
