@@ -92,7 +92,6 @@ CacheWorld::Params seq_reader_params(bc::Placement placement, bool smoke) {
   t.pattern = CachePattern::kSeqRead;
   p.tenants = {t, t};
   p.exec.lane_count = 0;  // one lane per node
-  p.exec.lookahead = sim::usec(2);
   return p;
 }
 
@@ -115,7 +114,6 @@ CacheWorld::Params contention_params(bc::SchedPolicy policy, bool smoke) {
   narrow.blocks_per_client = 4 * wide.blocks_per_client;
   p.tenants = {wide, narrow};
   p.exec.lane_count = 0;
-  p.exec.lookahead = sim::usec(2);
   return p;
 }
 

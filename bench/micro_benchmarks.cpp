@@ -111,15 +111,15 @@ static void BM_WindowMerge(benchmark::State& state) {
     sim::EngineConfig cfg;
     cfg.lane_count = lanes;
     cfg.worker_count = 1;
-    cfg.lookahead = sim::usec(2);
     sim::Engine eng(7, cfg);
+    eng.set_lookahead(sim::usec(2));
     struct Chain {
       sim::Engine* eng;
       std::uint32_t lanes;
       void hop(std::uint32_t lane, int remaining) {
         if (remaining == 0) return;
         const std::uint32_t next = (lane + 1) % lanes;
-        eng->after_on(next, eng->lookahead_to(next),
+        eng->after_on(next, eng->lookahead(),
                       [this, next, remaining] { hop(next, remaining - 1); });
       }
     };
@@ -137,33 +137,6 @@ static void BM_WindowMerge(benchmark::State& state) {
                    : static_cast<double>(pairs) / static_cast<double>(windows);
 }
 BENCHMARK(BM_WindowMerge)->Arg(8)->Arg(64);
-
-// One-time cost of deriving the per-lane-pair lookahead matrix from link
-// topology at Cluster construction: the O(nodes^2) latency scan plus the
-// O(lanes^3) Floyd-Warshall closure and round-trip fold.
-static void BM_LookaheadMatrix(benchmark::State& state) {
-  const auto nodes = static_cast<std::uint32_t>(state.range(0));
-  sim::ClusterParams cp;
-  cp.node_count = nodes;
-  cp.max_clock_skew = 0;
-  // Plant a sparse set of slow links so the override index and the
-  // shortest-path relaxation both do real work.
-  for (sim::NodeId a = 0; a < nodes; a += 4) {
-    for (sim::NodeId b = a + 1; b < nodes; b += 4) {
-      cp.link_overrides.push_back({a, b, sim::usec(100)});
-    }
-  }
-  for (auto _ : state) {
-    sim::EngineConfig cfg;
-    cfg.lane_count = 0;  // one lane per node
-    sim::Engine eng(7, cfg);
-    sim::Cluster cluster(eng, cp);
-    benchmark::DoNotOptimize(eng.lookahead(0, nodes - 1));
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(nodes) * nodes);
-}
-BENCHMARK(BM_LookaheadMatrix)->Arg(16)->Arg(64);
 
 // ---------------------------------------------------------------------------
 // SYMBIOSYS instrumentation primitives

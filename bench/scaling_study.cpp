@@ -5,25 +5,24 @@
 // while the engine runs with one lane per node and an increasing worker
 // pool. For every (nodes, workers) cell we record the simulated makespan,
 // the host wall-clock of world.run(), the event throughput and the
-// window-protocol counters (windows executed, mailbox pairs merged, quiet
-// extensions, causality clamps); the speedup column is
+// window-protocol counters (windows executed, mailbox pairs merged,
+// causality clamps); the speedup column is
 // wall(workers=1) / wall(workers=N) at the same node count.
 //
-// Each node scale also runs a *legacy* reference cell (workers=1,
-// matrix_lookahead=false, quiet_extension_cap=1): the global-lookahead
-// lockstep protocol with its dense lanes^2 merge sweep, i.e. the engine as
-// it was before the lookahead matrix landed. The ablation section reports
-//   window_ratio = legacy windows / matrix windows
-//   pair_ratio   = legacy windows * lanes * (lanes-1) / matrix merge pairs
-// (the dense sweep visited every (dst, src) pair every window; the sparse
+// Gates. The safe-window protocol guarantees bit-identical simulations for
+// every worker count, so the sweep doubles as a large-scale determinism
+// check: events_processed (and, under -DSYM_DEBUG_CHECKS=ON, the per-lane
+// event digest) must match across the worker column. Three more gates are
+// host-independent protocol invariants:
+//   * sparse merge: the merge never visits more pairs than the lanes
+//     registered dirty;
+//   * no clamps: no merged event ever arrives below its destination clock;
+//   * window bound: windows <= final_virtual_ns / lookahead + 1, since each
+//     lockstep window starts at least one lookahead after the previous one.
+// All four run in smoke mode, so CI catches a regression. Full mode adds
+//   pair_ratio = windows * lanes * (lanes-1) / merge pairs >= 10 at 64 nodes
+// (a dense sweep would visit every (dst, src) pair every window; the sparse
 // sweep visits only pairs that actually received a post).
-//
-// The safe-window protocol guarantees bit-identical simulations for every
-// worker count, so the sweep doubles as a large-scale determinism check:
-// events_processed (and, under -DSYM_DEBUG_CHECKS=ON, the per-lane event
-// digest) must match across the worker column or the bench fails. The
-// sparse merge must also never visit more pairs than the lanes registered
-// dirty — both gates run in smoke mode, so CI catches a regression.
 //
 // Interpreting the speedup honestly requires the host CPU count, which is
 // recorded as `host_cpus` in the JSON: workers beyond the physical cores
@@ -31,9 +30,6 @@
 // window-barrier overhead). The parallel-efficiency acceptance target
 // (>= 2.5x at 4 workers, >= 64 nodes) is therefore evaluated only when
 // host_cpus >= 4 and reported as SKIPPED otherwise — see EXPERIMENTS.md.
-// The window/pair-ratio acceptance (>= 5x fewer windows, >= 10x fewer
-// merged pairs at 64 nodes) is host-independent and always evaluated in
-// full mode.
 //
 // Results land in BENCH_scaling.json (override with --out PATH). --smoke
 // shrinks node counts and event volumes for CI.
@@ -58,39 +54,37 @@ struct Cell {
   std::uint32_t nodes = 0;
   std::uint32_t lanes = 0;
   std::uint32_t workers = 0;
-  bool legacy = false;    ///< global-lookahead lockstep reference protocol
   double virtual_ms = 0;  ///< simulated data-loader makespan
   double wall_ms = 0;     ///< host wall-clock of world.run()
   std::uint64_t events_processed = 0;
   std::uint64_t events_stored = 0;
+  std::uint64_t final_virtual_ns = 0;  ///< engine clock when run() returned
+  std::uint64_t lookahead_ns = 0;
   std::uint64_t windows = 0;
   std::uint64_t merge_pairs = 0;   ///< (dst, src) pairs the merge absorbed
   std::uint64_t dirty_pairs = 0;   ///< pairs registered by first posts
-  std::uint64_t quiet_windows = 0; ///< windows stretched by quiet extension
-  std::uint64_t clamps = 0;        ///< events clamped by a lost extension bet
+  std::uint64_t clamps = 0;        ///< merged events below the dst clock
   std::uint64_t digest = 0;        ///< event digest (0 unless SYM_DEBUG_CHECKS)
   std::uint64_t allocations = 0;   ///< arena growths + SmallFn heap spills
   double alloc_per_event = 0;      ///< allocations / events_processed
   std::uint64_t peak_rss = 0;      ///< ru_maxrss after the cell (monotonic)
   double speedup_vs_1w = 0;
-};
 
-struct Ablation {
-  std::uint32_t nodes = 0;
-  std::uint32_t lanes = 0;
-  std::uint64_t legacy_windows = 0;
-  std::uint64_t legacy_dense_pairs = 0;  ///< windows * lanes * (lanes-1)
-  std::uint64_t matrix_windows = 0;
-  std::uint64_t matrix_merge_pairs = 0;
-  double window_ratio = 0;
-  double pair_ratio = 0;
+  /// Pairs a dense sweep over every (dst, src) pair would have visited.
+  [[nodiscard]] std::uint64_t dense_pairs() const {
+    return windows * lanes * static_cast<std::uint64_t>(lanes - 1);
+  }
+  /// Lockstep windows start at least one lookahead apart.
+  [[nodiscard]] std::uint64_t window_bound() const {
+    return final_virtual_ns / lookahead_ns + 1;
+  }
 };
 
 /// Weak-scaling deployment: one process per node, a quarter of the nodes
 /// serve, the rest run data-loader clients.
 sym::workloads::HepnosWorld::Params scaled_params(std::uint32_t nodes,
                                                   std::uint32_t workers,
-                                                  bool smoke, bool legacy) {
+                                                  bool smoke) {
   const std::uint32_t servers = nodes / 4;
   sym::workloads::HepnosWorld::Params p;
   p.config.name = "weak-scaling";
@@ -107,28 +101,14 @@ sym::workloads::HepnosWorld::Params scaled_params(std::uint32_t nodes,
   p.seed = 42;
   p.exec.lane_count = 0;  // one lane per node
   p.exec.worker_count = workers;
-  // Deeper speculation than the engine default: the study measures how far
-  // adaptive extension can push window count down. Fidelity cost is tracked
-  // in the causality_clamps column and in virtual_ms vs the legacy cell.
-  p.exec.quiet_extension_cap = 16;
-  if (legacy) {
-    // The pre-matrix protocol: uniform lockstep windows of one global
-    // lookahead, no quiet extension. (The merge is still sparse — the
-    // dense-equivalent pair count is reconstructed arithmetically.)
-    p.exec.matrix_lookahead = false;
-    p.exec.quiet_extension_cap = 1;
-  }
   return p;
 }
 
-Cell run_cell(std::uint32_t nodes, std::uint32_t workers, bool smoke,
-              bool legacy) {
+Cell run_cell(std::uint32_t nodes, std::uint32_t workers, bool smoke) {
   Cell c;
   c.nodes = nodes;
   c.workers = workers;
-  c.legacy = legacy;
-  sym::workloads::HepnosWorld world(
-      scaled_params(nodes, workers, smoke, legacy));
+  sym::workloads::HepnosWorld world(scaled_params(nodes, workers, smoke));
   c.lanes = world.engine().lane_count();
   const auto t0 = std::chrono::steady_clock::now();
   world.run();
@@ -137,10 +117,11 @@ Cell run_cell(std::uint32_t nodes, std::uint32_t workers, bool smoke,
   c.wall_ms = std::chrono::duration<double, std::milli>(t1 - t0).count();
   c.events_processed = world.engine().events_processed();
   c.events_stored = world.events_stored();
+  c.final_virtual_ns = world.engine().now();
+  c.lookahead_ns = world.engine().lookahead();
   c.windows = world.engine().windows_executed();
   c.merge_pairs = world.engine().merge_pairs_visited();
   c.dirty_pairs = world.engine().dirty_pairs_posted();
-  c.quiet_windows = world.engine().quiet_extended_windows();
   c.clamps = world.engine().causality_clamps();
   c.digest = world.engine().event_digest();
   c.allocations = world.engine().arena_stats().allocations();
@@ -155,19 +136,17 @@ Cell run_cell(std::uint32_t nodes, std::uint32_t workers, bool smoke,
 }
 
 void print_cell(const Cell& c) {
-  std::printf("nodes %3u  lanes %3u  workers %u%s  virtual %9.3f ms  "
+  std::printf("nodes %3u  lanes %3u  workers %u  virtual %9.3f ms  "
               "wall %8.2f ms  events %9llu  windows %7llu  pairs %8llu  "
               "speedup x%.2f\n",
-              c.nodes, c.lanes, c.workers, c.legacy ? " (legacy)" : "        ",
-              c.virtual_ms, c.wall_ms,
+              c.nodes, c.lanes, c.workers, c.virtual_ms, c.wall_ms,
               static_cast<unsigned long long>(c.events_processed),
               static_cast<unsigned long long>(c.windows),
               static_cast<unsigned long long>(c.merge_pairs), c.speedup_vs_1w);
 }
 
 void write_json(const std::string& path, bool smoke, unsigned host_cpus,
-                const std::vector<Cell>& cells,
-                const std::vector<Ablation>& ablation) {
+                const std::vector<Cell>& cells) {
   std::ofstream out(path);
   out << "{\n  \"bench\": \"scaling_study\",\n"
       << "  \"smoke\": " << (smoke ? "true" : "false") << ",\n"
@@ -179,42 +158,27 @@ void write_json(const std::string& path, bool smoke, unsigned host_cpus,
     std::snprintf(
         buf, sizeof(buf),
         "    {\"nodes\": %u, \"lanes\": %u, \"workers\": %u, "
-        "\"protocol\": \"%s\", \"virtual_ms\": %.6f, \"wall_ms\": %.3f, "
+        "\"virtual_ms\": %.6f, \"wall_ms\": %.3f, "
         "\"events_processed\": %llu, \"events_stored\": %llu, "
+        "\"final_virtual_ns\": %llu, \"lookahead_ns\": %llu, "
         "\"windows\": %llu, \"merge_pairs\": %llu, \"dirty_pairs\": %llu, "
-        "\"quiet_windows\": %llu, \"causality_clamps\": %llu, "
+        "\"dense_pairs\": %llu, \"causality_clamps\": %llu, "
         "\"allocations\": %llu, \"alloc_per_event\": %.6f, "
         "\"peak_rss_bytes\": %llu, "
         "\"speedup_vs_1w\": %.3f}%s\n",
-        c.nodes, c.lanes, c.workers, c.legacy ? "legacy" : "matrix",
-        c.virtual_ms, c.wall_ms,
+        c.nodes, c.lanes, c.workers, c.virtual_ms, c.wall_ms,
         static_cast<unsigned long long>(c.events_processed),
         static_cast<unsigned long long>(c.events_stored),
+        static_cast<unsigned long long>(c.final_virtual_ns),
+        static_cast<unsigned long long>(c.lookahead_ns),
         static_cast<unsigned long long>(c.windows),
         static_cast<unsigned long long>(c.merge_pairs),
         static_cast<unsigned long long>(c.dirty_pairs),
-        static_cast<unsigned long long>(c.quiet_windows),
+        static_cast<unsigned long long>(c.dense_pairs()),
         static_cast<unsigned long long>(c.clamps),
         static_cast<unsigned long long>(c.allocations), c.alloc_per_event,
         static_cast<unsigned long long>(c.peak_rss), c.speedup_vs_1w,
         i + 1 < cells.size() ? "," : "");
-    out << buf;
-  }
-  out << "  ],\n  \"ablation\": [\n";
-  for (std::size_t i = 0; i < ablation.size(); ++i) {
-    const auto& a = ablation[i];
-    char buf[384];
-    std::snprintf(
-        buf, sizeof(buf),
-        "    {\"nodes\": %u, \"lanes\": %u, \"legacy_windows\": %llu, "
-        "\"legacy_dense_pairs\": %llu, \"matrix_windows\": %llu, "
-        "\"matrix_merge_pairs\": %llu, \"window_ratio\": %.2f, "
-        "\"pair_ratio\": %.2f}%s\n",
-        a.nodes, a.lanes, static_cast<unsigned long long>(a.legacy_windows),
-        static_cast<unsigned long long>(a.legacy_dense_pairs),
-        static_cast<unsigned long long>(a.matrix_windows),
-        static_cast<unsigned long long>(a.matrix_merge_pairs), a.window_ratio,
-        a.pair_ratio, i + 1 < ablation.size() ? "," : "");
     out << buf;
   }
   out << "  ]\n}\n";
@@ -248,75 +212,41 @@ int main(int argc, char** argv) {
                             : "");
 
   std::vector<Cell> cells;
-  std::vector<Ablation> ablations;
   bool deterministic = true;
   bool merge_sparse = true;
+  bool clamp_free = true;
+  bool windows_bounded = true;
   double speedup_4w_large = 0;
-  double window_ratio_large = 0;
   double pair_ratio_large = 0;
   for (const auto nodes : node_scales) {
-    // Legacy (pre-matrix) reference: global lookahead, lockstep windows.
-    Cell legacy = run_cell(nodes, 1, smoke, /*legacy=*/true);
-    print_cell(legacy);
-    if (legacy.merge_pairs > legacy.dirty_pairs) merge_sparse = false;
-    cells.push_back(legacy);
-
-    Ablation ab;
-    ab.nodes = nodes;
-    ab.lanes = legacy.lanes;
-    ab.legacy_windows = legacy.windows;
-    ab.legacy_dense_pairs = legacy.windows *
-                            static_cast<std::uint64_t>(legacy.lanes) *
-                            (legacy.lanes - 1);
-
     double wall_1w = 0;
     std::uint64_t events_1w = 0;
     std::uint64_t digest_1w = 0;
     for (const auto workers : worker_scales) {
-      Cell c = run_cell(nodes, workers, smoke, /*legacy=*/false);
+      Cell c = run_cell(nodes, workers, smoke);
       if (workers == 1) {
         wall_1w = c.wall_ms;
         events_1w = c.events_processed;
         digest_1w = c.digest;
-        ab.matrix_windows = c.windows;
-        ab.matrix_merge_pairs = c.merge_pairs;
+        if (nodes >= 64 && c.merge_pairs > 0) {
+          pair_ratio_large = static_cast<double>(c.dense_pairs()) /
+                             static_cast<double>(c.merge_pairs);
+        }
       }
       c.speedup_vs_1w = c.wall_ms > 0 ? wall_1w / c.wall_ms : 0;
       if (c.events_processed != events_1w || c.digest != digest_1w) {
         deterministic = false;
       }
       if (c.merge_pairs > c.dirty_pairs) merge_sparse = false;
+      if (c.clamps != 0) clamp_free = false;
+      if (c.windows > c.window_bound()) windows_bounded = false;
       if (workers == 4 && nodes >= 64) speedup_4w_large = c.speedup_vs_1w;
       print_cell(c);
       cells.push_back(c);
     }
-
-    ab.window_ratio =
-        ab.matrix_windows > 0
-            ? static_cast<double>(ab.legacy_windows) /
-                  static_cast<double>(ab.matrix_windows)
-            : 0;
-    ab.pair_ratio =
-        ab.matrix_merge_pairs > 0
-            ? static_cast<double>(ab.legacy_dense_pairs) /
-                  static_cast<double>(ab.matrix_merge_pairs)
-            : 0;
-    std::printf("  ablation @ %u nodes: windows %llu -> %llu (x%.1f), "
-                "merge pairs %llu -> %llu (x%.1f)\n",
-                nodes, static_cast<unsigned long long>(ab.legacy_windows),
-                static_cast<unsigned long long>(ab.matrix_windows),
-                ab.window_ratio,
-                static_cast<unsigned long long>(ab.legacy_dense_pairs),
-                static_cast<unsigned long long>(ab.matrix_merge_pairs),
-                ab.pair_ratio);
-    if (nodes >= 64) {
-      window_ratio_large = ab.window_ratio;
-      pair_ratio_large = ab.pair_ratio;
-    }
-    ablations.push_back(ab);
   }
 
-  write_json(out_path, smoke, host_cpus, cells, ablations);
+  write_json(out_path, smoke, host_cpus, cells);
   std::printf("\nwrote %s\n", out_path.c_str());
 
   if (!deterministic) {
@@ -333,15 +263,25 @@ int main(int argc, char** argv) {
   }
   std::printf("sparse merge: pairs visited <= pairs registered dirty in "
               "every cell: PASS\n");
+  if (!clamp_free) {
+    std::printf("acceptance: FAIL — a merged event arrived below its "
+                "destination clock (window-protocol violation)\n");
+    return 1;
+  }
+  std::printf("causality: zero clamps in every cell: PASS\n");
+  if (!windows_bounded) {
+    std::printf("acceptance: FAIL — windows exceeded final_virtual_ns / "
+                "lookahead + 1 (a window shorter than the lookahead)\n");
+    return 1;
+  }
+  std::printf("window bound: windows <= final_virtual_ns / lookahead + 1 in "
+              "every cell: PASS\n");
   if (!smoke) {
-    const bool win_ok = window_ratio_large >= 5.0;
     const bool pair_ok = pair_ratio_large >= 10.0;
-    std::printf("acceptance: window ratio at >=64 nodes: x%.1f >= 5: %s\n",
-                window_ratio_large, win_ok ? "PASS" : "FAIL");
-    std::printf("acceptance: merge-pair ratio at >=64 nodes: x%.1f >= 10: "
-                "%s\n",
+    std::printf("acceptance: dense/sparse merge-pair ratio at >=64 nodes: "
+                "x%.1f >= 10: %s\n",
                 pair_ratio_large, pair_ok ? "PASS" : "FAIL");
-    if (!win_ok || !pair_ok) return 1;
+    if (!pair_ok) return 1;
   }
   if (host_cpus >= 4 && !smoke) {
     const bool ok = speedup_4w_large >= 2.5;

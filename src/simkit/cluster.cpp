@@ -1,6 +1,5 @@
 #include "simkit/cluster.hpp"
 
-#include <algorithm>
 #include <cassert>
 #include <cmath>
 #include <memory>
@@ -37,33 +36,10 @@ Cluster::Cluster(Engine& engine, ClusterParams params)
   // Resolve the engine's lane topology before anything is scheduled or any
   // random draw is made: auto-sharding maps one lane per node.
   engine_.shard_for_nodes(params_.node_count);
-  // Normalize the link overrides into a sorted symmetric index (duplicate
-  // pairs keep the smallest latency — the conservative choice for
-  // lookahead derivation).
-  if (!params_.link_overrides.empty()) {
-    override_index_.reserve(params_.link_overrides.size());
-    for (const LinkOverride& o : params_.link_overrides) {
-      const NodeId lo = std::min(o.a, o.b);
-      const NodeId hi = std::max(o.a, o.b);
-      override_index_.emplace_back(
-          (static_cast<std::uint64_t>(lo) << 32) | hi, o.latency);
-    }
-    std::sort(override_index_.begin(), override_index_.end());
-    override_index_.erase(
-        std::unique(override_index_.begin(), override_index_.end(),
-                    [](const auto& x, const auto& y) {
-                      return x.first == y.first;
-                    }),
-        override_index_.end());
-  }
-  // The per-lane-pair lookahead is the minimum delay of any cross-node
-  // (hence cross-lane) event insertion between the two lanes' node sets —
-  // one link latency; serialization and per-message overhead only add to
-  // it. A pinned nonzero scalar in the config skips the matrix and keeps a
-  // uniform lookahead (used by tests that fix the window width).
-  if (engine_.parallel() && engine_.lookahead() == 0) {
-    install_lookahead_matrix();
-  }
+  // Lanes partition the nodes, so every cross-lane event insertion crosses
+  // a link: one inter-node latency is the smallest possible delay
+  // (serialization and per-message overhead only add to it).
+  if (engine_.parallel()) engine_.set_lookahead(params_.inter_node_latency);
   nodes_.reserve(params_.node_count);
   for (NodeId id = 0; id < params_.node_count; ++id) {
     std::int64_t skew = 0;
@@ -79,47 +55,6 @@ Cluster::Cluster(Engine& engine, ClusterParams params)
   for (NodeId id = 0; id < params_.node_count; ++id) {
     debug::bind_home_lane(&nodes_[id], engine_.lane_for_node(id));
   }
-}
-
-const DurationNs* Cluster::find_override(NodeId a, NodeId b) const noexcept {
-  const NodeId lo = std::min(a, b);
-  const NodeId hi = std::max(a, b);
-  const std::uint64_t key = (static_cast<std::uint64_t>(lo) << 32) | hi;
-  const auto it = std::lower_bound(
-      override_index_.begin(), override_index_.end(), key,
-      [](const auto& e, std::uint64_t k) { return e.first < k; });
-  if (it == override_index_.end() || it->first != key) return nullptr;
-  return &it->second;
-}
-
-void Cluster::install_lookahead_matrix() {
-  const auto lanes = engine_.lane_count();
-  const NodeId n = params_.node_count;
-  // matrix[src][dst] = min over node pairs (a on src, b on dst) of the
-  // link latency a -> b. Lanes partition the nodes, so every cross-lane
-  // pair has a != b. O(node_count^2) once at construction.
-  std::vector<DurationNs> matrix(static_cast<std::size_t>(lanes) * lanes,
-                                 kTimeNever);
-  for (NodeId a = 0; a < n; ++a) {
-    const std::uint32_t la = engine_.lane_for_node(a);
-    for (NodeId b = 0; b < n; ++b) {
-      if (a == b) continue;
-      const std::uint32_t lb = engine_.lane_for_node(b);
-      if (la == lb) continue;
-      auto& e = matrix[static_cast<std::size_t>(la) * lanes + lb];
-      e = std::min(e, link_latency(a, b));
-    }
-  }
-  // Lane pairs with no node pair (possible only in degenerate shardings)
-  // fall back to the inter-node default rather than "unreachable".
-  for (std::uint32_t s = 0; s < lanes; ++s) {
-    for (std::uint32_t d = 0; d < lanes; ++d) {
-      auto& e = matrix[static_cast<std::size_t>(s) * lanes + d];
-      if (s != d && e == kTimeNever) e = params_.inter_node_latency;
-      if (s == d) e = 0;  // diagonal ignored by the engine
-    }
-  }
-  engine_.set_lookahead_matrix(std::move(matrix));
 }
 
 Cluster::~Cluster() {

@@ -6,6 +6,10 @@
 // This substitutes for the paper's Theta (Cray XC40) testbed; see DESIGN.md.
 // The parameters below default to values representative of an HPC
 // interconnect (low single-digit microsecond latency, ~10 GB/s per NIC).
+// Links are uniform: every pair of distinct nodes is one inter-node latency
+// apart. A sharded engine maps nodes to lanes, so every cross-lane event
+// crosses a link, and the Cluster sets the engine's lookahead to that
+// latency.
 #pragma once
 
 #include <cstdint>
@@ -21,17 +25,6 @@ namespace sym::sim {
 using NodeId = std::uint32_t;
 using ProcessId = std::uint32_t;
 
-/// Symmetric override of the one-way latency between one node pair.
-/// Overrides let experiments plant heterogeneous topologies (a far burst
-/// buffer, a slow WAN hop); the Cluster folds them into the engine's
-/// per-lane-pair lookahead matrix so distant lane pairs earn wider safe
-/// windows instead of being throttled by the global minimum latency.
-struct LinkOverride {
-  NodeId a = 0;
-  NodeId b = 0;
-  DurationNs latency = 0;
-};
-
 struct ClusterParams {
   std::uint32_t node_count = 1;
   /// One-way network latency between distinct nodes.
@@ -46,10 +39,6 @@ struct ClusterParams {
   /// other nodes draw a fixed offset uniformly from [-max, +max]. The skew
   /// is what makes Lamport-clock correction in the tracer observable.
   DurationNs max_clock_skew = usec(50);
-  /// Per-pair latency overrides (symmetric; unlisted pairs use the
-  /// intra/inter defaults). Order does not matter; duplicate pairs keep the
-  /// smallest latency (the conservative choice for lookahead).
-  std::vector<LinkOverride> link_overrides = {};
 };
 
 /// A compute node: clock skew and a NIC whose serialization models
@@ -161,12 +150,8 @@ class Cluster {
     return processes_.size();
   }
 
-  /// Link latency between two nodes: a matching override if one exists,
-  /// else the intra/inter node default.
+  /// One-way link latency between two nodes.
   [[nodiscard]] DurationNs link_latency(NodeId a, NodeId b) const noexcept {
-    if (!override_index_.empty()) {
-      if (const DurationNs* o = find_override(a, b)) return *o;
-    }
     return a == b ? params_.intra_node_latency : params_.inter_node_latency;
   }
 
@@ -176,20 +161,10 @@ class Cluster {
   }
 
  private:
-  /// Binary search of the sorted override index; nullptr when the pair has
-  /// no override.
-  [[nodiscard]] const DurationNs* find_override(NodeId a,
-                                                NodeId b) const noexcept;
-  /// Derive the per-lane-pair lookahead matrix from link topology and
-  /// install it on the engine (sharded engines without a pinned scalar).
-  void install_lookahead_matrix();
-
   Engine& engine_;
   ClusterParams params_;
   std::vector<Node> nodes_;
   std::vector<std::unique_ptr<Process>> processes_;
-  /// (min(a,b) << 32 | max(a,b)) -> latency, sorted by key.
-  std::vector<std::pair<std::uint64_t, DurationNs>> override_index_;
 };
 
 }  // namespace sym::sim

@@ -25,8 +25,8 @@ std::unordered_map<const void*, std::uint32_t>& registry() {
 ViolationHandler& handler_slot() {
   static ViolationHandler handler = [](const Violation& v) {
     std::fprintf(stderr,
-                 "SYM_DEBUG_CHECKS: lane-affinity violation at %s: object %p "
-                 "owned by lane %u touched from lane %u\n",
+                 "SYM_DEBUG_CHECKS: violation at %s: object %p owned by "
+                 "lane %u touched from lane %u\n",
                  v.what.c_str(), v.object, v.home_lane, v.actual_lane);
     std::abort();
   };
@@ -38,6 +38,18 @@ std::atomic<std::uint64_t> g_violations{0};
 
 // symlint: allow(shared-state-escape) reason=thread_local shadow of the lane a worker is executing; set by ActiveLaneScope on the owning thread only
 thread_local std::uint32_t t_current_lane = kNoLane;
+
+void report(const Violation& v) {
+  g_violations.fetch_add(1, std::memory_order_relaxed);
+  ViolationHandler handler;
+  {
+    // symlint: allow(may-block) reason=reached only on a detected violation
+    // in a debug_checks build; copies the handler under a tiny lock
+    const std::lock_guard<std::mutex> lock(g_mu);
+    handler = handler_slot();
+  }
+  handler(v);
+}
 
 }  // namespace
 
@@ -72,13 +84,14 @@ void assert_home_lane(const void* obj, const char* what) {
     if (it == registry().end() || it->second == actual) return;
     v = Violation{obj, what, it->second, actual};
   }
-  g_violations.fetch_add(1, std::memory_order_relaxed);
-  ViolationHandler handler;
-  {
-    const std::lock_guard<std::mutex> lock(g_mu);
-    handler = handler_slot();
-  }
-  handler(v);
+  report(v);
+}
+
+void report_late_merge(const void* lane, std::uint32_t dst_lane,
+                       std::uint32_t src_lane) {
+  report(Violation{lane, "Lane::absorb_outbox_from (merged event below the "
+                         "destination clock)",
+                   dst_lane, src_lane});
 }
 
 void set_current_lane(std::uint32_t lane) noexcept { t_current_lane = lane; }

@@ -10,7 +10,9 @@
 // either executing that lane (ActiveLaneScope) or is the coordinating /
 // setup thread with no lane active. A cross-lane touch — the bug class the
 // safe-window protocol exists to prevent — fails loudly through the
-// violation handler instead of silently skewing figures.
+// violation handler instead of silently skewing figures. The same handler
+// receives merged cross-lane events that arrive below their destination's
+// clock, the protocol's other invariant.
 //
 // The default handler prints the violation and aborts; tests install a
 // recording handler to assert that planted violations are caught.
@@ -52,6 +54,12 @@ void unbind_home_lane(const void* obj);
 /// object's home lane, or no lane at all. Unregistered objects pass.
 void assert_home_lane(const void* obj, const char* what);
 
+/// Report a merged cross-lane event from `src_lane` that arrived below the
+/// clock of its destination `lane` (index `dst_lane`): the window protocol's
+/// causality invariant, broken only by a post with less than the lookahead.
+void report_late_merge(const void* lane, std::uint32_t dst_lane,
+                       std::uint32_t src_lane);
+
 /// Thread-local lane marker, maintained by ActiveLaneScope.
 void set_current_lane(std::uint32_t lane) noexcept;
 [[nodiscard]] std::uint32_t current_lane() noexcept;
@@ -64,6 +72,7 @@ void set_current_lane(std::uint32_t lane) noexcept;
 inline void bind_home_lane(const void*, std::uint32_t) {}
 inline void unbind_home_lane(const void*) {}
 inline void assert_home_lane(const void*, const char*) {}
+inline void report_late_merge(const void*, std::uint32_t, std::uint32_t) {}
 inline void set_current_lane(std::uint32_t) noexcept {}
 inline std::uint32_t current_lane() noexcept { return kNoLane; }
 inline std::uint64_t violation_count() noexcept { return 0; }

@@ -32,12 +32,6 @@ inline TimeNs sat_add(TimeNs a, DurationNs b) noexcept {
   return a > kTimeNever - b ? kTimeNever : a + b;
 }
 
-/// a * f saturating at kTimeNever.
-inline TimeNs sat_mul(TimeNs a, std::uint64_t f) noexcept {
-  if (f != 0 && a > kTimeNever / f) return kTimeNever;
-  return a * f;
-}
-
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -131,7 +125,7 @@ ActiveLaneScope::~ActiveLaneScope() {
 // ---------------------------------------------------------------------------
 
 Engine::Engine(std::uint64_t seed, EngineConfig config)
-    : seed_(seed), config_(config), lookahead_(config.lookahead) {
+    : seed_(seed), config_(config) {
   auto_shard_ = (config_.lane_count == 0);
   const std::uint32_t n =
       auto_shard_ ? 1 : std::min(config_.lane_count, kMaxLanes);
@@ -150,10 +144,6 @@ void Engine::build_lanes(std::uint32_t count) {
   const std::uint32_t w = config_.worker_count == 0 ? 1 : config_.worker_count;
   workers_ = std::min(w, count);
   next_index_.resize(count);  // lanes start with next_dirty set
-  window_ends_.assign(count, 0);
-  la_matrix_.clear();
-  la_paths_.clear();
-  la_roundtrip_.clear();
 }
 
 void Engine::shard_for_nodes(std::uint32_t node_count) {
@@ -168,52 +158,6 @@ void Engine::shard_for_nodes(std::uint32_t node_count) {
 
 void Engine::set_lookahead(DurationNs d) noexcept {
   lookahead_ = d > 0 ? d : 1;
-}
-
-void Engine::set_lookahead_matrix(std::vector<DurationNs> matrix) {
-  const std::size_t n = lanes_.size();
-  assert(matrix.size() == n * n && "matrix must be lane_count^2");
-  la_matrix_ = std::move(matrix);
-  // Scalar floor = off-diagonal minimum: the tightest bound any cross-lane
-  // insertion anywhere must respect.
-  DurationNs min_la = kTimeNever;
-  for (std::size_t s = 0; s < n; ++s) {
-    for (std::size_t d = 0; d < n; ++d) {
-      if (s == d) continue;
-      auto& e = la_matrix_[s * n + d];
-      if (e == 0) e = 1;  // a zero-delay link would make windows vacuous
-      min_la = std::min(min_la, e);
-    }
-  }
-  set_lookahead(min_la == kTimeNever ? 1 : min_la);
-  // All-pairs shortest paths over the lookahead graph (Floyd-Warshall;
-  // lanes <= 256, one-time cost). A lane with no pending events can still
-  // relay causality: src wakes it, it posts onward — so the window bound
-  // for dst against a busy src must use the cheapest multi-hop route, not
-  // just the direct entry.
-  la_paths_ = la_matrix_;
-  for (std::size_t i = 0; i < n; ++i) la_paths_[i * n + i] = 0;
-  for (std::size_t k = 0; k < n; ++k) {
-    for (std::size_t i = 0; i < n; ++i) {
-      const DurationNs ik = la_paths_[i * n + k];
-      if (ik == kTimeNever) continue;
-      for (std::size_t j = 0; j < n; ++j) {
-        const TimeNs via = sat_add(ik, la_paths_[k * n + j]);
-        if (via < la_paths_[i * n + j]) la_paths_[i * n + j] = via;
-      }
-    }
-  }
-  // Minimum round trip i -> j -> i: the earliest a lane's own execution can
-  // feed back to itself through any peer (in any number of windows).
-  la_roundtrip_.assign(n, kTimeNever);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j < n; ++j) {
-      if (i == j) continue;
-      la_roundtrip_[i] =
-          std::min(la_roundtrip_[i],
-                   sat_add(la_paths_[i * n + j], la_paths_[j * n + i]));
-    }
-  }
 }
 
 // ---------------------------------------------------------------------------
@@ -308,70 +252,29 @@ void Engine::refresh_next_index() {
   }
 }
 
-void Engine::compute_window_ends(TimeNs start, bool bounded, TimeNs deadline) {
-  const auto n = static_cast<std::uint32_t>(lanes_.size());
-  const TimeNs cap = bounded ? sat_add(deadline, 1) : kTimeNever;
-  if (!config_.matrix_lookahead) {
-    // Legacy lockstep window [start, start + lookahead), optionally
-    // stretched by the quiet factor.
-    TimeNs end = sat_add(start, sat_mul(lookahead_, quiet_factor_));
-    end = std::min(end, cap);
-    for (std::uint32_t i = 0; i < n; ++i) window_ends_[i] = end;
-    return;
-  }
-  // Per-lane conservative bound: the earliest timestamp any event executed
-  // by a peer this window — or any causal descendant of it, relayed through
-  // currently idle lanes across later windows — could carry into this lane.
-  // Peers contribute next_j + shortest-path(j, dst); the lane's own next
-  // event contributes its minimum round trip. Idle lanes (no entry in the
-  // index) generate nothing this window and are covered by the relay paths.
-  const auto& active = next_index_.entries();
-  for (std::uint32_t dst = 0; dst < n; ++dst) {
-    TimeNs bound = kTimeNever;
-    for (const auto& e : active) {
-      const TimeNs via =
-          e.lane == dst
-              ? sat_add(e.t, roundtrip_lookahead(dst))
-              : sat_add(e.t, path_lookahead(e.lane, dst));
-      bound = std::min(bound, via);
-    }
-    if (quiet_factor_ > 1 && bound != kTimeNever && bound > start) {
-      // Speculative quiet-window extension: multiply the window length.
-      bound = sat_add(start, sat_mul(bound - start, quiet_factor_));
-    }
-    window_ends_[dst] = std::min(bound, cap);
-  }
+TimeNs Engine::window_end(TimeNs start, bool bounded,
+                          TimeNs deadline) const noexcept {
+  const TimeNs end = sat_add(start, lookahead_);
+  return bounded ? std::min(end, sat_add(deadline, 1)) : end;
 }
 
 void Engine::run_windows(bool bounded, TimeNs deadline) {
   assert(lookahead_ > 0 &&
          "sharded engine requires a lookahead (set by the Cluster)");
   WindowCoordinator coord(*this, workers_);
-  quiet_factor_ = 1;
   while (!stopped()) {
     refresh_next_index();
     if (next_index_.empty()) break;
-    // Next window starts at the earliest cached event across all lanes.
+    // Lockstep window [start, start + lookahead) from the earliest pending
+    // event anywhere: every event executed inside it is at or after start,
+    // so anything it posts to another lane lands at or beyond the end.
     const TimeNs start = next_index_.top_time();
     if (bounded && start > deadline) break;
     main_now_ = start;
-    compute_window_ends(start, bounded, deadline);
-    if (quiet_factor_ > 1) ++quiet_extended_windows_;
-    const std::uint64_t clamps_before = causality_clamps();
-    coord.execute_window(window_ends_.data());
+    coord.execute_window(window_end(start, bounded, deadline));
     ++windows_executed_;
     merge_pairs_visited_ += coord.last_merge_pairs();
     dirty_pairs_posted_ += coord.last_dirty_pairs();
-    // Quiet-window extension state: depends only on simulation state (how
-    // much this window's merge clamped), never on wall time.
-    const std::uint64_t clamp_delta = causality_clamps() - clamps_before;
-    if (clamp_delta * 2 > coord.last_merge_pairs() ||
-        config_.quiet_extension_cap <= 1) {
-      quiet_factor_ = std::max(1u, quiet_factor_ - quiet_factor_ / 4);
-    } else {
-      quiet_factor_ = static_cast<std::uint32_t>(std::min<std::uint64_t>(
-          2ULL * quiet_factor_, config_.quiet_extension_cap));
-    }
   }
   TimeNs final = main_now_;
   for (auto& l : lanes_) final = std::max(final, l->now());

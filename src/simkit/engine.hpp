@@ -14,11 +14,11 @@
 // With `EngineConfig::lane_count > 1` (or 0 = one lane per simulated node,
 // resolved by the Cluster) the event queue is sharded: each lane owns the
 // events of the nodes mapped to it (node % lane_count) plus its own clock,
-// heap and Rng stream. Lanes advance in conservative *safe windows*: each
-// window, every lane executes events below a per-lane bound derived from
-// the other lanes' cached next-event times and a per-lane-pair lookahead
-// matrix (the minimum cross-node messaging delay between the lanes' node
-// sets, installed by the Cluster from actual link topology), so events
+// heap and Rng stream. Lanes advance in strictly conservative lockstep
+// windows [start, start + lookahead), where `start` is the earliest pending
+// event anywhere and `lookahead` (the cluster's inter-node latency) lower-
+// bounds every cross-lane insertion. An event a lane posts to another lane
+// during a window therefore lands at or beyond the window's end, so events
 // inside one window on different lanes cannot causally interact and may
 // execute concurrently on a pool of worker threads (window.hpp).
 // Cross-lane insertions travel through per-lane-pair mailboxes merged at
@@ -72,31 +72,6 @@ struct EngineConfig {
   /// Worker threads executing lanes during a safe window. Clamped to the
   /// lane count. 1 = run lanes sequentially on the calling thread.
   std::uint32_t worker_count = 1;
-  /// Safe-window width floor. 0 = derive from the cluster's link topology
-  /// (the Cluster installs a per-lane-pair lookahead matrix; the scalar
-  /// becomes the matrix minimum). A pinned nonzero value forces a uniform
-  /// lookahead and skips the matrix derivation.
-  DurationNs lookahead = 0;
-  /// Per-lane window bounds from the lookahead matrix: lane `i` runs to
-  /// `min over lanes j with pending events of (next_j + dist(j, i))`
-  /// (plus a self round-trip term), where dist is the all-pairs shortest
-  /// path over the lookahead matrix. false = legacy lockstep windows
-  /// `[start, start + lookahead)` — kept for the scaling ablation.
-  bool matrix_lookahead = true;
-  /// Adaptive quiet-window extension: every per-lane window length is
-  /// multiplied by a factor that doubles (up to this cap) while
-  /// speculation pays off and backs off 25% when a window's merge clamps
-  /// more events than half its mailbox-pair count. The factor depends
-  /// only on simulation state, so runs stay bit-identical for every
-  /// worker count. Values <= 1 disable the extension. Extension is
-  /// speculative: a lost bet clamps a late merged event to the
-  /// destination clock and is counted in Engine::causality_clamps().
-  std::uint32_t quiet_extension_cap = 8;
-  /// Rebalance the persistent lane->worker assignment every N windows from
-  /// per-lane executed-event counts (simulation state, so the assignment —
-  /// which never affects results — is itself deterministic). 0 = keep the
-  /// static stride assignment (lane i on worker i % worker_count) forever.
-  std::uint32_t rebalance_period = 32;
 };
 
 /// Incrementally maintained minimum over per-lane cached next-event times:
@@ -119,15 +94,6 @@ class NextEventIndex {
     return heap_.front().lane;
   }
   [[nodiscard]] TimeNs top_time() const noexcept { return heap_.front().t; }
-  [[nodiscard]] TimeNs time_of(std::uint32_t lane) const noexcept {
-    return time_[lane];
-  }
-  /// Lanes currently holding events, in unspecified (heap) order. Callers
-  /// must not let the order reach simulation state without first reducing
-  /// it through min/sort.
-  [[nodiscard]] const std::vector<Entry>& entries() const noexcept {
-    return heap_;
-  }
 
  private:
   [[nodiscard]] static bool before(const Entry& a, const Entry& b) noexcept {
@@ -290,38 +256,12 @@ class Engine {
   /// Must run before any event is scheduled or any Rng draw is made.
   void shard_for_nodes(std::uint32_t node_count);
 
-  /// Conservative safe-window width floor (the scalar minimum). Only
-  /// meaningful when parallel(); must be a lower bound on the delay of any
-  /// cross-lane event insertion. The Cluster derives it from topology
-  /// unless the config pinned a value.
+  /// Safe-window width: a lower bound on the delay of any cross-lane event
+  /// insertion. Only meaningful when parallel(). The Cluster sets it to its
+  /// inter-node latency; engines driven without a Cluster must set it
+  /// before run()/run_until().
   void set_lookahead(DurationNs d) noexcept;
   [[nodiscard]] DurationNs lookahead() const noexcept { return lookahead_; }
-
-  /// Install the per-lane-pair lookahead matrix (row-major, lane_count()^2;
-  /// entry (src, dst) = minimum delay of any event insertion from a node of
-  /// `src` to a node of `dst`; the diagonal is ignored). Sets the scalar
-  /// lookahead to the off-diagonal minimum and precomputes the all-pairs
-  /// shortest paths and per-lane round trips the window bounds use. Called
-  /// by the Cluster; must run before run()/run_until().
-  void set_lookahead_matrix(std::vector<DurationNs> matrix);
-
-  /// Lower bound on the delay of a cross-lane insertion from `src` to
-  /// `dst`: the matrix entry when a matrix is installed, else the scalar.
-  [[nodiscard]] DurationNs lookahead(std::uint32_t src,
-                                     std::uint32_t dst) const noexcept {
-    if (la_matrix_.empty()) return lookahead_;
-    return la_matrix_[src * lanes_.size() + dst];
-  }
-
-  /// lookahead(src, dst) with src = the calling context's lane (the
-  /// executing lane, or lane 0 from main context). Cross-lane posts that
-  /// want the smallest window-safe delay should use this instead of the
-  /// scalar lookahead(), which under a heterogeneous matrix can be below
-  /// the pair's safe bound.
-  [[nodiscard]] DurationNs lookahead_to(std::uint32_t dst) const noexcept {
-    const Lane* a = active_lane_here();
-    return lookahead(a != nullptr ? a->index() : 0, dst);
-  }
 
   // --- window protocol counters (sharded mode) ----------------------------
 
@@ -329,9 +269,10 @@ class Engine {
   [[nodiscard]] std::uint64_t windows_executed() const noexcept {
     return windows_executed_;
   }
-  /// Windows whose bounds were stretched by the quiet-window extension.
+  /// Always 0: windows are never stretched past the conservative bound.
+  /// Kept only because perfbench/driver.cpp still reports it.
   [[nodiscard]] std::uint64_t quiet_extended_windows() const noexcept {
-    return quiet_extended_windows_;
+    return 0;
   }
   /// (dst, src) mailbox pairs the merge sweep actually absorbed. The sweep
   /// walks only registered dirty pairs, so this must equal
@@ -344,9 +285,10 @@ class Engine {
   [[nodiscard]] std::uint64_t dirty_pairs_posted() const noexcept {
     return dirty_pairs_posted_;
   }
-  /// Merged events clamped to the destination clock because a speculative
-  /// quiet-window extension executed past their timestamp. Always 0 when
-  /// quiet_extension_cap <= 1.
+  /// Merged events that arrived below their destination lane's clock: a
+  /// window-protocol violation, 0 by construction (a lockstep window never
+  /// outruns the lookahead). -DSYM_DEBUG_CHECKS=ON reports each one through
+  /// the debug violation handler.
   [[nodiscard]] std::uint64_t causality_clamps() const noexcept;
 
  private:
@@ -370,23 +312,10 @@ class Engine {
   /// Re-cache the next-event time of every lane whose heap top may have
   /// moved since the last refresh (Lane::take_next_dirty handshake).
   void refresh_next_index();
-  /// Fill window_ends_ with this window's per-lane execution bound.
-  void compute_window_ends(TimeNs start, bool bounded, TimeNs deadline);
-
-  /// Shortest-path lookahead from src to dst (relays through idle lanes
-  /// included); scalar fallback mirrors lookahead(src, dst).
-  [[nodiscard]] DurationNs path_lookahead(std::uint32_t src,
-                                          std::uint32_t dst) const noexcept {
-    if (la_paths_.empty()) return lookahead_;
-    return la_paths_[src * lanes_.size() + dst];
-  }
-  /// Minimum round trip lane -> any peer -> lane: the earliest a lane's own
-  /// next event could come back to affect it.
-  [[nodiscard]] DurationNs roundtrip_lookahead(
-      std::uint32_t lane) const noexcept {
-    if (la_roundtrip_.empty()) return 2 * lookahead_;
-    return la_roundtrip_[lane];
-  }
+  /// Exclusive end of the window starting at `start`: start + lookahead,
+  /// capped just past the deadline of a bounded run.
+  [[nodiscard]] TimeNs window_end(TimeNs start, bool bounded,
+                                  TimeNs deadline) const noexcept;
 
   std::uint64_t seed_;
   EngineConfig config_;
@@ -398,14 +327,8 @@ class Engine {
   std::vector<std::unique_ptr<Lane>> lanes_;
 
   // Window machinery (sharded mode).
-  std::vector<DurationNs> la_matrix_;     ///< lanes^2 per-pair lookahead
-  std::vector<DurationNs> la_paths_;      ///< lanes^2 all-pairs shortest path
-  std::vector<DurationNs> la_roundtrip_;  ///< per-lane min round trip
   NextEventIndex next_index_;
-  std::vector<TimeNs> window_ends_;  ///< per-lane bound scratch
-  std::uint32_t quiet_factor_ = 1;
   std::uint64_t windows_executed_ = 0;
-  std::uint64_t quiet_extended_windows_ = 0;
   std::uint64_t merge_pairs_visited_ = 0;
   std::uint64_t dirty_pairs_posted_ = 0;
 };

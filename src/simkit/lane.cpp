@@ -162,11 +162,14 @@ bool Lane::peek_next(TimeNs& t) {
 void Lane::absorb_outbox_from(Lane& src) {
   auto& box = src.outbox_[index_];
   for (auto& ev : box) {
-    // A merged event below this lane's clock means a speculative window
-    // extension lost its bet: schedule() clamps it to now(), which is
-    // deterministic (merge times depend only on simulation state) but
-    // perturbs the modeled delivery time — count it so benches can report.
-    if (ev.t < now_) ++causality_clamps_;
+    // The lookahead guarantees every merged event lands at or beyond the
+    // window end, hence at or after this lane's clock. One below it means a
+    // sender posted with less than the lookahead: schedule() would clamp
+    // it to now() and silently shift its modeled delivery time.
+    if (ev.t < now_) {
+      ++causality_clamps_;
+      debug::report_late_merge(this, index_, src.index_);
+    }
     schedule(ev.t, std::move(ev.cb));
   }
   box.clear();

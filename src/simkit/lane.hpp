@@ -127,8 +127,8 @@ class Lane {
   }
 
   /// Count of merged cross-lane events that arrived with a timestamp below
-  /// this lane's clock (possible only under speculative quiet-window
-  /// extension; such events are clamped to now(), deterministically).
+  /// this lane's clock: a window-protocol violation (a post with less than
+  /// the lookahead), so 0 in every correct run.
   [[nodiscard]] std::uint64_t causality_clamps() const noexcept {
     return causality_clamps_;
   }

@@ -45,26 +45,25 @@ void WindowCoordinator::worker_main(std::uint32_t worker) {
   for (;;) {
     sync_.arrive_and_wait();  // window start (or shutdown)
     if (done_.load(std::memory_order_acquire)) return;
-    run_lanes_of(worker, window_ends_.load(std::memory_order_relaxed));
+    run_lanes_of(worker, window_end_.load(std::memory_order_relaxed));
     sync_.arrive_and_wait();  // window end
   }
 }
 
-void WindowCoordinator::run_lanes_of(std::uint32_t worker,
-                                     const TimeNs* ends) {
+void WindowCoordinator::run_lanes_of(std::uint32_t worker, TimeNs end) {
   auto& lanes = engine_.lanes_;
   for (const std::uint32_t i : worker_lanes_[worker]) {
     Lane& lane = *lanes[i];
     ActiveLaneScope scope(engine_, lane);
-    lane.run_window(ends[i]);
+    lane.run_window(end);
   }
 }
 
-void WindowCoordinator::execute_window(const TimeNs* ends) {
+void WindowCoordinator::execute_window(TimeNs end) {
   if (threads_.empty()) {
-    run_lanes_of(0, ends);
+    run_lanes_of(0, end);
   } else {
-    window_ends_.store(ends, std::memory_order_relaxed);
+    window_end_.store(end, std::memory_order_relaxed);
     sync_.arrive_and_wait();  // open the window
     sync_.arrive_and_wait();  // all lanes done (barrier = full sync point)
   }
@@ -99,9 +98,8 @@ void WindowCoordinator::merge() {
 }
 
 void WindowCoordinator::maybe_rebalance() {
-  const std::uint32_t period = engine_.config_.rebalance_period;
-  if (workers_ <= 1 || period == 0) return;
-  if (++windows_since_rebalance_ < period) return;
+  if (workers_ <= 1) return;
+  if (++windows_since_rebalance_ < kRebalancePeriod) return;
   windows_since_rebalance_ = 0;
   auto& lanes = engine_.lanes_;
   const auto n = static_cast<std::uint32_t>(lanes.size());

@@ -1,23 +1,22 @@
 // simkit/window.hpp
 //
-// Worker pool and barrier protocol for the sharded engine's conservative
-// safe-window execution. One coordinator (the thread that called
-// Engine::run) decides per-lane window boundaries; `worker_count` threads
-// execute the lanes of each window concurrently, each walking its slice of
-// a persistent lane->worker assignment. The assignment starts as the
-// static stride (lane i on worker i % worker_count) and is rebalanced
-// between windows from per-lane executed-event counts (LPT greedy), so a
-// few hot lanes stop serializing a window behind one worker. Rebalancing
-// moves fibers between OS threads; fiber.cpp explicitly supports resuming
-// a fiber on a different thread than suspended it (the sanitizer context
-// is re-fetched on every entry). The coordinator then merges the
-// cross-lane mailboxes single-threaded, walking only the (dst, src) pairs
-// registered dirty by an actual post, in canonical (dst, src, append)
-// order — the same relative order the historical dense lanes^2 sweep gave
-// the nonempty pairs, so the post-window schedule is independent of both
-// execution timing and the assignment. With worker_count == 1 no threads
-// are spawned and the coordinator runs the lanes itself in lane order —
-// producing bit-identical results, just without overlap.
+// Worker pool and barrier protocol for the sharded engine's lockstep
+// safe windows. One coordinator (the thread that called Engine::run)
+// decides each window's end; `worker_count` threads execute the lanes of
+// the window concurrently, each walking its slice of a persistent
+// lane->worker assignment. The assignment starts as the static stride
+// (lane i on worker i % worker_count) and is rebalanced every
+// kRebalancePeriod windows from per-lane executed-event counts (LPT
+// greedy), so a few hot lanes stop serializing a window behind one worker.
+// Rebalancing moves fibers between OS threads; fiber.cpp explicitly
+// supports resuming a fiber on a different thread than suspended it (the
+// sanitizer context is re-fetched on every entry). The coordinator then
+// merges the cross-lane mailboxes single-threaded, walking only the
+// (dst, src) pairs registered dirty by an actual post, in canonical
+// (dst, src, append) order, so the post-window schedule is independent of
+// both execution timing and the assignment. With worker_count == 1 no
+// threads are spawned and the coordinator runs the lanes itself in lane
+// order — producing bit-identical results, just without overlap.
 #pragma once
 
 #include <atomic>
@@ -86,12 +85,10 @@ class WindowCoordinator {
   WindowCoordinator(const WindowCoordinator&) = delete;
   WindowCoordinator& operator=(const WindowCoordinator&) = delete;
 
-  /// Run every lane up to (exclusive) its entry in `ends` (indexed by lane,
-  /// `lane_count` entries, owned by the caller and stable for the duration
-  /// of the call), then merge the dirty cross-lane mailboxes and, on
-  /// schedule, rebalance the lane->worker assignment. Returns once the
-  /// whole window is complete.
-  void execute_window(const TimeNs* ends);
+  /// Run every lane up to (exclusive) `end`, then merge the dirty
+  /// cross-lane mailboxes and, on schedule, rebalance the lane->worker
+  /// assignment. Returns once the whole window is complete.
+  void execute_window(TimeNs end);
 
   /// (dst, src) mailbox pairs absorbed by the last merge sweep.
   [[nodiscard]] std::uint64_t last_merge_pairs() const noexcept {
@@ -108,18 +105,20 @@ class WindowCoordinator {
  private:
   void worker_main(std::uint32_t worker);
   /// Execute the lanes currently assigned to `worker`.
-  void run_lanes_of(std::uint32_t worker, const TimeNs* ends);
+  void run_lanes_of(std::uint32_t worker, TimeNs end);
   void merge();
-  /// Every config.rebalance_period windows, re-pack lanes onto workers by
+  /// Every kRebalancePeriod windows, re-pack lanes onto workers by
   /// descending executed-event delta (LPT greedy, ties by lane index then
   /// worker index). Inputs are simulation state only, so the assignment is
   /// deterministic — and it never affects results, only which thread runs
   /// which (causally independent) lane.
   void maybe_rebalance();
 
+  static constexpr std::uint32_t kRebalancePeriod = 32;
+
   Engine& engine_;
   std::uint32_t workers_;
-  std::atomic<const TimeNs*> window_ends_{nullptr};
+  std::atomic<TimeNs> window_end_{0};
   std::atomic<bool> done_{false};
   HandoffBarrier sync_;
   std::vector<std::thread> threads_;

@@ -145,14 +145,14 @@ void CacheWorld::run() {
         // Clients complete on their own lanes: serialize both the tenant
         // completion-time fold and the shutdown countdown on lane 0, then
         // fan the server finalize back out to each server's home lane.
-        eng_.after_on(0, eng_.lookahead_to(0), [this, tenant, finished,
-                                               remaining] {
+        eng_.after_on(0, eng_.lookahead(), [this, tenant, finished,
+                                            remaining] {
           if (finished > tenant_done_[tenant]) tenant_done_[tenant] = finished;
           if (--*remaining == 0) {
             auto shut = [this](margo::Instance* sp) {
               const std::uint32_t dst =
                   eng_.lane_for_node(sp->process().node());
-              eng_.after_on(dst, eng_.lookahead_to(dst),
+              eng_.after_on(dst, eng_.lookahead(),
                             [sp] { sp->finalize(); });
             };
             shut(backend_.get());

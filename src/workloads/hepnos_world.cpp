@@ -105,17 +105,16 @@ void HepnosWorld::run() {
       } else {
         // Clients complete on their own lanes: serialize the countdown on
         // lane 0 and fan the server finalize back out to each server's home
-        // lane. Cross-lane posts with delay >= the *pair's* lookahead are
-        // always window-safe (the scalar minimum can be below a
-        // heterogeneous pair's bound), and the mailbox merge order makes
-        // this independent of the worker count.
-        eng_.after_on(0, eng_.lookahead_to(0), [this, remaining] {
+        // lane. Cross-lane posts with delay >= the lookahead are always
+        // window-safe, and the mailbox merge order makes this independent
+        // of the worker count.
+        eng_.after_on(0, eng_.lookahead(), [this, remaining] {
           if (--*remaining == 0) {
             for (auto& s : servers_) {
               margo::Instance* sp = s.get();
               const std::uint32_t dst =
                   eng_.lane_for_node(sp->process().node());
-              eng_.after_on(dst, eng_.lookahead_to(dst),
+              eng_.after_on(dst, eng_.lookahead(),
                             [sp] { sp->finalize(); });
             }
           }

@@ -170,9 +170,9 @@ void LoadgenWorld::emit_arrival(Pump& p, sim::TimeNs t) {
     p.log.push_back(ArrivalRecord{t, id, bytes, server, op});
   }
 
-  // Ship the request to the server's lane through the window mailbox. The
-  // link latency is >= the per-lane-pair lookahead the Cluster installed
-  // from the same topology, so the post is always window-safe.
+  // Ship the request to the server's lane through the window mailbox. A
+  // cross-lane link latency is the inter-node latency, which the Cluster
+  // installed as the engine's lookahead, so the post is always window-safe.
   const std::uint32_t snode = servers_[server].node;
   const sim::TimeNs deliver_t = t + cluster_->link_latency(p.node, snode);
   eng_->at_on(eng_->lane_for_node(snode), deliver_t,

@@ -329,7 +329,6 @@ WorkloadDigest run_cache_world(std::uint32_t workers) {
                           .pattern = CachePattern::kSeqRead}};
   p.exec.lane_count = 0;  // one lane per simulated node
   p.exec.worker_count = workers;
-  p.exec.lookahead = sim::usec(2);
   CacheWorld world(p);
   world.run();
   EXPECT_EQ(world.data_mismatches(), 0u) << "workers=" << workers;

@@ -50,7 +50,6 @@ sim::EngineConfig sharded(std::uint32_t lanes, std::uint32_t workers) {
   sim::EngineConfig cfg;
   cfg.lane_count = lanes;
   cfg.worker_count = workers;
-  cfg.lookahead = sim::usec(2);
   return cfg;
 }
 
@@ -149,6 +148,7 @@ TEST(DebugChecks, UnbindClearsStaleOwnership) {
 TEST(DebugChecks, PlantedCrossLaneScheduleIsCaught) {
   RecordingHandler rec;
   sim::Engine eng(7, sharded(2, 1));
+  eng.set_lookahead(sim::usec(2));  // no Cluster to set it
   bool planted_ran = false;
   eng.at_on(0, 10, [&] {
     eng.debug_lane(1).schedule(10 + eng.lookahead(),
@@ -167,6 +167,7 @@ TEST(DebugChecks, PlantedCrossLaneScheduleIsCaught) {
 TEST(DebugChecks, PlantedForeignRngDrawIsCaught) {
   RecordingHandler rec;
   sim::Engine eng(7, sharded(2, 1));
+  eng.set_lookahead(sim::usec(2));  // no Cluster to set it
   eng.at_on(0, 10, [&] { (void)eng.debug_lane(1).rng().next(); });
   eng.run();
 
@@ -177,6 +178,7 @@ TEST(DebugChecks, PlantedForeignRngDrawIsCaught) {
 TEST(DebugChecks, SanctionedMailboxRouteIsSilent) {
   RecordingHandler rec;
   sim::Engine eng(7, sharded(2, 1));
+  eng.set_lookahead(sim::usec(2));  // no Cluster to set it
   bool ran = false;
   eng.at_on(0, 10, [&] {
     eng.at_on(1, 10 + eng.lookahead(), [&ran] { ran = true; });
@@ -184,6 +186,27 @@ TEST(DebugChecks, SanctionedMailboxRouteIsSilent) {
   eng.run();
   EXPECT_TRUE(ran);
   EXPECT_TRUE(rec.violations().empty());
+}
+
+// A merged cross-lane event below its destination's clock breaks the window
+// protocol's causality invariant. Plant one by writing lane 0's outbox
+// directly, behind lane 1's clock, then let a window merge it.
+TEST(DebugChecks, PlantedLateMergeIsCaught) {
+  RecordingHandler rec;
+  sim::Engine eng(7, sharded(2, 1));
+  eng.set_lookahead(sim::usec(2));  // no Cluster to set it
+  eng.at_on(1, sim::usec(100), [] {});
+  eng.run();
+  ASSERT_TRUE(rec.violations().empty());
+  eng.debug_lane(0).post_remote(1, sim::usec(10), [] {});
+  eng.at_on(0, sim::usec(200), [] {});
+  eng.run();
+
+  EXPECT_EQ(eng.causality_clamps(), 1u);
+  ASSERT_EQ(rec.violations().size(), 1u);
+  const auto& v = rec.violations().front();
+  EXPECT_EQ(v.home_lane, 1u);
+  EXPECT_EQ(v.actual_lane, 0u);
 }
 
 // NIC reservations route through Node objects bound to the node's lane.

@@ -26,11 +26,14 @@ namespace {
 
 const std::uint32_t kWorkerCounts[] = {1, 2, 4, 8};
 
+/// Engine-only tests run without a Cluster, so each sets the lookahead
+/// itself: kHop, the Cluster's default inter-node latency.
+constexpr sim::DurationNs kHop = sim::usec(2);
+
 sim::EngineConfig sharded(std::uint32_t lanes, std::uint32_t workers) {
   sim::EngineConfig cfg;
   cfg.lane_count = lanes;
   cfg.worker_count = workers;
-  cfg.lookahead = sim::usec(2);
   return cfg;
 }
 
@@ -58,6 +61,7 @@ TEST(ParallelEngine, WorkerCountClampsToLaneCount) {
 
 TEST(ParallelEngine, EventsRunOnTheirLaneClock) {
   sim::Engine eng(7, sharded(3, 1));
+  eng.set_lookahead(kHop);
   std::vector<sim::TimeNs> seen(3, 0);
   for (std::uint32_t lane = 0; lane < 3; ++lane) {
     eng.at_on(lane, 100 * (lane + 1),
@@ -70,6 +74,7 @@ TEST(ParallelEngine, EventsRunOnTheirLaneClock) {
 
 TEST(ParallelEngine, CrossLanePostFromInsideALaneIsNotCancellable) {
   sim::Engine eng(7, sharded(2, 1));
+  eng.set_lookahead(kHop);
   sim::Engine::EventId cross = 1;
   bool ran = false;
   eng.at_on(0, 10, [&] {
@@ -82,6 +87,7 @@ TEST(ParallelEngine, CrossLanePostFromInsideALaneIsNotCancellable) {
 
 TEST(ParallelEngine, CancelWorksOnOwnLane) {
   sim::Engine eng(7, sharded(2, 1));
+  eng.set_lookahead(kHop);
   bool ran = false;
   const auto id = eng.at_on(1, 50, [&ran] { ran = true; });
   ASSERT_NE(id, 0u);
@@ -97,6 +103,7 @@ TEST(ParallelEngine, CancelWorksOnOwnLane) {
 TEST(ParallelEngine, MailboxMergeIsWorkerCountInvariant) {
   auto run_with = [](std::uint32_t workers) {
     sim::Engine eng(99, sharded(2, workers));
+    eng.set_lookahead(kHop);
     const auto hop = eng.lookahead();
     std::vector<std::vector<std::uint64_t>> log(2);
     // Two independent ping-pong chains plus same-window local noise.
@@ -131,6 +138,8 @@ TEST(ParallelEngine, MailboxMergeIsWorkerCountInvariant) {
 TEST(ParallelEngine, LaneRngStreamsAreIndependentAndStable) {
   sim::Engine a(1234, sharded(4, 1));
   sim::Engine b(1234, sharded(4, 1));
+  a.set_lookahead(kHop);
+  b.set_lookahead(kHop);
   std::vector<std::uint64_t> da, db;
   for (std::uint32_t lane = 0; lane < 4; ++lane) {
     a.at_on(lane, 1, [&a, &da] { da.push_back(a.rng().next()); });
@@ -158,6 +167,7 @@ struct WorkloadDigest {
   std::string profile;
   std::uint64_t events_processed = 0;
   sim::TimeNs final_now = 0;
+  std::uint64_t clamps = 0;
 
   bool operator==(const WorkloadDigest&) const = default;
 };
@@ -169,6 +179,7 @@ WorkloadDigest digest_of(World& world) {
   d.profile = prof::ProfileSummary::build(world.all_profiles()).format(10);
   d.events_processed = world.engine().events_processed();
   d.final_now = world.engine().now();
+  d.clamps = world.engine().causality_clamps();
   return d;
 }
 
@@ -231,15 +242,14 @@ TEST(ParallelWorkloads, HepnosBitIdenticalAcrossWorkerCounts) {
 }
 
 // ---------------------------------------------------------------------------
-// Window-protocol features: lookahead matrix, quiet extension, topology
+// Window protocol: lockstep windows of one lookahead
 // ---------------------------------------------------------------------------
 
 namespace {
 
 /// 16-node HEPnOS deployment (4 server nodes + 12 client nodes, one lane
-/// per node) with the window-protocol knobs under test made explicit.
-WorkloadDigest run_hepnos16(std::uint32_t workers, bool matrix,
-                            std::uint32_t quiet_cap) {
+/// per node).
+WorkloadDigest run_hepnos16(std::uint32_t workers) {
   HepnosWorld::Params p;
   p.config.total_clients = 12;
   p.config.clients_per_node = 1;
@@ -250,8 +260,6 @@ WorkloadDigest run_hepnos16(std::uint32_t workers, bool matrix,
   p.files_per_client = 1;
   p.exec.lane_count = 0;  // auto: one lane per node
   p.exec.worker_count = workers;
-  p.exec.matrix_lookahead = matrix;
-  p.exec.quiet_extension_cap = quiet_cap;
   HepnosWorld world(p);
   world.run();
   return digest_of(world);
@@ -259,141 +267,70 @@ WorkloadDigest run_hepnos16(std::uint32_t workers, bool matrix,
 
 }  // namespace
 
-// Every protocol configuration — matrix lookahead and quiet-window
-// extension independently on/off — must stay bit-identical for any worker
-// count (different configs are different experiments and may legitimately
-// differ from each other; each must agree with itself).
-TEST(WindowProtocol, HepnosBitIdenticalAcrossWorkersForEveryProtocolConfig) {
-  struct ProtocolConfig {
-    bool matrix;
-    std::uint32_t cap;
-  };
-  const ProtocolConfig configs[] = {{true, 8}, {true, 1}, {false, 8},
-                                    {false, 1}};
-  for (const auto& c : configs) {
-    const WorkloadDigest baseline = run_hepnos16(1, c.matrix, c.cap);
-    EXPECT_FALSE(baseline.zipkin.empty());
-    EXPECT_GT(baseline.events_processed, 0u);
-    for (const auto workers : {2u, 4u, 8u, 16u}) {
-      const WorkloadDigest got = run_hepnos16(workers, c.matrix, c.cap);
-      EXPECT_EQ(got.zipkin, baseline.zipkin)
-          << "workers=" << workers << " matrix=" << c.matrix
-          << " cap=" << c.cap;
-      EXPECT_EQ(got.profile, baseline.profile)
-          << "workers=" << workers << " matrix=" << c.matrix
-          << " cap=" << c.cap;
-      EXPECT_EQ(got.events_processed, baseline.events_processed)
-          << "workers=" << workers << " matrix=" << c.matrix
-          << " cap=" << c.cap;
-      EXPECT_EQ(got.final_now, baseline.final_now)
-          << "workers=" << workers << " matrix=" << c.matrix
-          << " cap=" << c.cap;
-    }
+// Bit-identical for any worker count, up to one worker per lane, and no
+// merged event ever arrives below its destination clock.
+TEST(WindowProtocol, HepnosBitIdenticalAcrossWorkersWithoutClamps) {
+  const WorkloadDigest baseline = run_hepnos16(1);
+  EXPECT_FALSE(baseline.zipkin.empty());
+  EXPECT_GT(baseline.events_processed, 0u);
+  EXPECT_EQ(baseline.clamps, 0u);
+  for (const auto workers : {2u, 4u, 8u, 16u}) {
+    const WorkloadDigest got = run_hepnos16(workers);
+    EXPECT_EQ(got.zipkin, baseline.zipkin) << "workers=" << workers;
+    EXPECT_EQ(got.profile, baseline.profile) << "workers=" << workers;
+    EXPECT_EQ(got.events_processed, baseline.events_processed)
+        << "workers=" << workers;
+    EXPECT_EQ(got.final_now, baseline.final_now) << "workers=" << workers;
+    EXPECT_EQ(got.clamps, 0u) << "workers=" << workers;
   }
 }
 
-TEST(WindowProtocol, ClusterInstallsLinkDerivedLookaheadMatrix) {
+TEST(WindowProtocol, ClusterSetsLookaheadToInterNodeLatency) {
   sim::EngineConfig cfg;
   cfg.lane_count = 0;
   sim::Engine eng(7, cfg);
   sim::ClusterParams cp;
   cp.node_count = 3;
   cp.max_clock_skew = 0;
-  cp.link_overrides.push_back({1, 2, sim::usec(40)});
+  cp.inter_node_latency = sim::usec(5);
   sim::Cluster cluster(eng, cp);
-  EXPECT_EQ(eng.lookahead(0, 1), cp.inter_node_latency);
-  EXPECT_EQ(eng.lookahead(1, 2), sim::usec(40));  // override, both ways
-  EXPECT_EQ(eng.lookahead(2, 1), sim::usec(40));
-  // Scalar floor = off-diagonal minimum; lookahead_to from main context
-  // reads lane 0's row.
-  EXPECT_EQ(eng.lookahead(), cp.inter_node_latency);
-  EXPECT_EQ(eng.lookahead_to(1), cp.inter_node_latency);
+  EXPECT_EQ(eng.lookahead(), sim::usec(5));
 }
 
-namespace {
-
-/// Four nodes, one lane each, each running an independent local tick chain
-/// (no cross-lane traffic at all), bounded at 1 ms of virtual time. The
-/// simulation itself is identical whatever the topology; only the window
-/// schedule may differ.
-std::pair<std::uint64_t, std::uint64_t> run_local_ticks(
-    std::uint32_t quiet_cap, bool slow_links) {
-  sim::EngineConfig cfg;
-  cfg.lane_count = 0;  // one lane per node
-  cfg.worker_count = 1;
-  cfg.quiet_extension_cap = quiet_cap;
-  sim::Engine eng(7, cfg);
-  sim::ClusterParams cp;
-  cp.node_count = 4;
-  cp.max_clock_skew = 0;
-  if (slow_links) {
-    for (sim::NodeId a = 0; a < 4; ++a) {
-      for (sim::NodeId b = a + 1; b < 4; ++b) {
-        cp.link_overrides.push_back({a, b, sim::usec(100)});
-      }
+// Each lockstep window starts at the earliest pending event, which is at or
+// beyond the previous window's end, so a run that ends at virtual time T
+// executes at most T / lookahead + 1 windows, whatever the traffic. Four
+// lanes tick locally every `tick` and post to their neighbor one lookahead
+// ahead; with a tick below the lookahead every window is busy and the bound
+// is met exactly.
+TEST(WindowProtocol, WindowCountIsBoundedByVirtualTime) {
+  for (const sim::DurationNs tick :
+       {sim::usec(1), sim::usec(3), sim::usec(10)}) {
+    sim::EngineConfig cfg;
+    cfg.lane_count = 0;  // one lane per node
+    sim::Engine eng(7, cfg);
+    sim::ClusterParams cp;
+    cp.node_count = 4;
+    cp.max_clock_skew = 0;
+    sim::Cluster cluster(eng, cp);
+    std::function<void()> ticks[4];
+    for (std::uint32_t lane = 0; lane < 4; ++lane) {
+      ticks[lane] = [&eng, &ticks, lane, tick] {
+        eng.after(tick, ticks[lane]);
+        eng.after_on((lane + 1) % 4, eng.lookahead(), [] {});
+      };
+      eng.at_on(lane, 0, ticks[lane]);
     }
+    eng.run_until(sim::msec(1));
+    const std::uint64_t bound = eng.now() / eng.lookahead() + 1;
+    EXPECT_GT(eng.events_processed(), 4 * (sim::msec(1) / tick))
+        << "tick=" << tick;
+    EXPECT_LE(eng.windows_executed(), bound) << "tick=" << tick;
+    if (tick < eng.lookahead()) {
+      EXPECT_EQ(eng.windows_executed(), bound) << "tick=" << tick;
+    }
+    EXPECT_EQ(eng.causality_clamps(), 0u) << "tick=" << tick;
   }
-  sim::Cluster cluster(eng, cp);
-  std::function<void()> ticks[4];
-  for (std::uint32_t lane = 0; lane < 4; ++lane) {
-    ticks[lane] = [&eng, &ticks, lane] {
-      eng.after(sim::usec(10), ticks[lane]);
-    };
-    eng.at_on(lane, 0, ticks[lane]);
-  }
-  eng.run_until(sim::msec(1));
-  return {eng.windows_executed(), eng.events_processed()};
-}
-
-}  // namespace
-
-// Planted slow-link topology: when every lane pair is 100 us apart instead
-// of the default 2 us, the per-lane window bounds derived from the matrix
-// must lengthen accordingly — far fewer windows for the same event load.
-TEST(WindowProtocol, DistantLanePairsEarnWiderWindows) {
-  const auto [near_windows, near_events] =
-      run_local_ticks(/*quiet_cap=*/1, /*slow_links=*/false);
-  const auto [far_windows, far_events] =
-      run_local_ticks(/*quiet_cap=*/1, /*slow_links=*/true);
-  EXPECT_EQ(near_events, far_events);  // same simulation either way
-  EXPECT_GT(near_events, 300u);
-  EXPECT_GE(near_windows, 5 * far_windows)
-      << "near=" << near_windows << " far=" << far_windows;
-}
-
-// Quiet-window extension: with no cross-lane traffic every window is
-// quiet, so the extension factor climbs to the cap and windows stretch —
-// without a single causality clamp (the bet never loses here) and without
-// changing the executed events.
-TEST(WindowProtocol, QuietWindowExtensionStretchesIdleWindows) {
-  const auto [plain_windows, plain_events] =
-      run_local_ticks(/*quiet_cap=*/1, /*slow_links=*/false);
-  sim::EngineConfig cfg;
-  cfg.lane_count = 0;
-  cfg.worker_count = 1;
-  cfg.quiet_extension_cap = 8;
-  sim::Engine eng(7, cfg);
-  sim::ClusterParams cp;
-  cp.node_count = 4;
-  cp.max_clock_skew = 0;
-  sim::Cluster cluster(eng, cp);
-  std::function<void()> ticks[4];
-  for (std::uint32_t lane = 0; lane < 4; ++lane) {
-    ticks[lane] = [&eng, &ticks, lane] {
-      eng.after(sim::usec(10), ticks[lane]);
-    };
-    eng.at_on(lane, 0, ticks[lane]);
-  }
-  eng.run_until(sim::msec(1));
-  EXPECT_EQ(eng.events_processed(), plain_events);
-  EXPECT_LT(eng.windows_executed(), plain_windows);
-  EXPECT_GT(eng.quiet_extended_windows(), 0u);
-  EXPECT_EQ(eng.causality_clamps(), 0u);
-  EXPECT_EQ(plain_windows, [] {
-    // Re-running the cap=1 config must reproduce its window count exactly:
-    // the schedule depends only on simulation state.
-    return run_local_ticks(1, false).first;
-  }());
 }
 
 TEST(ParallelWorkloads, HepnosShardedStoresAllEvents) {
