@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "argolite/runtime.hpp"
 #include "margolite/instance.hpp"
 #include "merclite/core.hpp"
 #include "merclite/proc.hpp"
@@ -58,6 +59,49 @@ static void BM_FiberSwitchPair(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_FiberSwitchPair);
+
+// Host cost of one abt::compute on a ULT. Arg(0): an otherwise idle lane,
+// so each compute is the lane's next event and continues in place (no
+// resume event, no fiber switch). Arg(1): a competing tick falls inside
+// every compute and forces the scheduled path (heap push/pop, SmallFn,
+// fiber switch pair); its own empty event is included in the time, and
+// so is one engine/runtime/ULT setup per kComputes computes.
+static void BM_ComputeChain(benchmark::State& state) {
+  namespace abt = sym::abt;
+  constexpr int kComputes = 1000;
+  constexpr sim::DurationNs kStep = 1000;
+  const bool competing = state.range(0) != 0;
+  std::uint64_t continued = 0;
+  for (auto _ : state) {
+    sim::Engine eng;
+    sim::Cluster cluster(eng, sim::ClusterParams{});
+    abt::Runtime rt(eng, cluster.spawn_process(0, "bench"));
+    abt::Pool& pool = rt.create_pool("p");
+    rt.create_xstream({&pool});
+    rt.create_ult(pool, [] {
+      for (int i = 0; i < kComputes; ++i) abt::compute(kStep);
+    });
+    if (competing) {
+      // The ULT starts one dispatch overhead in; tick half-way through
+      // each of its computes.
+      struct Tick {
+        sim::Engine& eng;
+        int left;
+        void operator()() {
+          if (--left > 0) eng.after(kStep, Tick{eng, left});
+        }
+      };
+      eng.at(abt::kDispatchOverheadNs + kStep / 2, Tick{eng, kComputes});
+    }
+    eng.run();
+    continued = eng.events_continued();
+    benchmark::DoNotOptimize(continued);
+  }
+  state.SetItemsProcessed(state.iterations() * kComputes);
+  state.counters["continued_per_compute"] =
+      static_cast<double>(continued) / kComputes;
+}
+BENCHMARK(BM_ComputeChain)->Arg(0)->Arg(1);
 
 // The Lane event heap's sift primitives (simkit/dheap.hpp): push/pop a
 // fixed pseudo-random schedule. The workload mirrors the Lane event heap —

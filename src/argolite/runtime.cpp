@@ -1,5 +1,6 @@
 #include "argolite/runtime.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <cassert>
 #include <utility>
@@ -16,7 +17,11 @@ Ult::Ult(Id id, Pool& pool, std::function<void()> body)
       fiber_(std::make_unique<sim::Fiber>(std::move(body))) {}
 
 void Ult::local_set(KeyId key, std::uint64_t value) {
-  if (locals_.size() <= key) locals_.resize(key + 1, 0);
+  if (locals_.size() <= key) {
+    // Room for every key created so far: a ULT that sets several locals
+    // allocates once, not once per new key.
+    locals_.resize(std::max<std::size_t>(key + 1, Runtime::key_count()), 0);
+  }
   locals_[key] = value;
 }
 
@@ -95,11 +100,19 @@ void Runtime::destroy_ult(Ult& ult) {
   delete &ult;
 }
 
-KeyId Runtime::key_create() {
+namespace {
+
+std::atomic<KeyId>& key_counter() {
   // symlint: allow(shared-state-escape) reason=monotonic atomic key counter; ids are opaque handles and never ordered on, so allocation order cannot leak into results
   static std::atomic<KeyId> next{0};
-  return next++;
+  return next;
 }
+
+}  // namespace
+
+KeyId Runtime::key_create() { return key_counter()++; }
+
+KeyId Runtime::key_count() { return key_counter().load(); }
 
 std::uint64_t Runtime::total_blocked() const noexcept {
   std::uint64_t n = 0;
@@ -130,8 +143,7 @@ void compute(sim::DurationNs d) {
   Ult* u = self();
   Xstream* xs = Xstream::current();
   assert(u != nullptr && xs != nullptr && "compute() outside ULT context");
-  xs->begin_compute(d, *u);
-  sim::Fiber::switch_out();
+  if (!xs->begin_compute(d, *u)) sim::Fiber::switch_out();
 }
 
 void sleep_for(sim::DurationNs d) {

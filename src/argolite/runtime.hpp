@@ -39,6 +39,8 @@ class Runtime {
 
   /// ULT-local key registry (global across runtimes, like Argobots keys).
   static KeyId key_create();
+  /// Keys created so far (every KeyId is below it).
+  static KeyId key_count();
 
   [[nodiscard]] std::size_t pool_count() const noexcept {
     return pools_.size();

@@ -32,15 +32,10 @@ void Xstream::set_enabled(bool on) {
 }
 
 void Xstream::try_dispatch() {
-  if (!enabled_ || busy_ || dispatch_scheduled_) return;
-  bool have_work = false;
-  for (Pool* p : pools_) {
-    if (p->ready_count() > 0) {
-      have_work = true;
-      break;
-    }
-  }
-  if (!have_work) return;
+  if (dispatch_due()) schedule_dispatch();
+}
+
+void Xstream::schedule_dispatch() {
   dispatch_scheduled_ = true;
   // The dispatch overhead both models scheduler cost and guarantees virtual
   // time cannot stand still across an unbounded chain of dispatches. The
@@ -55,6 +50,18 @@ void Xstream::try_dispatch() {
                   });
 }
 
+bool Xstream::tail_dispatch() {
+  // Only dispatch_one() and resume_here() call this, as the last action of
+  // an event callback running on this ES's home lane. Nothing follows it
+  // there, so the dispatch event try_dispatch() would schedule is the next
+  // step of this callback; when the engine can prove it is also the lane's
+  // next event, the caller runs it here.
+  if (!dispatch_due()) return false;
+  if (runtime_.engine().continue_in_place(kDispatchOverheadNs)) return true;
+  schedule_dispatch();
+  return false;
+}
+
 Ult* Xstream::pop_ready() {
   for (Pool* p : pools_) {
     if (Ult* u = p->pop(); u != nullptr) return u;
@@ -64,11 +71,14 @@ Ult* Xstream::pop_ready() {
 
 void Xstream::dispatch_one() {
   if (!enabled_ || busy_) return;  // parked or grabbed meanwhile
-  Ult* u = pop_ready();
-  if (u == nullptr) return;
-  ++dispatched_;
-  run_ult(*u);
-  try_dispatch();
+  // One pass per dispatch: the first is this event's, every further one a
+  // dispatch tail_dispatch() accepted in place (so a ULT is ready).
+  do {
+    Ult* u = pop_ready();
+    if (u == nullptr) return;
+    ++dispatched_;
+    run_ult(*u);
+  } while (tail_dispatch());
 }
 
 void Xstream::run_ult(Ult& ult) {
@@ -104,7 +114,8 @@ void Xstream::postprocess(Ult& ult) {
       ult.pool().push(ult);
       break;
     case UltState::kComputing:
-      // begin_compute() left this ES busy and scheduled the resume event.
+      // begin_compute() left this ES busy and scheduled the resume event
+      // (a compute that completed in place never suspends).
       break;
     case UltState::kBlocked:
       // A sync object / the network owns the wakeup.
@@ -115,17 +126,23 @@ void Xstream::postprocess(Ult& ult) {
   }
 }
 
-void Xstream::begin_compute(sim::DurationNs d, Ult& ult) {
+bool Xstream::begin_compute(sim::DurationNs d, Ult& ult) {
   assert(g_current_ult == &ult && g_current_xstream == this);
   assert(!busy_);
-  busy_ = true;
   busy_time_ += d;
   runtime_.process().add_cpu_time(d);
+  // Suspending now would leave only bookkeeping that schedules nothing
+  // (postprocess, and a tail_dispatch() that sees this ES busy) before the
+  // resume event. If that event would be the lane's very next one, the ULT
+  // keeps running instead: no event, no fiber switch.
+  if (runtime_.engine().continue_in_place(d)) return true;
+  busy_ = true;
   ult.state_ = UltState::kComputing;
   runtime_.engine().after(d, [this, &ult] {
     busy_ = false;
     resume_here(ult);
   });
+  return false;
 }
 
 void Xstream::resume_here(Ult& ult) {
@@ -133,7 +150,7 @@ void Xstream::resume_here(Ult& ult) {
   assert(!busy_);
   ult.state_ = UltState::kReady;  // run_ult() expects kReady
   run_ult(ult);
-  try_dispatch();
+  if (tail_dispatch()) dispatch_one();
 }
 
 }  // namespace sym::abt

@@ -6,11 +6,18 @@
 // it. This occupancy model is what makes the paper's "target ULT handler
 // time" (t4 -> t5 wait in the handler pool) emerge when a service is
 // configured with too few ESs (HEPnOS configuration C1, Fig. 9).
+//
+// A compute occupies the ES until a resume event `d` later, and a ULT
+// switch costs a dispatch event kDispatchOverheadNs later. When either
+// event would be the lane's very next one, the ES runs it in place
+// (Engine::continue_in_place): same virtual times and accounting, but no
+// heap event and no fiber switch.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
+#include "argolite/pool.hpp"
 #include "argolite/types.hpp"
 #include "simkit/time.hpp"
 
@@ -42,11 +49,12 @@ class Xstream {
   void notify_work();
 
   /// Occupy this ES for `d` of virtual time on behalf of the running ULT.
-  /// Must be called while `ult` is the ULT currently running here.
-  void begin_compute(sim::DurationNs d, Ult& ult);
-
-  /// Re-enter a previously suspended ULT (after compute/unblock).
-  void resume_here(Ult& ult);
+  /// Must be called while `ult` is the ULT currently running here. Returns
+  /// true when the compute completed in place: nothing else on the lane is
+  /// due before now + d, so the clock has advanced past it and the ULT
+  /// simply carries on. Otherwise the ES is held, the resume event is
+  /// scheduled, and the caller must suspend the ULT.
+  [[nodiscard]] bool begin_compute(sim::DurationNs d, Ult& ult);
 
   [[nodiscard]] std::uint64_t ults_dispatched() const noexcept {
     return dispatched_;
@@ -63,8 +71,27 @@ class Xstream {
  private:
   friend class Runtime;
 
+  /// True when a dispatch is due: enabled, idle, none scheduled, and some
+  /// pool holds a ready ULT.
+  [[nodiscard]] bool dispatch_due() const noexcept {
+    if (!enabled_ || busy_ || dispatch_scheduled_) return false;
+    for (const Pool* p : pools_) {
+      if (p->ready_count() > 0) return true;
+    }
+    return false;
+  }
+  /// Schedule a dispatch kDispatchOverheadNs from now if one is due.
   void try_dispatch();
+  void schedule_dispatch();
+  /// try_dispatch() as the last action of an event callback. Returns true
+  /// when the dispatch event would be the lane's very next one and was
+  /// accounted in place: the caller then runs dispatch_one() itself.
+  [[nodiscard]] bool tail_dispatch();
+  /// The dispatch event's body: run the next ready ULT, and the ones after
+  /// it for as long as tail_dispatch() accepts their dispatch in place.
   void dispatch_one();
+  /// The compute-resume event's body: re-enter the ULT, then tail-dispatch.
+  void resume_here(Ult& ult);
   [[nodiscard]] Ult* pop_ready();
   void run_ult(Ult& ult);
   void postprocess(Ult& ult);

@@ -224,19 +224,24 @@ bool Engine::cancel(EventId id) {
 void Engine::run_classic() {
   Lane& l = *lanes_[0];
   ActiveLaneScope scope(*this, l);
+  l.set_inplace_end(kTimeNever);
   while (!stopped() && l.pop_and_run()) {
   }
+  l.set_inplace_end(0);
 }
 
 void Engine::run_until_classic(TimeNs deadline) {
   Lane& l = *lanes_[0];
   ActiveLaneScope scope(*this, l);
+  // Events at exactly `deadline` still run, so they may also continue.
+  l.set_inplace_end(sat_add(deadline, 1));
   while (!stopped()) {
     // Surface the true next live event before testing the deadline.
     TimeNs t;
     if (!l.peek_next(t) || t > deadline) break;
     l.pop_and_run();
   }
+  l.set_inplace_end(0);
 }
 
 // ---------------------------------------------------------------------------
@@ -322,6 +327,14 @@ bool Engine::step() {
   return true;
 }
 
+bool Engine::continue_in_place(DurationNs d) {
+  Lane* a = active_lane_here();
+  // The run loops test stopped() before every pop; a stop requested by the
+  // running callback must leave the next event pending, not run it here.
+  if (a == nullptr || stopped()) return false;
+  return a->continue_in_place(sat_add(a->now(), d));
+}
+
 // ---------------------------------------------------------------------------
 // Counters
 // ---------------------------------------------------------------------------
@@ -335,6 +348,12 @@ std::size_t Engine::pending_events() const noexcept {
 std::uint64_t Engine::events_processed() const noexcept {
   std::uint64_t n = 0;
   for (const auto& l : lanes_) n += l->processed();
+  return n;
+}
+
+std::uint64_t Engine::events_continued() const noexcept {
+  std::uint64_t n = 0;
+  for (const auto& l : lanes_) n += l->continued();
   return n;
 }
 

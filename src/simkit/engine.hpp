@@ -45,6 +45,10 @@
 //    intrusive freelist, callbacks are inline-buffer SmallFn, and
 //    Engine::arena_stats() aggregates the per-lane allocation counters the
 //    benches divide by executed events.
+//  * An event that would provably be the lane's very next one can skip the
+//    queue entirely: continue_in_place() lets the callback about to
+//    schedule it run it inline, with the same clock, sequence number, event
+//    count and digest (docs/ARCHITECTURE.md, "Determinism").
 #pragma once
 
 #include <atomic>
@@ -170,12 +174,14 @@ class Engine {
 
   /// Execute a single event (the globally earliest; ties broken by lane
   /// index). Returns false if all lanes are empty. Sequential — intended
-  /// for tests and debugging.
+  /// for tests and debugging. Never continues in place, so it is the
+  /// event-by-event reference the run loops are checked against.
   bool step();
 
   /// Request that run()/run_until() return. Takes effect after the current
   /// event (single lane) or at the next window barrier (sharded), so the
-  /// stopping point is deterministic for any worker count.
+  /// stopping point is deterministic for any worker count. Once set,
+  /// continue_in_place() refuses, so the next event stays pending.
   void stop() noexcept { stopped_.store(true, std::memory_order_relaxed); }
 
   [[nodiscard]] bool stopped() const noexcept {
@@ -187,8 +193,22 @@ class Engine {
     stopped_.store(false, std::memory_order_relaxed);
   }
 
+  /// Run the calling callback's next step in place instead of scheduling
+  /// it `d` from now on the executing lane (Lane::continue_in_place). Only
+  /// for a callback's tail: the caller must do nothing after it that a
+  /// scheduled event would have seen done first. True means the lane's clock
+  /// now reads now() + d and the step was accounted as an executed event;
+  /// false (no executing lane, stop() requested, another event due first,
+  /// or past the run loop's bound) means schedule it as usual.
+  bool continue_in_place(DurationNs d);
+
   [[nodiscard]] std::size_t pending_events() const noexcept;
+  /// Logical events: executed from a heap or continued in place. Equal to
+  /// what a run without in-place continuation (e.g. by step()) executes.
   [[nodiscard]] std::uint64_t events_processed() const noexcept;
+  /// The part of events_processed() continued in place, without a heap
+  /// push/pop; events_processed() - events_continued() ran from the heaps.
+  [[nodiscard]] std::uint64_t events_continued() const noexcept;
 
   /// Rolling digest of the executed event stream, folded over the lanes in
   /// lane-index order. Two runs with the same lane count must produce the

@@ -109,6 +109,22 @@ void Lane::post_remote(std::uint32_t dst, TimeNs t, Callback cb) {
 // Execution
 // ---------------------------------------------------------------------------
 
+void Lane::account_event(TimeNs t, std::uint64_t seq) noexcept {
+  now_ = t;
+  ++processed_;
+#if SYM_DEBUG_CHECKS
+  // Fold (timestamp, FIFO seq) of every executed event into the rolling
+  // per-lane digest; identical schedules => identical digests.
+  const auto mix = [](std::uint64_t h, std::uint64_t v) noexcept {
+    h ^= v + 0x9E3779B97F4A7C15ULL + (h << 6) + (h >> 2);
+    return h;
+  };
+  digest_ = mix(mix(digest_, t), seq);
+#else
+  (void)seq;
+#endif
+}
+
 bool Lane::pop_and_run() {
   debug::assert_home_lane(this, "Lane::pop_and_run");
   while (!heap_.empty()) {
@@ -118,19 +134,9 @@ bool Lane::pop_and_run() {
       arena_.release(top.slot);
       continue;
     }
-    now_ = top.t;
-    ++processed_;
+    account_event(top.t, top.seq);
     --pending_;
     next_dirty_ = true;
-#if SYM_DEBUG_CHECKS
-    // Fold (timestamp, FIFO seq) of every executed event into the rolling
-    // per-lane digest; identical schedules => identical digests.
-    const auto mix = [](std::uint64_t h, std::uint64_t v) noexcept {
-      h ^= v + 0x9E3779B97F4A7C15ULL + (h << 6) + (h >> 2);
-      return h;
-    };
-    digest_ = mix(mix(digest_, top.t), top.seq);
-#endif
     Callback cb = std::move(arena_.cb(top.slot));
     // Release before running: a callback cancelling its own (now stale) id
     // or scheduling new events must see a consistent slot table.
@@ -142,6 +148,7 @@ bool Lane::pop_and_run() {
 }
 
 std::size_t Lane::run_window(TimeNs end) {
+  inplace_end_ = end;
   std::size_t ran = 0;
   while (true) {
     drop_cancelled_top();
@@ -149,6 +156,7 @@ std::size_t Lane::run_window(TimeNs end) {
     pop_and_run();
     ++ran;
   }
+  inplace_end_ = 0;
   return ran;
 }
 

@@ -9,7 +9,9 @@
 // lane-local state; events destined for another lane are appended to a
 // per-destination outbox that the coordinator merges at the window barrier
 // in (src-lane, append) order, which keeps the merged schedule independent
-// of the worker count.
+// of the worker count. A callback may also run its own next step in place
+// (continue_in_place) when that step provably is the lane's next event;
+// it is then accounted exactly as if it had been scheduled and popped.
 //
 // Memory model: every per-event byte lives in the lane's arena (arena.hpp)
 // or in vectors the lane recycles in place. Callbacks are SmallFn (inline
@@ -51,10 +53,14 @@ class Lane {
     return rng_;
   }
   [[nodiscard]] std::size_t pending() const noexcept { return pending_; }
+  /// Logical events run: popped from the heap or continued in place.
   [[nodiscard]] std::uint64_t processed() const noexcept { return processed_; }
+  /// The subset of processed() that continue_in_place() ran without a heap
+  /// entry; processed() - continued() events were executed from the heap.
+  [[nodiscard]] std::uint64_t continued() const noexcept { return continued_; }
 
   /// Rolling digest of the executed event stream (timestamp + FIFO sequence
-  /// of every event run), folded per lane. Only maintained under
+  /// of every event run, continued in place or popped), folded per lane. Only maintained under
   /// -DSYM_DEBUG_CHECKS=ON (always 0 otherwise); the debug_checks test
   /// suite compares Engine::event_digest() across worker counts so a
   /// determinism regression fails loudly instead of skewing figures.
@@ -140,6 +146,26 @@ class Lane {
   /// events scheduled onto this lane while the window runs.
   std::size_t run_window(TimeNs end);
 
+  /// Exclusive bound for continue_in_place(): the earliest time at which
+  /// the run loop driving this lane would no longer pop an event. The
+  /// engine's run loops set it (kTimeNever for run(), deadline + 1 for
+  /// run_until()); run_window() sets it to the window end itself. It is 0
+  /// outside any run loop and under Engine::step(), so nothing continues
+  /// there.
+  void set_inplace_end(TimeNs end) noexcept { inplace_end_ = end; }
+
+  /// Account an event at `t` (>= now()) that the executing callback is
+  /// about to run inline, as its own tail, instead of scheduling it.
+  /// Allowed only when that event would provably be the next one this lane
+  /// pops: `t` is strictly earlier than every live pending event (an equal
+  /// time loses the FIFO tie-break) and below the in-place bound. On
+  /// success the lane advances its clock to `t`, consumes the sequence
+  /// number schedule() would have, counts the event in processed() and
+  /// folds (t, seq) into the digest, exactly as pop_and_run() would, and
+  /// returns true. On failure nothing observable changes and the caller
+  /// schedules as usual.
+  bool continue_in_place(TimeNs t);
+
   /// Surface the earliest live (non-cancelled) event time. Returns false if
   /// the lane holds no live events.
   bool peek_next(TimeNs& t);
@@ -177,12 +203,16 @@ class Lane {
   HeapEntry heap_pop();
   /// Drop cancelled entries off the top, releasing their slots.
   void drop_cancelled_top();
+  /// Account one executed event (clock, processed count, digest).
+  void account_event(TimeNs t, std::uint64_t seq) noexcept;
 
   std::uint32_t index_;
   TimeNs now_ = 0;
   std::uint64_t digest_ = 0;
   std::uint64_t next_seq_ = 1;
   std::uint64_t processed_ = 0;
+  std::uint64_t continued_ = 0;
+  TimeNs inplace_end_ = 0;  ///< exclusive continue_in_place() bound
   std::uint64_t causality_clamps_ = 0;
   std::size_t pending_ = 0;
   bool next_dirty_ = true;
@@ -193,5 +223,22 @@ class Lane {
   std::vector<std::uint32_t> outbox_hw_;  ///< per-destination size high-water
   std::vector<std::uint32_t> dirty_dst_;  ///< destinations with pending posts
 };
+
+// Inline: every compute and tail dispatch asks, and on a busy lane the
+// answer is almost always an early "no".
+inline bool Lane::continue_in_place(TimeNs t) {
+  debug::assert_home_lane(this, "Lane::continue_in_place");
+  if (t >= inplace_end_) return false;
+  // A live entry due at or before `t` runs first; cancelled ones never run.
+  while (!heap_.empty() && heap_[0].t <= t) {
+    if ((arena_.hot(heap_[0].slot).flags & LaneArena::kCancelled) == 0) {
+      return false;
+    }
+    drop_cancelled_top();
+  }
+  account_event(t, next_seq_++);
+  ++continued_;
+  return true;
+}
 
 }  // namespace sym::sim

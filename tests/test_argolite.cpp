@@ -5,10 +5,12 @@
 
 #include <vector>
 
+#include "abt_oracle.hpp"
 #include "argolite/runtime.hpp"
 #include "argolite/sync.hpp"
 #include "simkit/cluster.hpp"
 #include "simkit/engine.hpp"
+#include "simkit/fiber.hpp"
 
 namespace sim = sym::sim;
 namespace abt = sym::abt;
@@ -429,4 +431,112 @@ TEST(Argolite, ManyUltsStressAndNoLeaks) {
   f.eng.run();
   EXPECT_EQ(completed, 500);
   EXPECT_EQ(f.rt.live_ults(), 0u);
+}
+
+// ---------------------------------------------------------------------------
+// In-place continuation: compute resumes and tail dispatches
+// ---------------------------------------------------------------------------
+
+TEST(ArgoliteInPlace, IdleLaneComputeContinuesWithoutSwitching) {
+  AbtFixture f;
+  auto& pool = f.rt.create_pool("p");
+  auto& xs = f.rt.create_xstream({&pool});
+  sim::TimeNs start = 0, end = 0;
+  std::uint64_t switches_before = 0, switches_after = 0;
+  f.rt.create_ult(pool, [&] {
+    start = f.eng.now();
+    switches_before = sim::Fiber::current()->switch_count();
+    abt::compute(sim::usec(100));
+    switches_after = sim::Fiber::current()->switch_count();
+    end = f.eng.now();
+  });
+  f.eng.run();
+  EXPECT_EQ(start, abt::kDispatchOverheadNs);
+  EXPECT_EQ(end, start + sim::usec(100));
+  EXPECT_EQ(switches_after, switches_before);
+  EXPECT_EQ(xs.busy_time(), sim::usec(100));
+  EXPECT_EQ(f.proc.cpu_time(), sim::usec(100));
+  EXPECT_EQ(f.eng.events_continued(), 1u);
+  EXPECT_EQ(f.eng.events_processed(), 2u);  // dispatch + compute resume
+}
+
+TEST(ArgoliteInPlace, ComputeFallsBackWhenAnEventIsDueFirst) {
+  // A competing event strictly inside the compute, and one at exactly its
+  // end (FIFO: it was scheduled first), each force the scheduled path. The
+  // ULT still observes the exact end time and the ES's accounting.
+  for (const sim::DurationNs at : {sim::usec(50), sim::usec(100)}) {
+    AbtFixture f;
+    auto& pool = f.rt.create_pool("p");
+    auto& xs = f.rt.create_xstream({&pool});
+    const sim::TimeNs start = abt::kDispatchOverheadNs;
+    std::vector<int> order;
+    f.eng.at(start + at, [&] { order.push_back(1); });
+    sim::TimeNs end = 0;
+    std::uint64_t switches_before = 0, switches_after = 0;
+    f.rt.create_ult(pool, [&] {
+      switches_before = sim::Fiber::current()->switch_count();
+      abt::compute(sim::usec(100));
+      switches_after = sim::Fiber::current()->switch_count();
+      end = f.eng.now();
+      order.push_back(2);
+    });
+    f.eng.run();
+    EXPECT_EQ(end, start + sim::usec(100)) << "competitor at " << at;
+    EXPECT_EQ(order, (std::vector<int>{1, 2})) << "competitor at " << at;
+    EXPECT_EQ(switches_after, switches_before + 1) << "competitor at " << at;
+    EXPECT_EQ(xs.busy_time(), sim::usec(100));
+    EXPECT_EQ(f.proc.cpu_time(), sim::usec(100));
+    EXPECT_EQ(f.eng.events_continued(), 0u);
+  }
+}
+
+TEST(ArgoliteInPlace, TailDispatchRunsTheNextUltInPlace) {
+  // One ES, two ready ULTs: when the first finishes, the dispatch of the
+  // second is the lane's next event, so it runs in place, one dispatch
+  // overhead later, exactly as the scheduled dispatch would.
+  AbtFixture f;
+  auto& pool = f.rt.create_pool("p");
+  auto& xs = f.rt.create_xstream({&pool});
+  std::vector<sim::TimeNs> ran_at;
+  for (int i = 0; i < 2; ++i) {
+    f.rt.create_ult(pool, [&] { ran_at.push_back(f.eng.now()); });
+  }
+  f.eng.run();
+  EXPECT_EQ(ran_at, (std::vector<sim::TimeNs>{abt::kDispatchOverheadNs,
+                                              2 * abt::kDispatchOverheadNs}));
+  EXPECT_EQ(xs.ults_dispatched(), 2u);
+  EXPECT_EQ(f.eng.events_continued(), 1u);
+  EXPECT_EQ(f.eng.events_processed(), 2u);
+}
+
+TEST(ArgoliteInPlace, RunUntilStopsContinuingAtTheDeadline) {
+  // The compute would end 1 ns past the deadline: it must stay pending
+  // and complete only when the engine is driven again.
+  AbtFixture f;
+  auto& pool = f.rt.create_pool("p");
+  f.rt.create_xstream({&pool});
+  sim::TimeNs end = 0;
+  f.rt.create_ult(pool, [&] {
+    abt::compute(sim::usec(10));
+    end = f.eng.now();
+  });
+  const sim::TimeNs deadline = abt::kDispatchOverheadNs + sim::usec(10) - 1;
+  f.eng.run_until(deadline);
+  EXPECT_EQ(end, 0u);
+  EXPECT_EQ(f.eng.events_continued(), 0u);
+  f.eng.run_until(deadline + 1);
+  EXPECT_EQ(end, deadline + 1);
+}
+
+TEST(ArgoliteInPlace, RunMatchesTheStepByStepReference) {
+  const oracle::Result ran = oracle::run(oracle::Drive::kRun);
+  const oracle::Result stepped = oracle::run(oracle::Drive::kStep);
+  EXPECT_EQ(ran.done, stepped.done);
+  EXPECT_EQ(ran.events, stepped.events);
+  // The reference never continues; the run continues some steps and
+  // schedules the rest, so both paths are exercised.
+  EXPECT_EQ(stepped.continued, 0u);
+  EXPECT_GT(ran.continued, 0u);
+  EXPECT_LT(ran.continued, ran.events);
+  for (const sim::TimeNs t : ran.done) EXPECT_GT(t, 0u);
 }

@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "abt_oracle.hpp"
 #include "simkit/cluster.hpp"
 #include "simkit/debug_checks.hpp"
 #include "simkit/engine.hpp"
@@ -264,4 +265,38 @@ TEST(DebugChecks, DigestIsSeedAndWorkloadSensitive) {
   // event streams, so (with overwhelming probability) different digests.
   EXPECT_EQ(mobject_digest(2), mobject_digest(2));
   EXPECT_NE(mobject_digest(1), hepnos_digest(1));
+}
+
+// ---------------------------------------------------------------------------
+// In-place continuation against the sequential reference
+// ---------------------------------------------------------------------------
+
+TEST(DebugChecks, InPlaceRunDigestMatchesStepReference) {
+  // step() never continues in place, so every event it runs comes off the
+  // heap: the run's continued steps must fold the same (time, seq) pairs.
+  RecordingHandler rec;
+  const oracle::Result ran = oracle::run(oracle::Drive::kRun);
+  const oracle::Result stepped = oracle::run(oracle::Drive::kStep);
+  EXPECT_GT(ran.continued, 0u);
+  EXPECT_NE(ran.digest, 0u);
+  EXPECT_EQ(ran.digest, stepped.digest);
+  EXPECT_EQ(ran.events, stepped.events);
+  EXPECT_EQ(ran.done, stepped.done);
+  EXPECT_TRUE(rec.violations().empty());
+}
+
+TEST(DebugChecks, InPlaceDigestInvariantAcrossWorkersOnFourLanes) {
+  RecordingHandler rec;
+  const oracle::Result one = oracle::run(oracle::Drive::kRun, sharded(4, 1));
+  const oracle::Result two = oracle::run(oracle::Drive::kRun, sharded(4, 2));
+  EXPECT_GT(one.continued, 0u);
+  EXPECT_NE(one.digest, 0u);
+  EXPECT_EQ(one.digest, two.digest);
+  EXPECT_EQ(one.events, two.events);
+  EXPECT_EQ(one.continued, two.continued);
+  EXPECT_EQ(one.done, two.done);
+  for (const auto& v : rec.violations()) {
+    ADD_FAILURE() << "lane-affinity violation: " << v.what
+                  << " home=" << v.home_lane << " actual=" << v.actual_lane;
+  }
 }

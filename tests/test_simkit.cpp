@@ -495,3 +495,138 @@ TEST(Engine, ReserveEventsAvoidsContainerGrowth) {
   EXPECT_EQ(eng.arena_stats().container_growths, 0u);
   EXPECT_EQ(eng.arena_stats().allocations(), 0u);
 }
+
+// ---------------------------------------------------------------------------
+// In-place continuation (Engine::continue_in_place)
+// ---------------------------------------------------------------------------
+
+namespace {
+
+/// What one callback at t=100 saw when it asked to continue `d` in place.
+struct InPlaceProbe {
+  bool continued = false;
+  sim::TimeNs seen = 0;  ///< the clock right after the attempt
+};
+
+/// Schedule the probing callback at t=100 on the current lane.
+void plant_probe(sim::Engine& eng, sim::DurationNs d, InPlaceProbe& p) {
+  eng.at(100, [&eng, d, &p] {
+    p.continued = eng.continue_in_place(d);
+    p.seen = eng.now();
+  });
+}
+
+}  // namespace
+
+TEST(InPlace, ContinuesWhenNothingIsDueBeforeIt) {
+  sim::Engine eng;
+  InPlaceProbe p;
+  plant_probe(eng, 50, p);
+  sim::TimeNs later_ran_at = 0;
+  eng.at(151, [&] { later_ran_at = eng.now(); });
+  eng.run();
+  EXPECT_TRUE(p.continued);
+  EXPECT_EQ(p.seen, 150u);
+  EXPECT_EQ(later_ran_at, 151u);
+  // The continued step counts as a logical event, not a heap execution.
+  EXPECT_EQ(eng.events_processed(), 3u);
+  EXPECT_EQ(eng.events_continued(), 1u);
+}
+
+TEST(InPlace, EventAtExactlyTheTargetTimeFallsBack) {
+  // An event already pending at now + d holds the lower sequence number,
+  // so the FIFO tie-break runs it first: the step must be scheduled.
+  sim::Engine eng;
+  InPlaceProbe p;
+  plant_probe(eng, 50, p);
+  eng.at(150, [] {});
+  eng.run();
+  EXPECT_FALSE(p.continued);
+  EXPECT_EQ(p.seen, 100u);
+  EXPECT_EQ(eng.events_continued(), 0u);
+}
+
+TEST(InPlace, EventInsideTheStepFallsBack) {
+  sim::Engine eng;
+  InPlaceProbe p;
+  plant_probe(eng, 50, p);
+  eng.at(120, [] {});
+  eng.run();
+  EXPECT_FALSE(p.continued);
+  EXPECT_EQ(p.seen, 100u);
+}
+
+TEST(InPlace, CancelledHeapTopDoesNotBlock) {
+  sim::Engine eng;
+  InPlaceProbe p;
+  plant_probe(eng, 50, p);
+  const auto id = eng.at(120, [] { ADD_FAILURE() << "cancelled event ran"; });
+  ASSERT_TRUE(eng.cancel(id));
+  eng.run();
+  EXPECT_TRUE(p.continued);
+  EXPECT_EQ(p.seen, 150u);
+  EXPECT_EQ(eng.events_processed(), 2u);
+}
+
+TEST(InPlace, RunUntilContinuesToTheDeadlineButNotPastIt) {
+  {
+    sim::Engine eng;
+    InPlaceProbe p;
+    plant_probe(eng, 50, p);
+    eng.run_until(150);  // events at exactly the deadline still run
+    EXPECT_TRUE(p.continued);
+    EXPECT_EQ(p.seen, 150u);
+  }
+  {
+    sim::Engine eng;
+    InPlaceProbe p;
+    plant_probe(eng, 51, p);
+    eng.run_until(150);
+    EXPECT_FALSE(p.continued);
+    EXPECT_EQ(p.seen, 100u);
+  }
+}
+
+TEST(InPlace, ShardedWindowEndIsExclusive) {
+  // The first window is [100, 100 + lookahead): a step may continue to the
+  // window's last nanosecond but not to its end.
+  constexpr sim::DurationNs kLookahead = 1000;
+  for (const sim::DurationNs d : {kLookahead - 1, kLookahead}) {
+    sim::EngineConfig cfg;
+    cfg.lane_count = 2;
+    sim::Engine eng(7, cfg);
+    eng.set_lookahead(kLookahead);
+    InPlaceProbe p;
+    plant_probe(eng, d, p);
+    eng.run();
+    EXPECT_EQ(p.continued, d < kLookahead) << "d=" << d;
+    EXPECT_EQ(p.seen, p.continued ? 100 + d : 100u) << "d=" << d;
+  }
+}
+
+TEST(InPlace, StopAndStepNeverContinue) {
+  {
+    sim::Engine eng;
+    bool continued = true;
+    eng.at(100, [&] {
+      eng.stop();
+      continued = eng.continue_in_place(50);
+    });
+    eng.run();
+    EXPECT_FALSE(continued);
+    EXPECT_EQ(eng.now(), 100u);
+  }
+  {
+    sim::Engine eng;
+    InPlaceProbe p;
+    plant_probe(eng, 50, p);
+    while (eng.step()) {
+    }
+    EXPECT_FALSE(p.continued);
+    EXPECT_EQ(p.seen, 100u);
+  }
+  // Outside any run loop there is no callback to continue.
+  sim::Engine eng;
+  EXPECT_FALSE(eng.continue_in_place(10));
+  EXPECT_EQ(eng.now(), 0u);
+}
