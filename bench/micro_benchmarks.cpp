@@ -103,6 +103,29 @@ static void BM_ComputeChain(benchmark::State& state) {
 }
 BENCHMARK(BM_ComputeChain)->Arg(0)->Arg(1);
 
+// Host cost of waking a pool: push one ULT into a pool that Arg(k) idle
+// ESs share and run the engine until the ULT has finished. The push wakes
+// every idle ES; each wake is one dispatch step (k - 1 of them find the
+// pool empty), all of them from a single heap entry.
+static void BM_PoolWake(benchmark::State& state) {
+  namespace abt = sym::abt;
+  const auto k = static_cast<int>(state.range(0));
+  sim::Engine eng;
+  sim::Cluster cluster(eng, sim::ClusterParams{});
+  abt::Runtime rt(eng, cluster.spawn_process(0, "bench"));
+  abt::Pool& pool = rt.create_pool("p");
+  for (int i = 0; i < k; ++i) rt.create_xstream({&pool});
+  for (auto _ : state) {
+    rt.create_ult(pool, [] {});
+    eng.run();
+  }
+  state.SetItemsProcessed(state.iterations());
+  state.counters["events_per_wake"] =
+      static_cast<double>(eng.events_processed()) /
+      static_cast<double>(state.iterations());
+}
+BENCHMARK(BM_PoolWake)->Arg(1)->Arg(8)->Arg(30);
+
 // The Lane event heap's sift primitives (simkit/dheap.hpp): push/pop a
 // fixed pseudo-random schedule. The workload mirrors the Lane event heap —
 // a mixed stream where every pop is chased by a push, keeping the heap near

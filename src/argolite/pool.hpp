@@ -29,7 +29,9 @@ class Pool {
 
   [[nodiscard]] const std::string& name() const noexcept { return name_; }
 
-  /// Enqueue a ready ULT and poke an idle attached xstream.
+  /// Enqueue a ready ULT and wake every idle attached xstream that has no
+  /// dispatch pending, with one dispatch event for all of them
+  /// (Xstream::wake).
   void push(Ult& ult);
 
   /// Dequeue the next ready ULT, or nullptr if empty.
@@ -73,8 +75,8 @@ class Pool {
   void on_run_end() noexcept { --running_; }
 
   /// Xstreams consuming from this pool register themselves so push() can
-  /// wake an idle one.
-  void attach(Xstream& xs) { consumers_.push_back(&xs); }
+  /// wake the idle ones.
+  void attach(Xstream& xs);
 
   [[nodiscard]] Runtime& runtime() noexcept { return runtime_; }
 

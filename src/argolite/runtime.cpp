@@ -38,12 +38,16 @@ void Pool::push(Ult& ult) {
   ready_.push_back(&ult);
   if (ready_.size() > ready_hwm_) ready_hwm_ = ready_.size();
   ++total_pushed_;
-  // Wake every idle consumer; each one self-guards against duplicate
-  // dispatch scheduling, and an occupied ES re-checks its pools after the
+  // Every idle consumer without a pending dispatch gets one, all of them
+  // from a single herd event; an occupied ES re-checks its pools after the
   // current ULT releases it.
-  for (Xstream* xs : consumers_) {
-    if (!xs->busy()) xs->notify_work();
-  }
+  Xstream::wake(consumers_);
+}
+
+void Pool::attach(Xstream& xs) {
+  // A herd holds at most one step per consumer.
+  assert(consumers_.size() < sim::LaneArena::kMaxSteps);
+  consumers_.push_back(&xs);
 }
 
 Ult* Pool::pop() {
@@ -80,7 +84,7 @@ Xstream& Runtime::create_xstream(std::vector<Pool*> pools) {
   Xstream& xs = *xstreams_.back();
   for (Pool* p : pools) p->attach(xs);
   // Work may already be queued.
-  xs.notify_work();
+  xs.try_dispatch();
   return xs;
 }
 

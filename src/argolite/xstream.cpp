@@ -23,31 +23,50 @@ Xstream::Xstream(Runtime& runtime, std::uint32_t rank, std::vector<Pool*> pools)
 Xstream* Xstream::current() noexcept { return g_current_xstream; }
 Ult* Xstream::current_ult() noexcept { return g_current_ult; }
 
-void Xstream::notify_work() { try_dispatch(); }
-
 void Xstream::set_enabled(bool on) {
   if (enabled_ == on) return;
   enabled_ = on;
   if (on) try_dispatch();
 }
 
-void Xstream::try_dispatch() {
-  if (dispatch_due()) schedule_dispatch();
-}
-
-void Xstream::schedule_dispatch() {
-  dispatch_scheduled_ = true;
+void Xstream::wake(std::span<Xstream* const> candidates) {
+  // Link, in candidate order, every ES that would schedule its own dispatch
+  // event now. Nothing is scheduled between those k events, so their
+  // sequence numbers would be consecutive: one k-step entry reproduces
+  // them. A member stays dispatch_scheduled_ until its own step, so a push
+  // in the meantime skips it and its link stays valid.
+  Xstream* head = nullptr;
+  Xstream** link = &head;
+  std::uint32_t k = 0;
+  for (Xstream* xs : candidates) {
+    if (!xs->dispatch_due()) continue;
+    assert(k == 0 || &xs->runtime_ == &head->runtime_);
+    xs->dispatch_scheduled_ = true;
+    *link = xs;
+    link = &xs->herd_next_;
+    ++k;
+  }
+  if (k == 0) return;
+  *link = nullptr;
   // The dispatch overhead both models scheduler cost and guarantees virtual
   // time cannot stand still across an unbounded chain of dispatches. The
   // event is pinned to the lane owning this runtime's node so that ULTs
   // always execute on their home lane — in particular when the dispatch is
   // triggered from setup code running outside any lane.
-  auto& engine = runtime_.engine();
-  engine.after_on(engine.lane_for_node(runtime_.process().node()),
-                  kDispatchOverheadNs, [this] {
-                    dispatch_scheduled_ = false;
-                    dispatch_one();
-                  });
+  Runtime& rt = head->runtime_;
+  auto& engine = rt.engine();
+  engine.after_steps_on(engine.lane_for_node(rt.process().node()),
+                        kDispatchOverheadNs, k, [next = head]() mutable {
+                          Xstream* xs = next;
+                          next = xs->herd_next_;
+                          xs->dispatch_scheduled_ = false;
+                          xs->dispatch_one();
+                        });
+}
+
+void Xstream::try_dispatch() {
+  Xstream* self = this;
+  wake({&self, 1});
 }
 
 bool Xstream::tail_dispatch() {
@@ -58,7 +77,7 @@ bool Xstream::tail_dispatch() {
   // next event, the caller runs it here.
   if (!dispatch_due()) return false;
   if (runtime_.engine().continue_in_place(kDispatchOverheadNs)) return true;
-  schedule_dispatch();
+  try_dispatch();
   return false;
 }
 

@@ -11,10 +11,14 @@
 // switch costs a dispatch event kDispatchOverheadNs later. When either
 // event would be the lane's very next one, the ES runs it in place
 // (Engine::continue_in_place): same virtual times and accounting, but no
-// heap event and no fiber switch.
+// heap event and no fiber switch. A push that wakes several idle ESs of a
+// shared pool raises one dispatch event for all of them (a wake-up herd,
+// see wake()): its steps run the members' dispatches in order, each
+// accounted as the event that ES would have scheduled.
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "argolite/pool.hpp"
@@ -45,8 +49,13 @@ class Xstream {
   void set_enabled(bool on);
   [[nodiscard]] bool enabled() const noexcept { return enabled_; }
 
-  /// Called by pools when work arrives: schedule a dispatch if idle.
-  void notify_work();
+  /// Called by pools when work arrives: schedule one dispatch
+  /// kDispatchOverheadNs from now for every ES of `candidates` that has one
+  /// due (enabled, idle, none scheduled, work queued), in order. All of
+  /// them share one lane event (Engine::at_steps_on) whose k steps run the
+  /// members' dispatches in that order: the same times, sequence numbers
+  /// and event count as k separately scheduled dispatch events.
+  static void wake(std::span<Xstream* const> candidates);
 
   /// Occupy this ES for `d` of virtual time on behalf of the running ULT.
   /// Must be called while `ult` is the ULT currently running here. Returns
@@ -80,9 +89,9 @@ class Xstream {
     }
     return false;
   }
-  /// Schedule a dispatch kDispatchOverheadNs from now if one is due.
+  /// Schedule a dispatch kDispatchOverheadNs from now if one is due: a
+  /// wake() of this ES alone.
   void try_dispatch();
-  void schedule_dispatch();
   /// try_dispatch() as the last action of an event callback. Returns true
   /// when the dispatch event would be the lane's very next one and was
   /// accounted in place: the caller then runs dispatch_one() itself.
@@ -102,6 +111,8 @@ class Xstream {
   bool busy_ = false;
   bool enabled_ = true;
   bool dispatch_scheduled_ = false;
+  /// While dispatch_scheduled_: the next member of this ES's wake-up herd.
+  Xstream* herd_next_ = nullptr;
   std::uint64_t dispatched_ = 0;
   sim::DurationNs busy_time_ = 0;
 };

@@ -3,12 +3,13 @@
 // LaneArena — lane-local event-slot arena. Each Lane owns one arena holding
 // the slot table of every pending event in an SoA split: the *hot* array
 // (generation tag, freelist link, liveness flags — the fields cancel() and
-// the cancelled-entry drop test touch) is 12 bytes per slot and packs five
-// slots per cache line, while the *cold* array holds the SmallFn callback
-// payload that is only touched twice per event (store on schedule, move-out
-// on execution). Slots recycle through an intrusive freelist with the same
-// generation-tag discipline the AoS table used, so EventIds from fired
-// events keep failing the generation check.
+// the cancelled-entry drop test touch, plus the step count of a multi-step
+// entry) is 12 bytes per slot and packs five slots per cache line, while
+// the *cold* array holds the SmallFn callback payload that is only touched
+// twice per event (store on schedule, move-out on execution). Slots recycle
+// through an intrusive freelist with the same generation-tag discipline the
+// AoS table used, so EventIds from fired events keep failing the generation
+// check.
 //
 // The arena is the unit of the zero-allocation steady-state invariant: once
 // the slot table, the event heap and the outbox buffers have grown to the
@@ -59,12 +60,20 @@ class LaneArena {
   static constexpr std::uint32_t kNoFreeSlot = 0xFFFFFFFFu;
   static constexpr std::uint8_t kInUse = 0x1;
   static constexpr std::uint8_t kCancelled = 0x2;
+  /// A multi-step entry that has already run one of its steps.
+  static constexpr std::uint8_t kStepped = 0x4;
+  /// Most steps one entry can run (Lane::schedule_steps).
+  static constexpr std::uint32_t kMaxSteps = 0x10000;
 
   struct SlotHot {
     std::uint32_t generation = 1;
     std::uint32_t next_free = kNoFreeSlot;
     std::uint8_t flags = 0;
+    /// Steps the entry still runs after its next one; 0 for a plain event
+    /// and back to 0 by the time the slot is released.
+    std::uint16_t steps_after = 0;
   };
+  static_assert(sizeof(SlotHot) == 12, "five hot slots per cache line");
 
   /// Acquire a slot (freelist first, growth otherwise). The returned slot is
   /// marked in-use with a cleared cancel flag; its callback is empty.

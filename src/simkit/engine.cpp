@@ -203,6 +203,17 @@ Engine::EventId Engine::at_on(std::uint32_t lane, TimeNs t, Callback cb) {
   return make_id(lane, lanes_[lane]->schedule(t, std::move(cb)));
 }
 
+void Engine::at_steps_on(std::uint32_t lane, TimeNs t, std::uint32_t k,
+                         Callback cb) {
+  assert(lane < lanes_.size());
+  // The mailbox delivers single events only; a wake-up herd is always
+  // raised on its own lane (or during setup).
+  assert((active_lane_here() == nullptr ||
+          active_lane_here()->index() == lane) &&
+         "at_steps_on() must target the calling context's own lane");
+  lanes_[lane]->schedule_steps(t, k, std::move(cb));
+}
+
 bool Engine::cancel(EventId id) {
   if (id == 0) return false;
   const auto lane = static_cast<std::uint32_t>(id >> 56);
@@ -354,6 +365,12 @@ std::uint64_t Engine::events_processed() const noexcept {
 std::uint64_t Engine::events_continued() const noexcept {
   std::uint64_t n = 0;
   for (const auto& l : lanes_) n += l->continued();
+  return n;
+}
+
+std::uint64_t Engine::events_coalesced() const noexcept {
+  std::uint64_t n = 0;
+  for (const auto& l : lanes_) n += l->coalesced();
   return n;
 }
 

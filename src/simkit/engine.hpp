@@ -49,6 +49,9 @@
 //    queue entirely: continue_in_place() lets the callback about to
 //    schedule it run it inline, with the same clock, sequence number, event
 //    count and digest (docs/ARCHITECTURE.md, "Determinism").
+//  * k events due at the same time with consecutive sequence numbers can
+//    share one heap entry (at_steps_on) that runs as k steps, each
+//    accounted as its own event.
 #pragma once
 
 #include <atomic>
@@ -160,6 +163,18 @@ class Engine {
     return at_on(lane, now() + d, std::move(cb));
   }
 
+  /// Schedule `cb` to run `k` times at `t` on `lane`, as k consecutive
+  /// events from one heap entry (Lane::schedule_steps): same clock, FIFO
+  /// sequence numbers, event count and digest as k at_on() calls in a row,
+  /// one heap push and pop. The callback carries its own cursor across
+  /// steps. Not cancellable; `lane` must be the executing lane or the call
+  /// must come from main context.
+  void at_steps_on(std::uint32_t lane, TimeNs t, std::uint32_t k, Callback cb);
+  void after_steps_on(std::uint32_t lane, DurationNs d, std::uint32_t k,
+                      Callback cb) {
+    at_steps_on(lane, now() + d, k, std::move(cb));
+  }
+
   /// Cancel a previously scheduled event. Safe to call after the event has
   /// fired (the generation check makes it a no-op). Returns true if the
   /// event was still pending. Must target the calling context's own lane.
@@ -207,8 +222,12 @@ class Engine {
   /// what a run without in-place continuation (e.g. by step()) executes.
   [[nodiscard]] std::uint64_t events_processed() const noexcept;
   /// The part of events_processed() continued in place, without a heap
-  /// push/pop; events_processed() - events_continued() ran from the heaps.
+  /// push/pop.
   [[nodiscard]] std::uint64_t events_continued() const noexcept;
+  /// The part of events_processed() run as a later step of a multi-step
+  /// entry (at_steps_on). Heap pops are events_processed() -
+  /// events_continued() - events_coalesced().
+  [[nodiscard]] std::uint64_t events_coalesced() const noexcept;
 
   /// Rolling digest of the executed event stream, folded over the lanes in
   /// lane-index order. Two runs with the same lane count must produce the

@@ -68,6 +68,18 @@ std::uint64_t Lane::schedule(TimeNs t, Callback cb) {
          idx;
 }
 
+void Lane::schedule_steps(TimeNs t, std::uint32_t k, Callback cb) {
+  assert(k >= 1 && k <= LaneArena::kMaxSteps);
+  debug::assert_home_lane(this, "Lane::schedule_steps");
+  // The entry takes the first step's sequence number; the other k - 1 are
+  // reserved behind it.
+  const std::uint64_t id = schedule(t, std::move(cb));
+  arena_.hot(static_cast<std::uint32_t>(id & 0x0FFFFFFFu)).steps_after =
+      static_cast<std::uint16_t>(k - 1);
+  next_seq_ += k - 1;
+  pending_ += k - 1;
+}
+
 bool Lane::cancel(std::uint32_t slot, std::uint32_t generation) {
   debug::assert_home_lane(this, "Lane::cancel");
   if (slot >= arena_.slot_count()) return false;
@@ -128,19 +140,34 @@ void Lane::account_event(TimeNs t, std::uint64_t seq) noexcept {
 bool Lane::pop_and_run() {
   debug::assert_home_lane(this, "Lane::pop_and_run");
   while (!heap_.empty()) {
-    const HeapEntry top = heap_pop();
-    LaneArena::SlotHot& s = arena_.hot(top.slot);
+    const std::uint32_t slot = heap_[0].slot;
+    LaneArena::SlotHot& s = arena_.hot(slot);
     if ((s.flags & LaneArena::kCancelled) != 0) {
-      arena_.release(top.slot);
+      arena_.release(heap_pop().slot);
       continue;
     }
-    account_event(top.t, top.seq);
+    if ((s.flags & LaneArena::kStepped) != 0) ++coalesced_;
     --pending_;
     next_dirty_ = true;
-    Callback cb = std::move(arena_.cb(top.slot));
+    if (s.steps_after != 0) {
+      // Not the entry's last step: it stays on top, keyed by the next
+      // reserved sequence number. The callback runs outside the slot
+      // because the arena may grow while it runs.
+      --s.steps_after;
+      s.flags |= LaneArena::kStepped;
+      HeapEntry& top = heap_[0];
+      account_event(top.t, top.seq++);
+      Callback cb = std::move(arena_.cb(slot));
+      cb();
+      arena_.cb(slot) = std::move(cb);
+      return true;
+    }
+    const HeapEntry top = heap_pop();
+    account_event(top.t, top.seq);
+    Callback cb = std::move(arena_.cb(slot));
     // Release before running: a callback cancelling its own (now stale) id
     // or scheduling new events must see a consistent slot table.
-    arena_.release(top.slot);
+    arena_.release(slot);
     cb();
     return true;
   }

@@ -11,7 +11,10 @@
 // in (src-lane, append) order, which keeps the merged schedule independent
 // of the worker count. A callback may also run its own next step in place
 // (continue_in_place) when that step provably is the lane's next event;
-// it is then accounted exactly as if it had been scheduled and popped.
+// it is then accounted exactly as if it had been scheduled and popped. And
+// k events with the same time and consecutive sequence numbers can share
+// one heap entry (schedule_steps) that runs as k consecutive steps, each
+// accounted as its own popped event.
 //
 // Memory model: every per-event byte lives in the lane's arena (arena.hpp)
 // or in vectors the lane recycles in place. Callbacks are SmallFn (inline
@@ -58,6 +61,9 @@ class Lane {
   /// The subset of processed() that continue_in_place() ran without a heap
   /// entry; processed() - continued() events were executed from the heap.
   [[nodiscard]] std::uint64_t continued() const noexcept { return continued_; }
+  /// The subset of processed() that ran from a schedule_steps() entry after
+  /// an earlier step of the same entry: steps that cost no heap pop.
+  [[nodiscard]] std::uint64_t coalesced() const noexcept { return coalesced_; }
 
   /// Rolling digest of the executed event stream (timestamp + FIFO sequence
   /// of every event run, continued in place or popped), folded per lane. Only maintained under
@@ -100,6 +106,16 @@ class Lane {
   /// lane, or while no window is executing.
   std::uint64_t schedule(TimeNs t, Callback cb);
 
+  /// Schedule `cb` to run `k` times (1 <= k <= LaneArena::kMaxSteps) at
+  /// absolute time `t` (clamped to now()), as k consecutive events: one heap
+  /// entry holding k consecutive sequence numbers. Each pop_and_run() runs
+  /// one step and accounts it exactly as a popped event with its own
+  /// sequence number; between steps the entry stays at the heap top, since
+  /// nothing else can have a key inside the reserved range. The callback
+  /// keeps its state across steps. Not cancellable. Same threading rule as
+  /// schedule().
+  void schedule_steps(TimeNs t, std::uint32_t k, Callback cb);
+
   /// Cancel by slot index + 28-bit generation. Same threading rule as
   /// schedule().
   bool cancel(std::uint32_t slot, std::uint32_t generation);
@@ -139,7 +155,8 @@ class Lane {
     return causality_clamps_;
   }
 
-  /// Execute the single earliest event. Returns false if the lane is empty.
+  /// Execute the single earliest event, or the next step of the earliest
+  /// multi-step entry. Returns false if the lane is empty.
   bool pop_and_run();
 
   /// Execute every event with timestamp strictly below `end`, including
@@ -212,6 +229,7 @@ class Lane {
   std::uint64_t next_seq_ = 1;
   std::uint64_t processed_ = 0;
   std::uint64_t continued_ = 0;
+  std::uint64_t coalesced_ = 0;
   TimeNs inplace_end_ = 0;  ///< exclusive continue_in_place() bound
   std::uint64_t causality_clamps_ = 0;
   std::size_t pending_ = 0;

@@ -3,6 +3,7 @@
 // experiments depend on.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <vector>
 
 #include "abt_oracle.hpp"
@@ -539,4 +540,41 @@ TEST(ArgoliteInPlace, RunMatchesTheStepByStepReference) {
   EXPECT_GT(ran.continued, 0u);
   EXPECT_LT(ran.continued, ran.events);
   for (const sim::TimeNs t : ran.done) EXPECT_GT(t, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Wake-up herds (one dispatch event per pool push)
+// ---------------------------------------------------------------------------
+
+TEST(ArgoliteHerd, PushWakesEveryIdleConsumerWithOneEntry) {
+  // The first step takes the ULT; the other seven find the pool empty.
+  AbtFixture f;
+  auto& pool = f.rt.create_pool("p");
+  for (int i = 0; i < 8; ++i) f.rt.create_xstream({&pool});
+  sim::TimeNs ran_at = 0;
+  f.rt.create_ult(pool, [&] { ran_at = f.eng.now(); });
+  f.eng.run();
+  EXPECT_EQ(ran_at, abt::kDispatchOverheadNs);
+  EXPECT_EQ(f.rt.xstream(0).ults_dispatched(), 1u);
+  EXPECT_EQ(f.eng.events_processed(), 8u);
+  EXPECT_EQ(f.eng.events_coalesced(), 7u);
+}
+
+TEST(ArgoliteHerd, ScheduleIsPinnedToPerConsumerDispatchEvents) {
+  // Computed with one dispatch event per woken consumer, before herds
+  // shared an entry.
+  const std::vector<sim::TimeNs> kDone = {1450, 2500, 1900, 1280, 1550, 1650,
+                                          1750, 1760, 4480, 4520, 4560, 4600,
+                                          4640, 4680, 4720, 4780};
+  const std::vector<std::uint32_t> kRanOn = {0, 0, 0, 3, 4, 6, 7, 3,
+                                             0, 1, 2, 3, 4, 6, 7, 5};
+  const oracle::Result ran = oracle::run_herd(oracle::Drive::kRun);
+  const oracle::Result stepped = oracle::run_herd(oracle::Drive::kStep);
+  for (const oracle::Result* r : {&ran, &stepped}) {
+    EXPECT_EQ(r->done, kDone);
+    EXPECT_EQ(r->ran_on, kRanOn);
+    EXPECT_EQ(r->events, 63u);
+  }
+  EXPECT_EQ(ran.continued, 9u);
+  EXPECT_EQ(stepped.continued, 0u);
 }

@@ -285,6 +285,19 @@ TEST(DebugChecks, InPlaceRunDigestMatchesStepReference) {
   EXPECT_TRUE(rec.violations().empty());
 }
 
+TEST(DebugChecks, HerdDigestIsPinnedToPerConsumerDispatchEvents) {
+  // Computed with one dispatch event per woken consumer: a herd's steps
+  // must fold the same (time, seq) pairs, under run() and step() alike.
+  RecordingHandler rec;
+  const oracle::Result ran = oracle::run_herd(oracle::Drive::kRun);
+  const oracle::Result stepped = oracle::run_herd(oracle::Drive::kStep);
+  EXPECT_EQ(ran.digest, 0xce7af2c203f6a408ULL);
+  EXPECT_EQ(stepped.digest, ran.digest);
+  EXPECT_EQ(ran.events, 63u);
+  EXPECT_EQ(stepped.events, 63u);
+  EXPECT_TRUE(rec.violations().empty());
+}
+
 TEST(DebugChecks, InPlaceDigestInvariantAcrossWorkersOnFourLanes) {
   RecordingHandler rec;
   const oracle::Result one = oracle::run(oracle::Drive::kRun, sharded(4, 1));

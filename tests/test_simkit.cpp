@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "simkit/cluster.hpp"
@@ -629,4 +631,153 @@ TEST(InPlace, StopAndStepNeverContinue) {
   sim::Engine eng;
   EXPECT_FALSE(eng.continue_in_place(10));
   EXPECT_EQ(eng.now(), 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Multi-step entries (Engine::at_steps_on)
+// ---------------------------------------------------------------------------
+
+namespace {
+
+/// What a scenario observed: (clock, tag) per callback run, plus counters.
+struct StepsTrace {
+  std::vector<std::pair<sim::TimeNs, int>> seen;
+  std::uint64_t processed = 0;
+  std::uint64_t coalesced = 0;
+  std::uint64_t digest = 0;
+};
+
+/// An event at 100 scheduled before four steps at 100, one scheduled after
+/// them, and events a step schedules at 100 and at 120. The steps come
+/// either from one k-step entry or from four at() calls in a row.
+StepsTrace run_steps_scenario(bool shared) {
+  constexpr std::uint32_t kSteps = 4;
+  sim::Engine eng;
+  StepsTrace tr;
+  const auto log = [&eng, &tr](int tag) { tr.seen.emplace_back(eng.now(), tag); };
+  const auto body = [&eng, log](int j) {
+    log(j);
+    if (j == 1) {
+      eng.at(100, [log] { log(200); });
+      eng.at(120, [log] { log(220); });
+    }
+  };
+  eng.at(50, [log] { log(50); });
+  eng.at(100, [log] { log(100); });
+  if (shared) {
+    eng.at_steps_on(0, 100, kSteps, [body, j = 0]() mutable { body(j++); });
+  } else {
+    for (int j = 0; j < static_cast<int>(kSteps); ++j) {
+      eng.at(100, [body, j] { body(j); });
+    }
+  }
+  eng.at(100, [log] { log(300); });
+  eng.run();
+  tr.processed = eng.events_processed();
+  tr.coalesced = eng.events_coalesced();
+  tr.digest = eng.event_digest();
+  return tr;
+}
+
+}  // namespace
+
+TEST(Steps, MatchKSeparateEvents) {
+  const StepsTrace shared = run_steps_scenario(true);
+  const StepsTrace separate = run_steps_scenario(false);
+  // FIFO at t=100: the earlier-scheduled event, the four steps, the event
+  // scheduled after them, then what a step scheduled at 100.
+  const std::vector<std::pair<sim::TimeNs, int>> expected = {
+      {50, 50}, {100, 100}, {100, 0},   {100, 1},
+      {100, 2}, {100, 3},   {100, 300}, {100, 200}, {120, 220}};
+  EXPECT_EQ(shared.seen, expected);
+  EXPECT_EQ(separate.seen, expected);
+  EXPECT_EQ(shared.processed, 9u);
+  EXPECT_EQ(separate.processed, 9u);
+  EXPECT_EQ(shared.digest, separate.digest);  // nonzero in the debug tree
+  EXPECT_EQ(shared.coalesced, 3u);
+  EXPECT_EQ(separate.coalesced, 0u);
+}
+
+TEST(Steps, ContinueInPlaceOnlyInTheLastStep) {
+  // While later steps are pending at the current time, they come first.
+  sim::Engine eng;
+  std::vector<bool> continued;
+  eng.at_steps_on(0, 100, 3, [&] {
+    continued.push_back(eng.continue_in_place(10));
+  });
+  eng.run();
+  EXPECT_EQ(continued, (std::vector<bool>{false, false, true}));
+  EXPECT_EQ(eng.now(), 110u);
+  EXPECT_EQ(eng.events_processed(), 4u);
+  EXPECT_EQ(eng.events_continued(), 1u);
+  EXPECT_EQ(eng.events_coalesced(), 2u);
+}
+
+TEST(Steps, StopLeavesTheRemainingStepsPending) {
+  constexpr std::uint32_t kSteps = 5;
+  constexpr int kStopIn = 1;
+  sim::Engine eng;
+  int ran = 0;
+  eng.at_steps_on(0, 100, kSteps, [&] {
+    if (ran++ == kStopIn) eng.stop();
+  });
+  EXPECT_EQ(eng.pending_events(), kSteps);
+  eng.run();
+  EXPECT_EQ(ran, kStopIn + 1);
+  EXPECT_EQ(eng.pending_events(), kSteps - kStopIn - 1);
+  EXPECT_EQ(eng.events_processed(), static_cast<std::uint64_t>(kStopIn + 1));
+  // Only steps after the entry's first one count as coalesced.
+  EXPECT_EQ(eng.events_coalesced(), static_cast<std::uint64_t>(kStopIn));
+  eng.reset_stop();
+  eng.run();
+  EXPECT_EQ(ran, static_cast<int>(kSteps));
+  EXPECT_EQ(eng.pending_events(), 0u);
+  EXPECT_EQ(eng.events_processed(), kSteps);
+  EXPECT_EQ(eng.events_coalesced(), kSteps - 1);
+}
+
+TEST(Steps, StepRunsOneStepPerCall) {
+  sim::Engine eng;
+  int ran = 0;
+  eng.at_steps_on(0, 100, 3, [&] { ++ran; });
+  for (int i = 1; i <= 3; ++i) {
+    ASSERT_TRUE(eng.step());
+    EXPECT_EQ(ran, i);
+    EXPECT_EQ(eng.pending_events(), static_cast<std::size_t>(3 - i));
+    EXPECT_EQ(eng.events_coalesced(), static_cast<std::uint64_t>(i - 1));
+  }
+  EXPECT_FALSE(eng.step());
+  EXPECT_EQ(eng.events_processed(), 3u);
+}
+
+TEST(Steps, RunUntilRunsAllStepsOrNone) {
+  sim::Engine eng;
+  int ran = 0;
+  eng.at_steps_on(0, 100, 3, [&] { ++ran; });
+  eng.run_until(99);
+  EXPECT_EQ(ran, 0);
+  EXPECT_EQ(eng.pending_events(), 3u);
+  eng.run_until(100);
+  EXPECT_EQ(ran, 3);
+  EXPECT_EQ(eng.pending_events(), 0u);
+}
+
+TEST(Steps, ShardedWindowEndIsExclusive) {
+  // The first window is [100, 100 + lookahead): steps due at its last
+  // nanosecond run inside it, steps due at its end in the next window.
+  constexpr sim::DurationNs kLookahead = 1000;
+  for (const sim::TimeNs t : {100 + kLookahead - 1, 100 + kLookahead}) {
+    sim::EngineConfig cfg;
+    cfg.lane_count = 2;
+    sim::Engine eng(7, cfg);
+    eng.set_lookahead(kLookahead);
+    eng.at_on(0, 100, [] {});
+    std::vector<sim::TimeNs> ran_at;
+    eng.at_steps_on(1, t, 3, [&] { ran_at.push_back(eng.now()); });
+    eng.run();
+    EXPECT_EQ(ran_at, (std::vector<sim::TimeNs>{t, t, t})) << "t=" << t;
+    EXPECT_EQ(eng.windows_executed(), t < 100 + kLookahead ? 1u : 2u)
+        << "t=" << t;
+    EXPECT_EQ(eng.events_processed(), 4u);
+  }
 }
