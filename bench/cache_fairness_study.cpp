@@ -22,14 +22,14 @@
 // digest (zipkin trace export + dominant-callpath table + events_processed
 // + final virtual time) must be bit-identical — the study doubles as a
 // determinism check over the cache tier; any divergence fails the bench.
+// At the first worker count each cell runs Study::reps() times
+// (bench/common.hpp): the digest and counters come from repetition 1 and
+// must repeat exactly, wall time is the median with min and max.
 //
 // Results land in BENCH_cache.json (override with --out PATH). --smoke
 // shrinks volumes and the worker sweep for CI.
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
-#include <cstring>
-#include <fstream>
 #include <string>
 #include <vector>
 
@@ -55,25 +55,33 @@ struct Digest {
   bool operator==(const Digest&) const = default;
 };
 
-struct Cell {
-  std::string scenario;
-  std::string placement;
-  std::string policy;
-  std::uint32_t workers_checked = 0;
-  bool deterministic = true;
+/// The deterministic outputs of one run: its digest and the cell counters.
+struct Outcome {
+  Digest digest;
   double virtual_ms = 0;
-  double wall_ms = 0;
   std::uint64_t backend_reads = 0;
   std::uint64_t backend_read_bytes = 0;
   double hit_ratio = 0;
   std::uint64_t writeback_ops = 0;
   std::uint64_t evictions = 0;
-  std::uint64_t events_processed = 0;
-  // Fairness cells: delivered byte-rate per tenant and the relative gap.
+  // Fairness cells: delivered byte-rate per tenant.
   double rate_wide = 0;
   double rate_narrow = 0;
-  double rate_gap = 0;
   std::string dominant_callpath;
+
+  bool operator==(const Outcome&) const = default;
+
+  /// Relative gap between the two tenants' byte-rates.
+  [[nodiscard]] double rate_gap() const {
+    const double hi = std::max(rate_wide, rate_narrow);
+    const double lo = std::min(rate_wide, rate_narrow);
+    return hi > 0 ? (hi - lo) / hi : 0.0;
+  }
+};
+
+struct Cell {
+  Measured<Outcome> m;
+  bool deterministic = true;  ///< digests identical at every worker count
 };
 
 /// Scenario 1: streaming readers, 4 cache servers, stripe-long readahead.
@@ -117,125 +125,95 @@ CacheWorld::Params contention_params(bc::SchedPolicy policy, bool smoke) {
   return p;
 }
 
-/// Run one configuration once and fill the cell + digest from it.
-Digest run_once(const CacheWorld::Params& params, std::uint32_t workers,
-                Cell* cell) {
+/// Run one configuration once; the stopwatch times world.run().
+Outcome run_once(const CacheWorld::Params& params, std::uint32_t workers,
+                 Stopwatch& sw) {
   CacheWorld::Params p = params;
   p.exec.worker_count = workers;
   CacheWorld world(p);
-  const auto t0 = std::chrono::steady_clock::now();
+  sw.start();
   world.run();
-  const auto t1 = std::chrono::steady_clock::now();
+  sw.stop();
 
-  Digest d;
-  d.zipkin = prof::to_zipkin_json(prof::TraceSummary::build(world.all_traces()));
+  Outcome o;
+  o.digest.zipkin =
+      prof::to_zipkin_json(prof::TraceSummary::build(world.all_traces()));
   const auto summary = prof::ProfileSummary::build(world.all_profiles());
-  d.profile = summary.format(10);
-  d.events_processed = world.engine().events_processed();
-  d.final_now = world.engine().now();
-
-  if (cell != nullptr) {
-    cell->virtual_ms = sim::to_millis(world.makespan());
-    cell->wall_ms =
-        std::chrono::duration<double, std::milli>(t1 - t0).count();
-    cell->backend_reads = world.total_backend_reads();
-    cell->backend_read_bytes = world.total_backend_read_bytes();
-    const auto total = world.total_hits() + world.total_misses();
-    cell->hit_ratio =
-        total == 0 ? 0.0
-                   : static_cast<double>(world.total_hits()) /
-                         static_cast<double>(total);
-    cell->writeback_ops = world.total_writeback_ops();
-    cell->evictions = world.total_evictions();
-    cell->events_processed = d.events_processed;
-    cell->rate_wide = world.tenant_byte_rate(0);
-    cell->rate_narrow = world.tenant_byte_rate(1);
-    const double hi = std::max(cell->rate_wide, cell->rate_narrow);
-    const double lo = std::min(cell->rate_wide, cell->rate_narrow);
-    cell->rate_gap = hi > 0 ? (hi - lo) / hi : 0.0;
-    if (!summary.callpaths.empty()) {
-      cell->dominant_callpath = summary.callpaths.front().name;
-    }
-    std::printf("-- dominant callpaths [%s / %s / %s] --\n%s\n",
-                cell->scenario.c_str(), cell->placement.c_str(),
-                cell->policy.c_str(), d.profile.c_str());
+  o.digest.profile = summary.format(10);
+  o.digest.events_processed = world.engine().events_processed();
+  o.digest.final_now = world.engine().now();
+  o.virtual_ms = sim::to_millis(world.makespan());
+  o.backend_reads = world.total_backend_reads();
+  o.backend_read_bytes = world.total_backend_read_bytes();
+  const auto total = world.total_hits() + world.total_misses();
+  o.hit_ratio = total == 0 ? 0.0
+                           : static_cast<double>(world.total_hits()) /
+                                 static_cast<double>(total);
+  o.writeback_ops = world.total_writeback_ops();
+  o.evictions = world.total_evictions();
+  o.rate_wide = world.tenant_byte_rate(0);
+  o.rate_narrow = world.tenant_byte_rate(1);
+  if (!summary.callpaths.empty()) {
+    o.dominant_callpath = summary.callpaths.front().name;
   }
-  return d;
+  return o;
 }
 
-/// Run a cell at every worker count, asserting digest bit-identity.
-Cell run_cell(std::string scenario, const CacheWorld::Params& params,
+/// Measure a cell at the first worker count, then assert digest
+/// bit-identity at every other worker count.
+Cell run_cell(Study& study, const char* scenario,
+              const CacheWorld::Params& params,
               const std::vector<std::uint32_t>& workers) {
+  const char* placement = bc::to_string(params.placement);
+  const char* policy = bc::to_string(params.cache.policy);
   Cell c;
-  c.scenario = std::move(scenario);
-  c.placement = bc::to_string(params.placement);
-  c.policy = bc::to_string(params.cache.policy);
-  const Digest baseline = run_once(params, workers.front(), &c);
-  c.workers_checked = static_cast<std::uint32_t>(workers.size());
+  c.m = study.measure(
+      [&](Stopwatch& sw) { return run_once(params, workers.front(), sw); });
+  const Outcome& o = c.m.result;
+  std::printf("-- dominant callpaths [%s / %s / %s] --\n%s\n", scenario,
+              placement, policy, o.digest.profile.c_str());
   for (std::size_t i = 1; i < workers.size(); ++i) {
-    const Digest got = run_once(params, workers[i], nullptr);
-    if (!(got == baseline)) {
+    Stopwatch unused;
+    if (!(run_once(params, workers[i], unused).digest == o.digest)) {
       c.deterministic = false;
       std::printf("!! digest mismatch at workers=%u (%s/%s/%s)\n",
-                  workers[i], c.scenario.c_str(), c.placement.c_str(),
-                  c.policy.c_str());
+                  workers[i], scenario, placement, policy);
     }
   }
   std::printf("cell %-22s placement %-7s policy %-9s  virtual %9.3f ms  "
-              "backend reads %5llu  hit %.3f  gap %.3f  digests[x%u] %s\n\n",
-              c.scenario.c_str(), c.placement.c_str(), c.policy.c_str(),
-              c.virtual_ms,
-              static_cast<unsigned long long>(c.backend_reads), c.hit_ratio,
-              c.rate_gap, c.workers_checked,
+              "wall %.2f ms [%.2f-%.2f]  backend reads %5llu  hit %.3f  "
+              "gap %.3f  digests[x%zu] %s\n\n",
+              scenario, placement, policy, o.virtual_ms, c.m.wall.median_ms,
+              c.m.wall.min_ms, c.m.wall.max_ms,
+              static_cast<unsigned long long>(o.backend_reads), o.hit_ratio,
+              o.rate_gap(), workers.size(),
               c.deterministic ? "PASS" : "FAIL");
+  study.row("cells")
+      .text("scenario", scenario)
+      .text("placement", placement)
+      .text("policy", policy)
+      .count("workers_checked", workers.size())
+      .flag("deterministic", c.deterministic)
+      .real("virtual_ms", o.virtual_ms, 6)
+      .wall(c.m.wall)
+      .count("backend_reads", o.backend_reads)
+      .count("backend_read_bytes", o.backend_read_bytes)
+      .real("hit_ratio", o.hit_ratio, 4)
+      .count("writeback_ops", o.writeback_ops)
+      .count("evictions", o.evictions)
+      .count("events_processed", o.digest.events_processed)
+      .real("rate_wide_bps", o.rate_wide, 0)
+      .real("rate_narrow_bps", o.rate_narrow, 0)
+      .real("rate_gap", o.rate_gap(), 4)
+      .text("dominant_callpath", o.dominant_callpath);
   return c;
-}
-
-void write_json(const std::string& path, bool smoke,
-                const std::vector<Cell>& cells) {
-  std::ofstream out(path);
-  out << "{\n  \"bench\": \"cache_fairness_study\",\n"
-      << "  \"smoke\": " << (smoke ? "true" : "false") << ",\n"
-      << "  \"cells\": [\n";
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    const auto& c = cells[i];
-    char buf[640];
-    std::snprintf(
-        buf, sizeof(buf),
-        "    {\"scenario\": \"%s\", \"placement\": \"%s\", "
-        "\"policy\": \"%s\", \"workers_checked\": %u, "
-        "\"deterministic\": %s, \"virtual_ms\": %.6f, \"wall_ms\": %.3f, "
-        "\"backend_reads\": %llu, \"backend_read_bytes\": %llu, "
-        "\"hit_ratio\": %.4f, \"writeback_ops\": %llu, \"evictions\": %llu, "
-        "\"events_processed\": %llu, \"rate_wide_bps\": %.0f, "
-        "\"rate_narrow_bps\": %.0f, \"rate_gap\": %.4f, "
-        "\"dominant_callpath\": \"%s\"}%s\n",
-        c.scenario.c_str(), c.placement.c_str(), c.policy.c_str(),
-        c.workers_checked, c.deterministic ? "true" : "false", c.virtual_ms,
-        c.wall_ms, static_cast<unsigned long long>(c.backend_reads),
-        static_cast<unsigned long long>(c.backend_read_bytes), c.hit_ratio,
-        static_cast<unsigned long long>(c.writeback_ops),
-        static_cast<unsigned long long>(c.evictions),
-        static_cast<unsigned long long>(c.events_processed), c.rate_wide,
-        c.rate_narrow, c.rate_gap, c.dominant_callpath.c_str(),
-        i + 1 < cells.size() ? "," : "");
-    out << buf;
-  }
-  out << "  ]\n}\n";
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool smoke = false;
-  std::string out_path = "BENCH_cache.json";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) {
-      smoke = true;
-    } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
-      out_path = argv[++i];
-    }
-  }
+  Study study("cache_fairness_study", "BENCH_cache.json", argc, argv);
+  const bool smoke = study.smoke();
 
   print_header("Blockcache placement & fair-share scheduling study",
                "bbThemis OST-alignment / ThemisIO fair-share scenarios");
@@ -244,59 +222,46 @@ int main(int argc, char** argv) {
       smoke ? std::vector<std::uint32_t>{1, 2}
             : std::vector<std::uint32_t>{1, 2, 4};
 
-  std::vector<Cell> cells;
   // Scenario 1: placement A/B under streaming readers.
-  const Cell hash = run_cell(
-      "seq-readers", seq_reader_params(bc::Placement::kHash, smoke), workers);
+  const Cell hash =
+      run_cell(study, "seq-readers",
+               seq_reader_params(bc::Placement::kHash, smoke), workers);
   const Cell aligned = run_cell(
-      "seq-readers", seq_reader_params(bc::Placement::kLocalityAligned, smoke),
-      workers);
-  cells.push_back(hash);
-  cells.push_back(aligned);
+      study, "seq-readers",
+      seq_reader_params(bc::Placement::kLocalityAligned, smoke), workers);
+  bool deterministic = hash.deterministic && aligned.deterministic;
 
   // Scenario 2: fairness policies under two-tenant contention.
-  Cell fifo, size_fair;
+  double fifo_gap = 0, size_fair_gap = 0;
   for (const auto policy : {bc::SchedPolicy::kFifo, bc::SchedPolicy::kSizeFair,
                             bc::SchedPolicy::kJobFair}) {
-    Cell c = run_cell("two-tenant-contention",
-                      contention_params(policy, smoke), workers);
-    if (policy == bc::SchedPolicy::kFifo) fifo = c;
-    if (policy == bc::SchedPolicy::kSizeFair) size_fair = c;
-    cells.push_back(std::move(c));
+    const Cell c = run_cell(study, "two-tenant-contention",
+                            contention_params(policy, smoke), workers);
+    if (policy == bc::SchedPolicy::kFifo) fifo_gap = c.m.result.rate_gap();
+    if (policy == bc::SchedPolicy::kSizeFair) {
+      size_fair_gap = c.m.result.rate_gap();
+    }
+    deterministic = deterministic && c.deterministic;
   }
 
-  write_json(out_path, smoke, cells);
-  std::printf("wrote %s\n\n", out_path.c_str());
+  study.gate("determinism", deterministic,
+             "digests identical across worker counts at every cell");
 
-  bool ok = true;
-  for (const auto& c : cells) {
-    if (!c.deterministic) ok = false;
-  }
-  std::printf("determinism: digests identical across worker counts at every "
-              "cell: %s\n", ok ? "PASS" : "FAIL");
-
+  const Outcome& h = hash.m.result;
+  const Outcome& a = aligned.m.result;
   const double read_ratio =
-      aligned.backend_reads > 0
-          ? static_cast<double>(hash.backend_reads) /
-                static_cast<double>(aligned.backend_reads)
-          : 0.0;
-  const bool placement_ok = read_ratio >= 2.0 &&
-                            aligned.virtual_ms < hash.virtual_ms;
-  std::printf("acceptance: aligned placement batches backend reads "
-              "(%llu -> %llu, x%.1f fewer) and finishes earlier "
-              "(%.3f ms vs %.3f ms): %s\n",
-              static_cast<unsigned long long>(hash.backend_reads),
-              static_cast<unsigned long long>(aligned.backend_reads),
-              read_ratio, aligned.virtual_ms, hash.virtual_ms,
-              placement_ok ? "PASS" : "FAIL");
-  if (!placement_ok) ok = false;
-
-  const bool fairness_ok = size_fair.rate_gap < fifo.rate_gap;
-  std::printf("acceptance: size-fair narrows the tenant byte-rate gap vs "
-              "FIFO (%.3f -> %.3f): %s\n",
-              fifo.rate_gap, size_fair.rate_gap,
-              fairness_ok ? "PASS" : "FAIL");
-  if (!fairness_ok) ok = false;
-
-  return ok ? 0 : 1;
+      a.backend_reads > 0 ? static_cast<double>(h.backend_reads) /
+                                static_cast<double>(a.backend_reads)
+                          : 0.0;
+  study.gate("placement", read_ratio >= 2.0 && a.virtual_ms < h.virtual_ms,
+             "aligned placement batches backend reads (%llu -> %llu, x%.1f "
+             "fewer) and finishes earlier (%.3f ms vs %.3f ms)",
+             static_cast<unsigned long long>(h.backend_reads),
+             static_cast<unsigned long long>(a.backend_reads), read_ratio,
+             a.virtual_ms, h.virtual_ms);
+  study.gate("fairness", size_fair_gap < fifo_gap,
+             "size-fair narrows the tenant byte-rate gap vs FIFO (%.3f -> "
+             "%.3f)",
+             fifo_gap, size_fair_gap);
+  return study.finish();
 }

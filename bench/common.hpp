@@ -5,10 +5,32 @@
 // are used verbatim (clients, servers, ESs, databases, batch sizes), with
 // the per-client event volume scaled so a bench completes in seconds on a
 // laptop-class host.
+//
+// The second half is the study harness the trajectory studies
+// (overhead_study, scaling_study, scale_study, cache_fairness_study) share:
+// one command line, one same-seed repetition runner, one JSON writer. Every
+// BENCH_*.json number is then measured the same way: deterministic columns
+// from repetition 1 (and checked against every later repetition), wall
+// time as median/min/max over the repetitions, and a header recording the
+// host and build the numbers came from.
 #pragma once
 
+#include <sys/resource.h>
+
+#include <algorithm>
+#include <charconv>
+#include <chrono>
+#include <cstdarg>
 #include <cstdio>
+#include <cstdlib>
+#include <fstream>
+#include <optional>
 #include <string>
+#include <string_view>
+#include <thread>
+#include <type_traits>
+#include <utility>
+#include <vector>
 
 #include "symbiosys/analysis.hpp"
 #include "symbiosys/records.hpp"
@@ -55,5 +77,269 @@ inline void print_header(const char* what, const char* paper_ref) {
   std::printf("(reproduces %s)\n", paper_ref);
   std::printf("==============================================================\n");
 }
+
+// ---------------------------------------------------------------------------
+// Study harness
+// ---------------------------------------------------------------------------
+
+#ifndef SYM_BUILD_TYPE
+#define SYM_BUILD_TYPE "unknown"
+#endif
+
+struct StudyArgs {
+  bool smoke = false;
+  std::string out;  ///< empty: the study's default output path
+};
+
+/// Parse `[--smoke] [--out PATH]`. Returns nullopt on an unknown argument or
+/// on `--out` without a value, so a typo never silently runs the full sweep.
+inline std::optional<StudyArgs> parse_study_args(int argc,
+                                                 const char* const* argv) {
+  StudyArgs args;
+  for (int i = 1; i < argc; ++i) {
+    const std::string_view arg = argv[i];
+    if (arg == "--smoke") {
+      args.smoke = true;
+    } else if (arg == "--out" && i + 1 < argc && argv[i + 1][0] != '\0' &&
+               argv[i + 1][0] != '-') {
+      args.out = argv[++i];
+    } else {
+      return std::nullopt;
+    }
+  }
+  return args;
+}
+
+/// Wall-clock spread over a study's repetitions, in milliseconds.
+struct WallStats {
+  double median_ms = 0;
+  double min_ms = 0;
+  double max_ms = 0;
+};
+
+/// Median (the mean of the middle two for an even count), min and max.
+inline WallStats wall_stats(std::vector<double> ms) {
+  WallStats w;
+  if (ms.empty()) return w;
+  std::sort(ms.begin(), ms.end());
+  const std::size_t n = ms.size();
+  w.median_ms = n % 2 == 1 ? ms[n / 2] : (ms[n / 2 - 1] + ms[n / 2]) / 2;
+  w.min_ms = ms.front();
+  w.max_ms = ms.back();
+  return w;
+}
+
+/// Accumulates the wall time of the region one repetition measures. A
+/// repetition may start and stop it several times (once per seed, say).
+class Stopwatch {
+ public:
+  void start() { t0_ = std::chrono::steady_clock::now(); }
+  void stop() {
+    ms_ += std::chrono::duration<double, std::milli>(
+               std::chrono::steady_clock::now() - t0_)
+               .count();
+  }
+  [[nodiscard]] double ms() const noexcept { return ms_; }
+
+ private:
+  std::chrono::steady_clock::time_point t0_{};
+  double ms_ = 0;
+};
+
+/// A repeated measurement: repetition 1's deterministic result and the wall
+/// time over all repetitions.
+template <class R>
+struct Measured {
+  R result;
+  WallStats wall;
+};
+
+/// Process-wide resident-set high-water mark (ru_maxrss is KiB on Linux).
+inline std::uint64_t peak_rss_bytes() {
+  rusage ru{};
+  getrusage(RUSAGE_SELF, &ru);
+  return static_cast<std::uint64_t>(ru.ru_maxrss) * 1024;
+}
+
+/// One flat JSON object; fields are written in insertion order.
+class Row {
+ public:
+  Row& count(std::string_view key, std::uint64_t v) {
+    return field(key, std::to_string(v));
+  }
+  /// Fixed-point with `digits` decimals.
+  Row& real(std::string_view key, double v, int digits) {
+    char buf[64];
+    const auto res = std::to_chars(buf, buf + sizeof(buf), v,
+                                   std::chars_format::fixed, digits);
+    return field(key, std::string(buf, res.ptr));
+  }
+  Row& text(std::string_view key, std::string_view v) {
+    return field(key, quote(v));
+  }
+  Row& flag(std::string_view key, bool v) {
+    return field(key, v ? "true" : "false");
+  }
+  /// The three wall columns every study reports for a measured cell.
+  Row& wall(const WallStats& w) {
+    return real("wall_ms", w.median_ms, 3)
+        .real("wall_ms_min", w.min_ms, 3)
+        .real("wall_ms_max", w.max_ms, 3);
+  }
+
+  /// The fields joined by `sep`, without braces.
+  [[nodiscard]] std::string join(std::string_view sep) const {
+    std::string out;
+    for (std::size_t i = 0; i < fields_.size(); ++i) {
+      if (i > 0) out += sep;
+      out += fields_[i];
+    }
+    return out;
+  }
+
+  static std::string quote(std::string_view s) {
+    std::string q = "\"";
+    for (const char c : s) {
+      if (c == '"' || c == '\\') {
+        q += '\\';
+        q += c;
+      } else if (static_cast<unsigned char>(c) < 0x20) {
+        q += ' ';
+      } else {
+        q += c;
+      }
+    }
+    return q + '"';
+  }
+
+ private:
+  Row& field(std::string_view key, std::string value) {
+    fields_.push_back(quote(key) + ": " + std::move(value));
+    return *this;
+  }
+
+  std::vector<std::string> fields_;
+};
+
+/// One trajectory study: its command line, repetitions, tables and gates,
+/// written as one BENCH_*.json file.
+class Study {
+ public:
+  /// Parses the command line; on a bad one prints the usage and exits 2.
+  Study(const char* name, const char* default_out, int argc,
+        const char* const* argv)
+      : name_(name) {
+    auto args = parse_study_args(argc, argv);
+    if (!args) {
+      std::fprintf(stderr, "usage: %s [--smoke] [--out PATH]\n", name);
+      std::exit(2);
+    }
+    smoke_ = args->smoke;
+    out_ = args->out.empty() ? default_out : std::move(args->out);
+    reps_ = smoke_ ? 2 : 5;
+    host_cpus_ = std::thread::hardware_concurrency();
+    header_.text("bench", name_)
+        .flag("smoke", smoke_)
+        .count("host_cpus", host_cpus_)
+        .text("build_type", SYM_BUILD_TYPE)
+        .count("reps", static_cast<std::uint64_t>(reps_));
+  }
+
+  [[nodiscard]] bool smoke() const noexcept { return smoke_; }
+  [[nodiscard]] int reps() const noexcept { return reps_; }
+  [[nodiscard]] unsigned host_cpus() const noexcept { return host_cpus_; }
+
+  /// Run `rep(Stopwatch&)` reps() times on the same inputs. Repetition 1's
+  /// result is kept; every later repetition must return an equal result,
+  /// or the `reps_reproduce` gate fails.
+  template <class Fn>
+  auto measure(Fn&& rep) {
+    using R = std::invoke_result_t<Fn&, Stopwatch&>;
+    std::optional<R> first;
+    std::vector<double> ms;
+    for (int i = 0; i < reps_; ++i) {
+      Stopwatch sw;
+      R r = rep(sw);
+      ms.push_back(sw.ms());
+      if (!first) {
+        first.emplace(std::move(r));
+      } else if (!(r == *first)) {
+        reproduced_ = false;
+        std::printf("!! repetition %d diverged from repetition 1\n", i + 1);
+      }
+    }
+    return Measured<R>{std::move(*first), wall_stats(std::move(ms))};
+  }
+
+  /// Extra top-level fields, written after the shared header.
+  Row& meta() { return header_; }
+
+  /// A new row appended to `table`; the reference is valid until the next
+  /// row() call.
+  Row& row(std::string_view table) {
+    auto it = std::find_if(tables_.begin(), tables_.end(),
+                           [&](const auto& t) { return t.first == table; });
+    if (it == tables_.end()) {
+      tables_.emplace_back(std::string(table), std::vector<Row>{});
+      it = tables_.end() - 1;
+    }
+    return it->second.emplace_back();
+  }
+
+  /// Print `detail` (a printf format) with the verdict and record the gate.
+  __attribute__((format(printf, 4, 5)))  // `this` is argument 1
+  void gate(const char* name, bool ok, const char* detail, ...) {
+    std::printf("%s: ", name);
+    std::va_list args;
+    va_start(args, detail);
+    std::vprintf(detail, args);
+    va_end(args);
+    std::printf(": %s\n", ok ? "PASS" : "FAIL");
+    gates_.text(name, ok ? "PASS" : "FAIL");
+    failed_ = failed_ || !ok;
+  }
+
+  void skip(const char* name, const char* reason) {
+    std::printf("%s: SKIPPED (%s)\n", name, reason);
+    gates_.text(name, "SKIPPED");
+  }
+
+  /// Record the `reps_reproduce` gate and write the JSON file. Returns the
+  /// process exit code: 1 if any gate failed or the file could not be
+  /// written, else 0.
+  int finish() {
+    gate("reps_reproduce", reproduced_,
+         "deterministic columns identical in all %d repetitions", reps_);
+    std::ofstream out(out_);
+    out << "{\n  " << header_.join(",\n  ");
+    for (const auto& [table, rows] : tables_) {
+      out << ",\n  " << Row::quote(table) << ": [";
+      for (std::size_t i = 0; i < rows.size(); ++i) {
+        out << (i > 0 ? ",\n    {" : "\n    {") << rows[i].join(", ") << "}";
+      }
+      out << "\n  ]";
+    }
+    out << ",\n  \"gates\": {" << gates_.join(", ") << "}\n}\n";
+    if (!out) {
+      std::fprintf(stderr, "%s: cannot write %s\n", name_.c_str(),
+                   out_.c_str());
+      return 1;
+    }
+    std::printf("wrote %s\n", out_.c_str());
+    return failed_ ? 1 : 0;
+  }
+
+ private:
+  std::string name_;
+  std::string out_;
+  bool smoke_ = false;
+  int reps_ = 0;
+  unsigned host_cpus_ = 0;
+  bool reproduced_ = true;
+  bool failed_ = false;
+  Row header_;
+  std::vector<std::pair<std::string, std::vector<Row>>> tables_;
+  Row gates_;
+};
 
 }  // namespace bench

@@ -1,34 +1,26 @@
 // overhead_study: the §VI-B staged overhead study on the Mobject write
-// workload, plus a host-side hot-path benchmark of the profile store.
+// workload.
 //
-// Part 1 — staged overheads. The ior+Mobject write workload runs at each of
-// the four measurement stages (§VI-B):
+// The ior+Mobject write workload runs at each of the four measurement
+// stages (§VI-B):
 //   OFF      instrumentation and measurement disabled
 //   STAGE1   metadata (breadcrumb / trace id) propagation only
 //   STAGE2   callpath profiling, tracing, system sampling; no PVARs
 //   FULL     everything, PVARs integrated on the fly
 // For each stage we report the virtual-time makespan (what the simulated
-// instrumentation costs do to the workload) and the host wall-clock (what
-// the measurement pipeline itself costs the simulator process). The paper's
-// acceptance bar is FULL <= 1.5x OFF.
+// instrumentation costs do to the workload), averaged over three seeds, and
+// the host wall-clock of world.run() per seed (what the measurement
+// pipeline itself costs the simulator process). The paper's acceptance bar
+// is FULL <= 1.5x OFF on the mean virtual makespan.
 //
-// Part 2 — profile-store hot path. ProfileStore::record is on the critical
-// path of every instrumented RPC. This compares the open-addressing
-// FlatHashMap + last-key-memo store, driven through the batched record
-// calls the runtime now makes, against the previous std::unordered_map
-// implementation (reproduced below verbatim) driven record by record as
-// the pre-PR call sites did, on a deployment-shaped record stream: per op,
-// ten intervals across one origin-side and one target-side callpath key.
+// Each stage runs Study::reps() times over the same seeds (bench/common.hpp):
+// the virtual columns come from repetition 1 and must repeat exactly, wall
+// time is the median with min and max. The host cost of the profile store's
+// record path itself is BM_ProfileStoreRecord* in micro_benchmarks.
 //
 // Results are emitted to BENCH_overhead.json (override with --out PATH).
-// --smoke shrinks every iteration count for CI.
-#include <chrono>
+// --smoke shrinks the workload to one seed for CI.
 #include <cstdio>
-#include <cstring>
-#include <fstream>
-#include <string>
-#include <unordered_map>
-#include <vector>
 
 #include "bench/common.hpp"
 #include "workloads/mobject_world.hpp"
@@ -37,20 +29,16 @@ using namespace bench;
 
 namespace {
 
-// ---------------------------------------------------------------------------
-// Part 1: staged Mobject write workload
-// ---------------------------------------------------------------------------
+/// The deterministic outputs of one stage over every seed.
+struct StageRun {
+  double virtual_ms = 0;  ///< mean simulated makespan over the seeds
+  std::size_t trace_events = 0;     ///< first seed's trace events
+  std::size_t profile_entries = 0;  ///< first seed's profile entries
 
-struct StageResult {
-  prof::Level level{};
-  double virtual_ms = 0;   ///< mean simulated makespan
-  double wall_ms = 0;      ///< mean host wall-clock of world.run()
-  double slowdown = 0;     ///< virtual_ms / OFF virtual_ms
-  std::size_t trace_events = 0;
-  std::size_t profile_entries = 0;
+  bool operator==(const StageRun&) const = default;
 };
 
-StageResult run_stage(prof::Level level, bool smoke) {
+StageRun run_stage(prof::Level level, bool smoke, int seeds, Stopwatch& sw) {
   sym::workloads::MobjectWorld::Params p;
   p.ior.clients = smoke ? 4 : 16;
   p.ior.ops_per_client = smoke ? 4 : 64;
@@ -58,18 +46,14 @@ StageResult run_stage(prof::Level level, bool smoke) {
   p.ior.read_fraction = 0.0;  // pure write workload (§V-A write path)
   p.instr = level;
 
-  const int repeats = smoke ? 1 : 3;
-  StageResult res;
-  res.level = level;
-  for (int r = 0; r < repeats; ++r) {
+  StageRun res;
+  for (int r = 0; r < seeds; ++r) {
     p.seed = 42 + 1000ULL * static_cast<std::uint64_t>(r);
     sym::workloads::MobjectWorld world(p);
-    const auto t0 = std::chrono::steady_clock::now();
+    sw.start();
     world.run();
-    const auto t1 = std::chrono::steady_clock::now();
+    sw.stop();
     res.virtual_ms += sim::to_millis(world.makespan());
-    res.wall_ms +=
-        std::chrono::duration<double, std::milli>(t1 - t0).count();
     if (r == 0) {
       for (const auto* t : world.all_traces()) res.trace_events += t->size();
       for (const auto* s : world.all_profiles()) {
@@ -77,265 +61,54 @@ StageResult run_stage(prof::Level level, bool smoke) {
       }
     }
   }
-  res.virtual_ms /= repeats;
-  res.wall_ms /= repeats;
+  res.virtual_ms /= seeds;
   return res;
-}
-
-// ---------------------------------------------------------------------------
-// Part 2: profile-store record hot path
-// ---------------------------------------------------------------------------
-
-/// The pre-flat-hash ProfileStore — hash function and map reproduced
-/// verbatim from the former implementation, so the comparison is against
-/// the real predecessor rather than a strawman.
-struct LegacyCallpathKeyHash {
-  std::size_t operator()(const prof::CallpathKey& k) const noexcept {
-    std::uint64_t h = k.breadcrumb * 0x9E3779B97F4A7C15ULL;
-    h ^= (static_cast<std::uint64_t>(k.self_ep) << 33) ^
-         (static_cast<std::uint64_t>(k.peer_ep) << 1) ^
-         static_cast<std::uint64_t>(k.side);
-    h *= 0xBF58476D1CE4E5B9ULL;
-    return static_cast<std::size_t>(h ^ (h >> 29));
-  }
-};
-
-class LegacyProfileStore {
- public:
-  void record(const prof::CallpathKey& key, prof::Interval iv, double ns) {
-    data_[key].at(iv).add(ns);
-  }
-  [[nodiscard]] std::size_t size() const noexcept { return data_.size(); }
-  [[nodiscard]] double checksum() const noexcept {
-    double c = 0;
-    // symlint: allow(unordered-iter) reason=anti-DCE checksum only; the
-    // value never reaches exported output
-    for (const auto& [k, s] : data_) {
-      c += s.at(prof::Interval::kOriginExec).sum_ns +
-           s.at(prof::Interval::kTargetExec).sum_ns;
-    }
-    return c;
-  }
-
- private:
-  std::unordered_map<prof::CallpathKey, prof::CallpathStats,
-                     LegacyCallpathKeyHash>
-      data_;
-};
-
-/// A record stream shaped like the simulated deployment executes it on the
-/// host: one provider, kClients client instances each with their own store
-/// (stores are per-instance exactly as in margolite), interleaving op by op
-/// as the fiber scheduler runs them. Per op, at Full instrumentation, the
-/// origin completion records four intervals on the client's callpath key,
-/// the target completion records five on the provider's, and the response
-/// on_sent callback records one more — ten records per op.
-///
-/// The new store is driven through the batched calls the runtime makes
-/// (record_batch); the legacy store is driven record by record, which is
-/// what the pre-PR call sites did (there was no cheaper way to drive it —
-/// every record paid the full hash + find).
-constexpr std::size_t kClients = 16;
-constexpr std::size_t kRecordsPerOp = 10;
-
-struct StreamKeys {
-  std::vector<prof::CallpathKey> origin, target;
-};
-
-StreamKeys make_stream_keys() {
-  StreamKeys keys;
-  const auto bc = prof::extend(0x1111, 0x55AA);
-  for (std::uint32_t c = 0; c < kClients; ++c) {
-    keys.origin.push_back({bc, prof::Side::kOrigin, c, 100});
-    keys.target.push_back({bc, prof::Side::kTarget, 100, c});
-  }
-  return keys;
-}
-
-double time_legacy_stream(std::vector<LegacyProfileStore>& client_stores,
-                          LegacyProfileStore& server_store,
-                          std::size_t requests) {
-  const StreamKeys keys = make_stream_keys();
-  std::size_t c = 0;
-  const auto t0 = std::chrono::steady_clock::now();
-  for (std::size_t r = 0; r < requests; ++r) {
-    const double ns = static_cast<double>(1 + (r & 0xFF));
-    const auto& ok = keys.origin[c];
-    client_stores[c].record(ok, prof::Interval::kOriginExec, ns);
-    client_stores[c].record(ok, prof::Interval::kInputSer, ns);
-    client_stores[c].record(ok, prof::Interval::kOriginCallback, ns);
-    client_stores[c].record(ok, prof::Interval::kOutputDeser, ns);
-    const auto& tk = keys.target[c];
-    server_store.record(tk, prof::Interval::kHandlerWait, ns);
-    server_store.record(tk, prof::Interval::kTargetExec, ns);
-    server_store.record(tk, prof::Interval::kInputDeser, ns);
-    server_store.record(tk, prof::Interval::kOutputSer, ns);
-    server_store.record(tk, prof::Interval::kInternalRdma, ns);
-    server_store.record(tk, prof::Interval::kTargetCallback, ns);
-    if (++c == kClients) c = 0;
-  }
-  const auto t1 = std::chrono::steady_clock::now();
-  return std::chrono::duration<double, std::nano>(t1 - t0).count();
-}
-
-double time_flat_stream(std::vector<prof::ProfileStore>& client_stores,
-                        prof::ProfileStore& server_store,
-                        std::size_t requests) {
-  using S = prof::IntervalSample;
-  const StreamKeys keys = make_stream_keys();
-  std::size_t c = 0;
-  const auto t0 = std::chrono::steady_clock::now();
-  for (std::size_t r = 0; r < requests; ++r) {
-    const double ns = static_cast<double>(1 + (r & 0xFF));
-    client_stores[c].record_batch(
-        keys.origin[c], S{prof::Interval::kOriginExec, ns},
-        S{prof::Interval::kInputSer, ns},
-        S{prof::Interval::kOriginCallback, ns},
-        S{prof::Interval::kOutputDeser, ns});
-    server_store.record_batch(
-        keys.target[c], S{prof::Interval::kHandlerWait, ns},
-        S{prof::Interval::kTargetExec, ns},
-        S{prof::Interval::kInputDeser, ns},
-        S{prof::Interval::kOutputSer, ns},
-        S{prof::Interval::kInternalRdma, ns});
-    // The response on_sent callback fires later; it is a single record.
-    server_store.record(keys.target[c], prof::Interval::kTargetCallback, ns);
-    if (++c == kClients) c = 0;
-  }
-  const auto t1 = std::chrono::steady_clock::now();
-  return std::chrono::duration<double, std::nano>(t1 - t0).count();
-}
-
-struct HotPathResult {
-  std::size_t records = 0;
-  double legacy_ns_per_record = 0;
-  double flat_ns_per_record = 0;
-  double speedup = 0;
-};
-
-double flat_checksum(const prof::ProfileStore& s) {
-  double c = 0;
-  for (const auto& [k, st] : s.entries()) {
-    c += st.at(prof::Interval::kOriginExec).sum_ns +
-         st.at(prof::Interval::kTargetExec).sum_ns;
-  }
-  return c;
-}
-
-HotPathResult run_hot_path(bool smoke) {
-  const std::size_t requests = smoke ? 20'000 : 2'000'000;
-  const std::size_t records = requests * kRecordsPerOp;
-
-  HotPathResult res;
-  res.records = records;
-  // Warm-up + best-of-N to shave scheduler noise off both sides equally.
-  const int rounds = smoke ? 2 : 5;
-  double legacy_best = 1e300, flat_best = 1e300;
-  double check_legacy = 0, check_flat = 0;
-  for (int i = 0; i < rounds; ++i) {
-    std::vector<LegacyProfileStore> clients(kClients);
-    LegacyProfileStore server;
-    const double t = time_legacy_stream(clients, server, requests);
-    if (t < legacy_best) legacy_best = t;
-    check_legacy = server.checksum();
-    for (const auto& s : clients) check_legacy += s.checksum();
-  }
-  for (int i = 0; i < rounds; ++i) {
-    std::vector<prof::ProfileStore> clients(kClients);
-    prof::ProfileStore server;
-    const double t = time_flat_stream(clients, server, requests);
-    if (t < flat_best) flat_best = t;
-    check_flat = flat_checksum(server);
-    for (const auto& s : clients) check_flat += flat_checksum(s);
-  }
-  if (check_legacy != check_flat) {
-    std::fprintf(stderr,
-                 "FATAL: store checksums diverge (legacy %.1f vs flat %.1f)\n",
-                 check_legacy, check_flat);
-    std::exit(1);
-  }
-  res.legacy_ns_per_record = legacy_best / static_cast<double>(records);
-  res.flat_ns_per_record = flat_best / static_cast<double>(records);
-  res.speedup = res.legacy_ns_per_record / res.flat_ns_per_record;
-  return res;
-}
-
-// ---------------------------------------------------------------------------
-
-void write_json(const std::string& path, bool smoke,
-                const std::vector<StageResult>& stages,
-                const HotPathResult& hot) {
-  std::ofstream out(path);
-  out << "{\n  \"bench\": \"overhead_study\",\n"
-      << "  \"smoke\": " << (smoke ? "true" : "false") << ",\n"
-      << "  \"stages\": [\n";
-  for (std::size_t i = 0; i < stages.size(); ++i) {
-    const auto& s = stages[i];
-    char buf[320];
-    std::snprintf(buf, sizeof(buf),
-                  "    {\"level\": \"%s\", \"virtual_ms\": %.6f, "
-                  "\"wall_ms\": %.3f, \"slowdown_vs_off\": %.4f, "
-                  "\"trace_events\": %zu, \"profile_entries\": %zu}%s\n",
-                  prof::to_string(s.level), s.virtual_ms, s.wall_ms,
-                  s.slowdown, s.trace_events, s.profile_entries,
-                  i + 1 < stages.size() ? "," : "");
-    out << buf;
-  }
-  char buf[256];
-  std::snprintf(buf, sizeof(buf),
-                "  ],\n  \"record_hot_path\": {\"records\": %zu, "
-                "\"legacy_ns_per_record\": %.2f, \"flat_ns_per_record\": "
-                "%.2f, \"speedup\": %.2f}\n}\n",
-                hot.records, hot.legacy_ns_per_record, hot.flat_ns_per_record,
-                hot.speedup);
-  out << buf;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool smoke = false;
-  std::string out_path = "BENCH_overhead.json";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) {
-      smoke = true;
-    } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
-      out_path = argv[++i];
-    }
-  }
+  Study study("overhead_study", "BENCH_overhead.json", argc, argv);
+  const bool smoke = study.smoke();
+  const int seeds = smoke ? 1 : 3;
+  study.meta().count("seeds", static_cast<std::uint64_t>(seeds));
 
-  print_header(
-      "Mobject writes: measurement overhead per stage + record hot path",
-      "§VI-B staged overhead study");
+  print_header("Mobject writes: measurement overhead per stage",
+               "§VI-B staged overhead study");
 
   const prof::Level levels[] = {prof::Level::kOff, prof::Level::kStage1,
                                 prof::Level::kStage2, prof::Level::kFull};
-  std::vector<StageResult> stages;
   double off_virtual = 0;
+  double full_slowdown = 0;
   for (const auto level : levels) {
-    StageResult r = run_stage(level, smoke);
+    auto m = study.measure(
+        [&](Stopwatch& sw) { return run_stage(level, smoke, seeds, sw); });
+    // The stopwatch spans every seed's run; report the wall per run.
+    for (double* ms : {&m.wall.median_ms, &m.wall.min_ms, &m.wall.max_ms}) {
+      *ms /= seeds;
+    }
+    const StageRun& r = m.result;
     if (level == prof::Level::kOff) off_virtual = r.virtual_ms;
-    r.slowdown = off_virtual > 0 ? r.virtual_ms / off_virtual : 0;
-    std::printf("%-8s virtual %9.3f ms (x%.3f vs OFF)  wall %8.2f ms  "
-                "trace events %6zu  profile entries %4zu\n",
-                prof::to_string(level), r.virtual_ms, r.slowdown, r.wall_ms,
+    const double slowdown = off_virtual > 0 ? r.virtual_ms / off_virtual : 0;
+    full_slowdown = slowdown;
+    std::printf("%-8s virtual %9.3f ms (x%.3f vs OFF)  wall %8.2f ms "
+                "[%.2f-%.2f]  trace events %6zu  profile entries %4zu\n",
+                prof::to_string(level), r.virtual_ms, slowdown,
+                m.wall.median_ms, m.wall.min_ms, m.wall.max_ms,
                 r.trace_events, r.profile_entries);
-    stages.push_back(r);
+    study.row("stages")
+        .text("level", prof::to_string(level))
+        .real("virtual_ms", r.virtual_ms, 6)
+        .wall(m.wall)
+        .real("slowdown_vs_off", slowdown, 4)
+        .count("trace_events", r.trace_events)
+        .count("profile_entries", r.profile_entries);
   }
+  std::printf("\n");
 
-  const HotPathResult hot = run_hot_path(smoke);
-  std::printf("\nProfileStore::record hot path (%zu records, %zu client "
-              "stores + 1 server store):\n"
-              "  legacy unordered_map  %7.2f ns/record\n"
-              "  flat hash + memo      %7.2f ns/record   speedup x%.2f\n",
-              hot.records, kClients, hot.legacy_ns_per_record,
-              hot.flat_ns_per_record, hot.speedup);
-
-  write_json(out_path, smoke, stages, hot);
-  std::printf("\nwrote %s\n", out_path.c_str());
-
-  const bool ok = stages.back().slowdown <= 1.5;
-  std::printf("acceptance: FULL slowdown %.3f <= 1.5x OFF: %s\n",
-              stages.back().slowdown, ok ? "PASS" : "FAIL");
-  return ok ? 0 : 1;
+  study.gate("full_overhead", full_slowdown <= 1.5,
+             "FULL slowdown %.3f <= 1.5x OFF (mean virtual makespan over %d "
+             "seeds)",
+             full_slowdown, seeds);
+  return study.finish();
 }

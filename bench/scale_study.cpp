@@ -16,8 +16,8 @@
 //     after the midpoint every slot, heap entry, outbox and request record
 //     recycles, so the acceptance gate is steady_allocations == 0 (the
 //     million-request hot path does no malloc/free after warmup),
-//   * peak_rss_bytes (getrusage ru_maxrss) — process-wide high-water, so
-//     cells are swept smallest-to-largest to keep the column meaningful,
+//   * peak_rss_bytes (ru_maxrss) — process-wide high-water, so cells are
+//     swept smallest-to-largest to keep the column meaningful,
 //   * arrival/completion checksums, gated bit-identical across the
 //     1/2/4/8-worker column (the release-build determinism witness).
 //
@@ -25,16 +25,14 @@
 // requests, bytes, busy/queue time and the busy-time share that makes one
 // op class the scenario's dominant callpath.
 //
+// Every measured cell runs Study::reps() times (bench/common.hpp): the
+// counters and checksums come from repetition 1 and must repeat exactly,
+// wall time is the median with min and max, and events/sec is derived from
+// the median.
+//
 // Results land in BENCH_scale.json (override with --out PATH). --smoke
 // shrinks the ladder for CI but keeps every gate armed.
-#include <sys/resource.h>
-
-#include <chrono>
 #include <cstdio>
-#include <cstring>
-#include <fstream>
-#include <string>
-#include <thread>
 #include <vector>
 
 #include "bench/common.hpp"
@@ -45,22 +43,11 @@ namespace lg = sym::workloads::loadgen;
 
 namespace {
 
-std::uint64_t peak_rss_bytes() {
-  rusage ru{};
-  getrusage(RUSAGE_SELF, &ru);
-  return static_cast<std::uint64_t>(ru.ru_maxrss) * 1024;  // KiB on Linux
-}
-
-struct Cell {
-  const char* scenario = "";
-  std::uint32_t nodes = 0;
+/// The deterministic outputs of one measured cell run; every repetition
+/// must reproduce them.
+struct Run {
   std::uint32_t lanes = 0;
-  std::uint32_t workers = 0;
-  std::uint64_t clients = 0;
-  double horizon_ms = 0;
-  double wall_ms = 0;
   std::uint64_t events = 0;
-  double events_per_sec = 0;
   std::uint64_t generated = 0;
   std::uint64_t completed = 0;
   std::uint64_t in_flight = 0;
@@ -69,12 +56,18 @@ struct Cell {
   std::uint64_t allocs = 0;         ///< whole-run arena allocations
   std::uint64_t steady_allocs = 0;  ///< second-half arena allocations
   std::uint64_t steady_events = 0;  ///< second-half executed events
-  double alloc_per_event = 0;
   std::uint64_t request_growths = 0;  ///< request-arena vector reallocations
   std::uint64_t arrival_ck = 0;
   std::uint64_t completion_ck = 0;
   std::uint64_t clamps = 0;
-  std::uint64_t rss_peak = 0;
+
+  bool operator==(const Run&) const = default;
+
+  /// Same simulated result as `o` (the worker-column determinism witness).
+  [[nodiscard]] bool same_result(const Run& o) const {
+    return arrival_ck == o.arrival_ck && completion_ck == o.completion_ck &&
+           events == o.events;
+  }
 };
 
 struct CellSpec {
@@ -117,43 +110,83 @@ lg::LoadgenParams make_params(const CellSpec& spec, std::uint32_t workers,
 
 /// Run one measured cell. The horizon is split at its midpoint so the
 /// second-half allocation delta isolates steady state from warmup.
-Cell run_cell(const CellSpec& spec, std::uint32_t workers,
-              const ReservePlan& plan) {
+Run run_once(const CellSpec& spec, std::uint32_t workers,
+             const ReservePlan& plan, Stopwatch& sw) {
   lg::LoadgenWorld world(make_params(spec, workers, plan));
-  Cell c;
-  c.scenario = spec.scenario->name;
-  c.nodes = spec.nodes;
-  c.lanes = world.engine().lane_count();
-  c.workers = workers;
-  c.clients = spec.clients;
-  c.horizon_ms = sim::to_millis(spec.horizon);
+  auto& eng = world.engine();
+  sw.start();
+  eng.run_until(spec.horizon / 2);
+  const auto mid_stats = eng.arena_stats();
+  const std::uint64_t mid_events = eng.events_processed();
+  eng.run_until(spec.horizon);
+  sw.stop();
+  const auto end_stats = eng.arena_stats();
 
-  const auto t0 = std::chrono::steady_clock::now();
-  world.engine().run_until(spec.horizon / 2);
-  const auto mid_stats = world.engine().arena_stats();
-  const std::uint64_t mid_events = world.engine().events_processed();
-  world.engine().run_until(spec.horizon);
-  const auto t1 = std::chrono::steady_clock::now();
-  const auto end_stats = world.engine().arena_stats();
+  Run r;
+  r.lanes = eng.lane_count();
+  r.events = eng.events_processed();
+  r.generated = world.generated();
+  r.completed = world.completed();
+  r.in_flight = world.in_flight();
+  r.peak_queued = world.peak_queued();
+  r.request_slots = world.request_slots();
+  r.allocs = end_stats.allocations();
+  r.steady_allocs = end_stats.allocations() - mid_stats.allocations();
+  r.steady_events = r.events - mid_events;
+  r.request_growths = world.request_growths();
+  r.arrival_ck = world.arrival_checksum();
+  r.completion_ck = world.completion_checksum();
+  r.clamps = eng.causality_clamps();
+  return r;
+}
 
-  c.wall_ms = std::chrono::duration<double, std::milli>(t1 - t0).count();
-  c.events = world.engine().events_processed();
-  c.events_per_sec = c.wall_ms > 0 ? c.events / (c.wall_ms / 1e3) : 0;
-  c.generated = world.generated();
-  c.completed = world.completed();
-  c.in_flight = world.in_flight();
-  c.peak_queued = world.peak_queued();
-  c.request_slots = world.request_slots();
-  c.allocs = end_stats.allocations();
-  c.steady_allocs = end_stats.allocations() - mid_stats.allocations();
-  c.steady_events = c.events - mid_events;
-  c.alloc_per_event = c.events > 0 ? static_cast<double>(c.allocs) / c.events : 0;
-  c.arrival_ck = world.arrival_checksum();
-  c.completion_ck = world.completion_checksum();
-  c.clamps = world.engine().causality_clamps();
-  c.rss_peak = peak_rss_bytes();
-  c.request_growths = world.request_growths();
-  return c;
+/// Measure one cell, print it and append its row to the study.
+Run measure_cell(Study& study, const CellSpec& spec, std::uint32_t workers,
+                 const ReservePlan& plan) {
+  const auto m = study.measure(
+      [&](Stopwatch& sw) { return run_once(spec, workers, plan, sw); });
+  const Run& r = m.result;
+  const double events_per_sec =
+      m.wall.median_ms > 0 ? r.events / (m.wall.median_ms / 1e3) : 0;
+  const double alloc_per_event =
+      r.events > 0 ? static_cast<double>(r.allocs) / r.events : 0;
+  const std::uint64_t rss = peak_rss_bytes();
+  std::printf(
+      "%-18s nodes %3u workers %u  gen %8llu  done %7llu  inflight %8llu  "
+      "wall %8.1f ms [%.1f-%.1f]  %9.0f ev/s  alloc/ev %.5f  steady %llu  "
+      "rss %5.0f MiB\n",
+      spec.scenario->name, spec.nodes, workers,
+      static_cast<unsigned long long>(r.generated),
+      static_cast<unsigned long long>(r.completed),
+      static_cast<unsigned long long>(r.in_flight), m.wall.median_ms,
+      m.wall.min_ms, m.wall.max_ms, events_per_sec, alloc_per_event,
+      static_cast<unsigned long long>(r.steady_allocs),
+      static_cast<double>(rss) / (1024.0 * 1024.0));
+  study.row("cells")
+      .text("scenario", spec.scenario->name)
+      .count("nodes", spec.nodes)
+      .count("lanes", r.lanes)
+      .count("workers", workers)
+      .count("clients", spec.clients)
+      .real("horizon_ms", sim::to_millis(spec.horizon), 3)
+      .wall(m.wall)
+      .count("events", r.events)
+      .real("events_per_sec", events_per_sec, 0)
+      .count("generated", r.generated)
+      .count("completed", r.completed)
+      .count("in_flight", r.in_flight)
+      .count("peak_queued", r.peak_queued)
+      .count("request_slots", r.request_slots)
+      .count("allocations", r.allocs)
+      .real("alloc_per_event", alloc_per_event, 6)
+      .count("steady_allocations", r.steady_allocs)
+      .count("steady_events", r.steady_events)
+      .count("request_growths", r.request_growths)
+      .count("arrival_checksum", r.arrival_ck)
+      .count("completion_checksum", r.completion_ck)
+      .count("causality_clamps", r.clamps)
+      .count("peak_rss_bytes", rss);
+  return r;
 }
 
 /// Warmup pass: learn the per-lane slot, per-pair outbox and per-server
@@ -178,137 +211,54 @@ ReservePlan warmup_reserves(const CellSpec& spec) {
   return plan;
 }
 
-void print_cell(const Cell& c) {
-  std::printf(
-      "%-18s nodes %3u workers %u  gen %8llu  done %7llu  inflight %8llu  "
-      "wall %8.1f ms  %9.0f ev/s  alloc/ev %.5f  steady %llu  rss %5.0f MiB\n",
-      c.scenario, c.nodes, c.workers,
-      static_cast<unsigned long long>(c.generated),
-      static_cast<unsigned long long>(c.completed),
-      static_cast<unsigned long long>(c.in_flight), c.wall_ms,
-      c.events_per_sec, c.alloc_per_event,
-      static_cast<unsigned long long>(c.steady_allocs),
-      static_cast<double>(c.rss_peak) / (1024.0 * 1024.0));
-}
-
-struct MixReport {
-  const char* scenario = "";
-  const char* summary = "";
-  std::vector<lg::OpTotals> ops;
-  std::vector<const char*> op_names;
-  std::vector<const char*> op_services;
-  std::uint32_t dominant = 0;
-};
-
-void print_mix(const MixReport& m) {
+/// Run one mix cell to its horizon, print its dominant-callpath table and
+/// append one `mix_ops` row per op class.
+void report_mix(Study& study, const CellSpec& spec, const ReservePlan& plan) {
+  const lg::Scenario& sc = *spec.scenario;
+  lg::LoadgenWorld world(make_params(spec, 1, plan));
+  world.run();
+  const auto& ops = world.op_totals();
+  const std::uint32_t dominant = world.dominant_op();
   std::uint64_t busy_total = 0;
-  for (const auto& ot : m.ops) busy_total += ot.busy_ns;
-  std::printf("\n%s — dominant callpaths (%s)\n", m.scenario, m.summary);
+  for (const auto& ot : ops) busy_total += ot.busy_ns;
+  std::printf("\n%s — dominant callpaths (%s)\n", sc.name, sc.summary);
   std::printf("  %-14s %-10s %9s %9s %11s %10s %10s %6s\n", "op", "service",
               "requests", "done", "bytes", "busy ms", "queue ms", "share");
-  for (std::size_t i = 0; i < m.ops.size(); ++i) {
-    const auto& ot = m.ops[i];
+  for (std::size_t i = 0; i < ops.size(); ++i) {
+    const auto& ot = ops[i];
+    const char* service = lg::service_name(sc.ops[i].service);
     const double share =
         busy_total > 0 ? 100.0 * ot.busy_ns / busy_total : 0.0;
     std::printf("  %-14s %-10s %9llu %9llu %11llu %10.2f %10.2f %5.1f%%%s\n",
-                m.op_names[i], m.op_services[i],
+                sc.ops[i].name, service,
                 static_cast<unsigned long long>(ot.requests),
                 static_cast<unsigned long long>(ot.completed),
                 static_cast<unsigned long long>(ot.bytes),
                 ot.busy_ns / 1e6, ot.queue_ns / 1e6, share,
-                i == m.dominant ? "  <- dominant" : "");
+                i == dominant ? "  <- dominant" : "");
+    study.row("mix_ops")
+        .text("scenario", sc.name)
+        .text("op", sc.ops[i].name)
+        .text("service", service)
+        .flag("dominant", i == dominant)
+        .count("requests", ot.requests)
+        .count("completed", ot.completed)
+        .count("bytes", ot.bytes)
+        .real("busy_ms", ot.busy_ns / 1e6, 3)
+        .real("queue_ms", ot.queue_ns / 1e6, 3);
   }
-}
-
-void write_json(const std::string& path, bool smoke, unsigned host_cpus,
-                const std::vector<Cell>& cells,
-                const std::vector<MixReport>& mixes, bool det_pass,
-                bool steady_pass, std::uint64_t peak_inflight,
-                std::uint32_t peak_nodes) {
-  std::ofstream out(path);
-  out << "{\n  \"bench\": \"scale_study\",\n"
-      << "  \"smoke\": " << (smoke ? "true" : "false") << ",\n"
-      << "  \"host_cpus\": " << host_cpus << ",\n"
-      << "  \"cells\": [\n";
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    const auto& c = cells[i];
-    char buf[768];
-    std::snprintf(
-        buf, sizeof(buf),
-        "    {\"scenario\": \"%s\", \"nodes\": %u, \"lanes\": %u, "
-        "\"workers\": %u, \"clients\": %llu, \"horizon_ms\": %.3f, "
-        "\"wall_ms\": %.3f, \"events\": %llu, \"events_per_sec\": %.0f, "
-        "\"generated\": %llu, \"completed\": %llu, \"in_flight\": %llu, "
-        "\"peak_queued\": %llu, \"request_slots\": %llu, "
-        "\"allocations\": %llu, \"alloc_per_event\": %.6f, "
-        "\"steady_allocations\": %llu, \"steady_events\": %llu, "
-        "\"request_growths\": %llu, "
-        "\"arrival_checksum\": %llu, \"completion_checksum\": %llu, "
-        "\"causality_clamps\": %llu, \"peak_rss_bytes\": %llu}%s\n",
-        c.scenario, c.nodes, c.lanes, c.workers,
-        static_cast<unsigned long long>(c.clients), c.horizon_ms, c.wall_ms,
-        static_cast<unsigned long long>(c.events), c.events_per_sec,
-        static_cast<unsigned long long>(c.generated),
-        static_cast<unsigned long long>(c.completed),
-        static_cast<unsigned long long>(c.in_flight),
-        static_cast<unsigned long long>(c.peak_queued),
-        static_cast<unsigned long long>(c.request_slots),
-        static_cast<unsigned long long>(c.allocs), c.alloc_per_event,
-        static_cast<unsigned long long>(c.steady_allocs),
-        static_cast<unsigned long long>(c.steady_events),
-        static_cast<unsigned long long>(c.request_growths),
-        static_cast<unsigned long long>(c.arrival_ck),
-        static_cast<unsigned long long>(c.completion_ck),
-        static_cast<unsigned long long>(c.clamps),
-        static_cast<unsigned long long>(c.rss_peak),
-        i + 1 < cells.size() ? "," : "");
-    out << buf;
-  }
-  out << "  ],\n  \"mixes\": [\n";
-  for (std::size_t i = 0; i < mixes.size(); ++i) {
-    const auto& m = mixes[i];
-    out << "    {\"scenario\": \"" << m.scenario << "\", \"dominant_op\": \""
-        << m.op_names[m.dominant] << "\", \"ops\": [\n";
-    for (std::size_t j = 0; j < m.ops.size(); ++j) {
-      const auto& ot = m.ops[j];
-      char buf[384];
-      std::snprintf(
-          buf, sizeof(buf),
-          "      {\"op\": \"%s\", \"service\": \"%s\", \"requests\": %llu, "
-          "\"completed\": %llu, \"bytes\": %llu, \"busy_ms\": %.3f, "
-          "\"queue_ms\": %.3f}%s\n",
-          m.op_names[j], m.op_services[j],
-          static_cast<unsigned long long>(ot.requests),
-          static_cast<unsigned long long>(ot.completed),
-          static_cast<unsigned long long>(ot.bytes), ot.busy_ns / 1e6,
-          ot.queue_ns / 1e6, j + 1 < m.ops.size() ? "," : "");
-      out << buf;
-    }
-    out << "    ]}" << (i + 1 < mixes.size() ? "," : "") << "\n";
-  }
-  out << "  ],\n  \"gates\": {\"determinism\": \""
-      << (det_pass ? "PASS" : "FAIL") << "\", \"steady_zero_alloc\": \""
-      << (steady_pass ? "PASS" : "FAIL") << "\", \"peak_in_flight\": "
-      << peak_inflight << ", \"peak_nodes\": " << peak_nodes << "}\n}\n";
+  std::printf("\n");
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool smoke = false;
-  std::string out_path = "BENCH_scale.json";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) {
-      smoke = true;
-    } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
-      out_path = argv[++i];
-    }
-  }
+  Study study("scale_study", "BENCH_scale.json", argc, argv);
+  const bool smoke = study.smoke();
 
   print_header("Open-loop scale study: nodes x in-flight ladder + app mixes",
                "SYMBIOSYS scale methodology; see EXPERIMENTS.md");
 
-  const unsigned host_cpus = std::thread::hardware_concurrency();
   const auto& presets = lg::presets();
   const lg::Scenario& dl = presets[0];
 
@@ -327,106 +277,69 @@ int main(int argc, char** argv) {
       smoke ? std::vector<std::uint32_t>{1, 2}
             : std::vector<std::uint32_t>{1, 2, 4, 8};
 
-  std::printf("host cpus: %u\n\n", host_cpus);
+  std::printf("host cpus: %u  repetitions: %d\n\n", study.host_cpus(),
+              study.reps());
 
-  std::vector<Cell> cells;
   bool det_pass = true;
   bool steady_pass = true;
   std::uint64_t peak_inflight = 0;
   std::uint32_t peak_nodes = 0;
   for (const auto& spec : ladder) {
     const ReservePlan plan = warmup_reserves(spec);
-
-    std::uint64_t ck_1w[2] = {0, 0};
-    std::uint64_t events_1w = 0;
+    Run run_1w;
     for (const auto workers : worker_scales) {
-      Cell c = run_cell(spec, workers, plan);
+      const Run r = measure_cell(study, spec, workers, plan);
       if (workers == 1) {
-        ck_1w[0] = c.arrival_ck;
-        ck_1w[1] = c.completion_ck;
-        events_1w = c.events;
-      } else if (c.arrival_ck != ck_1w[0] || c.completion_ck != ck_1w[1] ||
-                 c.events != events_1w) {
+        run_1w = r;
+      } else if (!r.same_result(run_1w)) {
         det_pass = false;
       }
-      if (c.steady_allocs != 0) steady_pass = false;
-      if (c.in_flight > peak_inflight) {
-        peak_inflight = c.in_flight;
-        peak_nodes = c.nodes;
+      if (r.steady_allocs != 0) steady_pass = false;
+      if (r.in_flight > peak_inflight) {
+        peak_inflight = r.in_flight;
+        peak_nodes = spec.nodes;
       }
-      print_cell(c);
-      cells.push_back(c);
     }
     std::printf("\n");
   }
 
   // One mix cell per replayed application preset: the dominant-callpath
   // tables. Worker pair {1, max} re-checks checksum identity per preset.
-  std::vector<MixReport> mixes;
   const std::uint32_t mix_nodes = smoke ? 8 : 64;
   const std::uint64_t mix_clients = smoke ? 2'000 : 20'000;
   for (const auto& sc : presets) {
     const CellSpec spec{&sc, mix_nodes, mix_clients,
                         (smoke ? 1 : 2) * cycle_of(sc)};
     const ReservePlan plan = warmup_reserves(spec);
-    Cell base = run_cell(spec, 1, plan);
-    print_cell(base);
-    cells.push_back(base);
+    const Run base = measure_cell(study, spec, 1, plan);
     if (!smoke) {
-      Cell par = run_cell(spec, worker_scales.back(), plan);
-      if (par.arrival_ck != base.arrival_ck ||
-          par.completion_ck != base.completion_ck ||
-          par.events != base.events) {
-        det_pass = false;
-      }
+      const Run par = measure_cell(study, spec, worker_scales.back(), plan);
+      if (!par.same_result(base)) det_pass = false;
       if (par.steady_allocs != 0) steady_pass = false;
-      print_cell(par);
-      cells.push_back(par);
     }
-
-    lg::LoadgenWorld world(make_params(spec, 1, plan));
-    world.run();
-    MixReport m;
-    m.scenario = sc.name;
-    m.summary = sc.summary;
-    m.ops = world.op_totals();
-    m.dominant = world.dominant_op();
-    for (const auto& op : sc.ops) {
-      m.op_names.push_back(op.name);
-      m.op_services.push_back(lg::service_name(op.service));
-    }
-    print_mix(m);
-    mixes.push_back(m);
-    std::printf("\n");
+    report_mix(study, spec, plan);
   }
 
-  write_json(out_path, smoke, host_cpus, cells, mixes, det_pass, steady_pass,
-             peak_inflight, peak_nodes);
-  std::printf("wrote %s\n", out_path.c_str());
-
-  bool ok = true;
-  std::printf("determinism: arrival/completion checksums and event counts "
-              "identical across worker column: %s\n",
-              det_pass ? "PASS" : "FAIL");
-  if (!det_pass) ok = false;
-  std::printf("steady-state zero allocation: second-half arena allocations "
-              "== 0 in every reserved cell: %s\n",
-              steady_pass ? "PASS" : "FAIL");
-  if (!steady_pass) ok = false;
-  if (!smoke) {
-    const bool scale_ok = peak_inflight >= 1'000'000 && peak_nodes >= 128;
-    std::printf("acceptance: %llu concurrent in-flight requests on %u nodes "
-                "(>= 1,000,000 on >= 128): %s\n",
-                static_cast<unsigned long long>(peak_inflight), peak_nodes,
-                scale_ok ? "PASS" : "FAIL");
-    if (!scale_ok) ok = false;
+  study.meta()
+      .count("peak_in_flight", peak_inflight)
+      .count("peak_nodes", peak_nodes);
+  study.gate("determinism", det_pass,
+             "arrival/completion checksums and event counts identical across "
+             "worker column");
+  study.gate("steady_zero_alloc", steady_pass,
+             "second-half arena allocations == 0 in every reserved cell");
+  if (smoke) {
+    study.skip("million_in_flight", "smoke run");
+    study.gate("open_loop_backlog", peak_inflight > 0,
+               "open-loop backlog observed (in-flight %llu > 0)",
+               static_cast<unsigned long long>(peak_inflight));
   } else {
-    const bool open_loop_ok = peak_inflight > 0;
-    std::printf("acceptance: open-loop backlog observed (in-flight %llu > 0): "
-                "%s\n",
-                static_cast<unsigned long long>(peak_inflight),
-                open_loop_ok ? "PASS" : "FAIL");
-    if (!open_loop_ok) ok = false;
+    study.gate("million_in_flight",
+               peak_inflight >= 1'000'000 && peak_nodes >= 128,
+               "%llu concurrent in-flight requests on %u nodes (>= 1,000,000 "
+               "on >= 128)",
+               static_cast<unsigned long long>(peak_inflight), peak_nodes);
+    study.skip("open_loop_backlog", "full run gates million_in_flight");
   }
-  return ok ? 0 : 1;
+  return study.finish();
 }

@@ -7,7 +7,7 @@
 // the host wall-clock of world.run(), the event throughput and the
 // window-protocol counters (windows executed, mailbox pairs merged,
 // causality clamps); the speedup column is
-// wall(workers=1) / wall(workers=N) at the same node count.
+// median wall(workers=1) / median wall(workers=N) at the same node count.
 //
 // Gates. The safe-window protocol guarantees bit-identical simulations for
 // every worker count, so the sweep doubles as a large-scale determinism
@@ -28,19 +28,15 @@
 // recorded as `host_cpus` in the JSON: workers beyond the physical cores
 // time-slice a single core and cannot beat workers=1 (they only pay the
 // window-barrier overhead). The parallel-efficiency acceptance target
-// (>= 2.5x at 4 workers, >= 64 nodes) is therefore evaluated only when
-// host_cpus >= 4 and reported as SKIPPED otherwise — see EXPERIMENTS.md.
+// (>= 2.5x at 4 workers, >= 64 nodes, on median wall times) is therefore
+// evaluated only when host_cpus >= 4 and reported as SKIPPED otherwise —
+// see EXPERIMENTS.md.
 //
-// Results land in BENCH_scaling.json (override with --out PATH). --smoke
-// shrinks node counts and event volumes for CI.
-#include <sys/resource.h>
-
-#include <chrono>
+// Every cell runs Study::reps() times (bench/common.hpp): the counters come
+// from repetition 1 and must repeat exactly, wall time is the median with
+// min and max. Results land in BENCH_scaling.json (override with --out
+// PATH). --smoke shrinks node counts and event volumes for CI.
 #include <cstdio>
-#include <cstring>
-#include <fstream>
-#include <string>
-#include <thread>
 #include <vector>
 
 #include "bench/common.hpp"
@@ -50,12 +46,11 @@ using namespace bench;
 
 namespace {
 
-struct Cell {
-  std::uint32_t nodes = 0;
+/// The deterministic outputs of one world.run(); every repetition must
+/// reproduce them.
+struct Run {
   std::uint32_t lanes = 0;
-  std::uint32_t workers = 0;
   double virtual_ms = 0;  ///< simulated data-loader makespan
-  double wall_ms = 0;     ///< host wall-clock of world.run()
   std::uint64_t events_processed = 0;
   std::uint64_t events_stored = 0;
   std::uint64_t final_virtual_ns = 0;  ///< engine clock when run() returned
@@ -66,10 +61,14 @@ struct Cell {
   std::uint64_t clamps = 0;        ///< merged events below the dst clock
   std::uint64_t digest = 0;        ///< event digest (0 unless SYM_DEBUG_CHECKS)
   std::uint64_t allocations = 0;   ///< arena growths + SmallFn heap spills
-  double alloc_per_event = 0;      ///< allocations / events_processed
-  std::uint64_t peak_rss = 0;      ///< ru_maxrss after the cell (monotonic)
-  double speedup_vs_1w = 0;
 
+  bool operator==(const Run&) const = default;
+
+  [[nodiscard]] double alloc_per_event() const {
+    return events_processed > 0
+               ? static_cast<double>(allocations) / events_processed
+               : 0;
+  }
   /// Pairs a dense sweep over every (dst, src) pair would have visited.
   [[nodiscard]] std::uint64_t dense_pairs() const {
     return windows * lanes * static_cast<std::uint64_t>(lanes - 1);
@@ -104,114 +103,50 @@ sym::workloads::HepnosWorld::Params scaled_params(std::uint32_t nodes,
   return p;
 }
 
-Cell run_cell(std::uint32_t nodes, std::uint32_t workers, bool smoke) {
-  Cell c;
-  c.nodes = nodes;
-  c.workers = workers;
+Run run_once(std::uint32_t nodes, std::uint32_t workers, bool smoke,
+             Stopwatch& sw) {
   sym::workloads::HepnosWorld world(scaled_params(nodes, workers, smoke));
-  c.lanes = world.engine().lane_count();
-  const auto t0 = std::chrono::steady_clock::now();
+  sw.start();
   world.run();
-  const auto t1 = std::chrono::steady_clock::now();
-  c.virtual_ms = sim::to_millis(world.makespan());
-  c.wall_ms = std::chrono::duration<double, std::milli>(t1 - t0).count();
-  c.events_processed = world.engine().events_processed();
-  c.events_stored = world.events_stored();
-  c.final_virtual_ns = world.engine().now();
-  c.lookahead_ns = world.engine().lookahead();
-  c.windows = world.engine().windows_executed();
-  c.merge_pairs = world.engine().merge_pairs_visited();
-  c.dirty_pairs = world.engine().dirty_pairs_posted();
-  c.clamps = world.engine().causality_clamps();
-  c.digest = world.engine().event_digest();
-  c.allocations = world.engine().arena_stats().allocations();
-  c.alloc_per_event =
-      c.events_processed > 0
-          ? static_cast<double>(c.allocations) / c.events_processed
-          : 0;
-  rusage ru{};
-  getrusage(RUSAGE_SELF, &ru);
-  c.peak_rss = static_cast<std::uint64_t>(ru.ru_maxrss) * 1024;
-  return c;
-}
-
-void print_cell(const Cell& c) {
-  std::printf("nodes %3u  lanes %3u  workers %u  virtual %9.3f ms  "
-              "wall %8.2f ms  events %9llu  windows %7llu  pairs %8llu  "
-              "speedup x%.2f\n",
-              c.nodes, c.lanes, c.workers, c.virtual_ms, c.wall_ms,
-              static_cast<unsigned long long>(c.events_processed),
-              static_cast<unsigned long long>(c.windows),
-              static_cast<unsigned long long>(c.merge_pairs), c.speedup_vs_1w);
-}
-
-void write_json(const std::string& path, bool smoke, unsigned host_cpus,
-                const std::vector<Cell>& cells) {
-  std::ofstream out(path);
-  out << "{\n  \"bench\": \"scaling_study\",\n"
-      << "  \"smoke\": " << (smoke ? "true" : "false") << ",\n"
-      << "  \"host_cpus\": " << host_cpus << ",\n"
-      << "  \"cells\": [\n";
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    const auto& c = cells[i];
-    char buf[768];
-    std::snprintf(
-        buf, sizeof(buf),
-        "    {\"nodes\": %u, \"lanes\": %u, \"workers\": %u, "
-        "\"virtual_ms\": %.6f, \"wall_ms\": %.3f, "
-        "\"events_processed\": %llu, \"events_stored\": %llu, "
-        "\"final_virtual_ns\": %llu, \"lookahead_ns\": %llu, "
-        "\"windows\": %llu, \"merge_pairs\": %llu, \"dirty_pairs\": %llu, "
-        "\"dense_pairs\": %llu, \"causality_clamps\": %llu, "
-        "\"allocations\": %llu, \"alloc_per_event\": %.6f, "
-        "\"peak_rss_bytes\": %llu, "
-        "\"speedup_vs_1w\": %.3f}%s\n",
-        c.nodes, c.lanes, c.workers, c.virtual_ms, c.wall_ms,
-        static_cast<unsigned long long>(c.events_processed),
-        static_cast<unsigned long long>(c.events_stored),
-        static_cast<unsigned long long>(c.final_virtual_ns),
-        static_cast<unsigned long long>(c.lookahead_ns),
-        static_cast<unsigned long long>(c.windows),
-        static_cast<unsigned long long>(c.merge_pairs),
-        static_cast<unsigned long long>(c.dirty_pairs),
-        static_cast<unsigned long long>(c.dense_pairs()),
-        static_cast<unsigned long long>(c.clamps),
-        static_cast<unsigned long long>(c.allocations), c.alloc_per_event,
-        static_cast<unsigned long long>(c.peak_rss), c.speedup_vs_1w,
-        i + 1 < cells.size() ? "," : "");
-    out << buf;
-  }
-  out << "  ]\n}\n";
+  sw.stop();
+  const auto& eng = world.engine();
+  Run r;
+  r.lanes = eng.lane_count();
+  r.virtual_ms = sim::to_millis(world.makespan());
+  r.events_processed = eng.events_processed();
+  r.events_stored = world.events_stored();
+  r.final_virtual_ns = eng.now();
+  r.lookahead_ns = eng.lookahead();
+  r.windows = eng.windows_executed();
+  r.merge_pairs = eng.merge_pairs_visited();
+  r.dirty_pairs = eng.dirty_pairs_posted();
+  r.clamps = eng.causality_clamps();
+  r.digest = eng.event_digest();
+  r.allocations = eng.arena_stats().allocations();
+  return r;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool smoke = false;
-  std::string out_path = "BENCH_scaling.json";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) {
-      smoke = true;
-    } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
-      out_path = argv[++i];
-    }
-  }
+  Study study("scaling_study", "BENCH_scaling.json", argc, argv);
+  const bool smoke = study.smoke();
 
   print_header("HEPnOS weak scaling: lanes x workers sweep",
                "sharded-engine scaling study");
 
-  const unsigned host_cpus = std::thread::hardware_concurrency();
+  const unsigned host_cpus = study.host_cpus();
   const std::vector<std::uint32_t> node_scales =
       smoke ? std::vector<std::uint32_t>{8, 16}
             : std::vector<std::uint32_t>{16, 64};
   const std::uint32_t worker_scales[] = {1, 2, 4, 8};
 
-  std::printf("host cpus: %u%s\n\n", host_cpus,
+  std::printf("host cpus: %u%s  repetitions: %d\n\n", host_cpus,
               host_cpus < 4 ? "  (speedup columns are time-sliced; see "
                               "EXPERIMENTS.md)"
-                            : "");
+                            : "",
+              study.reps());
 
-  std::vector<Cell> cells;
   bool deterministic = true;
   bool merge_sparse = true;
   bool clamp_free = true;
@@ -220,77 +155,82 @@ int main(int argc, char** argv) {
   double pair_ratio_large = 0;
   for (const auto nodes : node_scales) {
     double wall_1w = 0;
-    std::uint64_t events_1w = 0;
-    std::uint64_t digest_1w = 0;
+    Run run_1w;
     for (const auto workers : worker_scales) {
-      Cell c = run_cell(nodes, workers, smoke);
+      const auto m = study.measure(
+          [&](Stopwatch& sw) { return run_once(nodes, workers, smoke, sw); });
+      const Run& r = m.result;
       if (workers == 1) {
-        wall_1w = c.wall_ms;
-        events_1w = c.events_processed;
-        digest_1w = c.digest;
-        if (nodes >= 64 && c.merge_pairs > 0) {
-          pair_ratio_large = static_cast<double>(c.dense_pairs()) /
-                             static_cast<double>(c.merge_pairs);
+        wall_1w = m.wall.median_ms;
+        run_1w = r;
+        if (nodes >= 64 && r.merge_pairs > 0) {
+          pair_ratio_large = static_cast<double>(r.dense_pairs()) /
+                             static_cast<double>(r.merge_pairs);
         }
       }
-      c.speedup_vs_1w = c.wall_ms > 0 ? wall_1w / c.wall_ms : 0;
-      if (c.events_processed != events_1w || c.digest != digest_1w) {
+      const double speedup =
+          m.wall.median_ms > 0 ? wall_1w / m.wall.median_ms : 0;
+      if (r.events_processed != run_1w.events_processed ||
+          r.digest != run_1w.digest) {
         deterministic = false;
       }
-      if (c.merge_pairs > c.dirty_pairs) merge_sparse = false;
-      if (c.clamps != 0) clamp_free = false;
-      if (c.windows > c.window_bound()) windows_bounded = false;
-      if (workers == 4 && nodes >= 64) speedup_4w_large = c.speedup_vs_1w;
-      print_cell(c);
-      cells.push_back(c);
+      if (r.merge_pairs > r.dirty_pairs) merge_sparse = false;
+      if (r.clamps != 0) clamp_free = false;
+      if (r.windows > r.window_bound()) windows_bounded = false;
+      if (workers == 4 && nodes >= 64) speedup_4w_large = speedup;
+      std::printf("nodes %3u  lanes %3u  workers %u  virtual %9.3f ms  "
+                  "wall %8.2f ms [%.2f-%.2f]  events %9llu  windows %7llu  "
+                  "pairs %8llu  speedup x%.2f\n",
+                  nodes, r.lanes, workers, r.virtual_ms, m.wall.median_ms,
+                  m.wall.min_ms, m.wall.max_ms,
+                  static_cast<unsigned long long>(r.events_processed),
+                  static_cast<unsigned long long>(r.windows),
+                  static_cast<unsigned long long>(r.merge_pairs), speedup);
+      study.row("cells")
+          .count("nodes", nodes)
+          .count("lanes", r.lanes)
+          .count("workers", workers)
+          .real("virtual_ms", r.virtual_ms, 6)
+          .wall(m.wall)
+          .count("events_processed", r.events_processed)
+          .count("events_stored", r.events_stored)
+          .count("final_virtual_ns", r.final_virtual_ns)
+          .count("lookahead_ns", r.lookahead_ns)
+          .count("windows", r.windows)
+          .count("merge_pairs", r.merge_pairs)
+          .count("dirty_pairs", r.dirty_pairs)
+          .count("dense_pairs", r.dense_pairs())
+          .count("causality_clamps", r.clamps)
+          .count("allocations", r.allocations)
+          .real("alloc_per_event", r.alloc_per_event(), 6)
+          .count("peak_rss_bytes", peak_rss_bytes())
+          .real("speedup_vs_1w", speedup, 3);
     }
   }
+  std::printf("\n");
 
-  write_json(out_path, smoke, host_cpus, cells);
-  std::printf("\nwrote %s\n", out_path.c_str());
-
-  if (!deterministic) {
-    std::printf("acceptance: FAIL — events_processed or event digest "
-                "diverged across worker counts (determinism violation)\n");
-    return 1;
-  }
-  std::printf("determinism: events_processed and digest identical across "
-              "all worker counts: PASS\n");
-  if (!merge_sparse) {
-    std::printf("acceptance: FAIL — merge sweep visited more pairs than "
-                "the lanes registered dirty (dense-sweep regression)\n");
-    return 1;
-  }
-  std::printf("sparse merge: pairs visited <= pairs registered dirty in "
-              "every cell: PASS\n");
-  if (!clamp_free) {
-    std::printf("acceptance: FAIL — a merged event arrived below its "
-                "destination clock (window-protocol violation)\n");
-    return 1;
-  }
-  std::printf("causality: zero clamps in every cell: PASS\n");
-  if (!windows_bounded) {
-    std::printf("acceptance: FAIL — windows exceeded final_virtual_ns / "
-                "lookahead + 1 (a window shorter than the lookahead)\n");
-    return 1;
-  }
-  std::printf("window bound: windows <= final_virtual_ns / lookahead + 1 in "
-              "every cell: PASS\n");
-  if (!smoke) {
-    const bool pair_ok = pair_ratio_large >= 10.0;
-    std::printf("acceptance: dense/sparse merge-pair ratio at >=64 nodes: "
-                "x%.1f >= 10: %s\n",
-                pair_ratio_large, pair_ok ? "PASS" : "FAIL");
-    if (!pair_ok) return 1;
+  study.gate("determinism", deterministic,
+             "events_processed and event digest identical across all worker "
+             "counts");
+  study.gate("sparse_merge", merge_sparse,
+             "pairs visited <= pairs registered dirty in every cell");
+  study.gate("no_clamps", clamp_free, "zero causality clamps in every cell");
+  study.gate("window_bound", windows_bounded,
+             "windows <= final_virtual_ns / lookahead + 1 in every cell");
+  if (smoke) {
+    study.skip("pair_ratio", "smoke run");
+  } else {
+    study.gate("pair_ratio", pair_ratio_large >= 10.0,
+               "dense/sparse merge-pair ratio at >=64 nodes: x%.1f >= 10",
+               pair_ratio_large);
   }
   if (host_cpus >= 4 && !smoke) {
-    const bool ok = speedup_4w_large >= 2.5;
-    std::printf("acceptance: speedup at 4 workers / >=64 nodes: x%.2f "
-                ">= 2.5: %s\n",
-                speedup_4w_large, ok ? "PASS" : "FAIL");
-    return ok ? 0 : 1;
+    study.gate("speedup_4w", speedup_4w_large >= 2.5,
+               "median speedup at 4 workers / >=64 nodes: x%.2f >= 2.5",
+               speedup_4w_large);
+  } else {
+    study.skip("speedup_4w",
+               smoke ? "smoke run" : "host has fewer than 4 cpus");
   }
-  std::printf("acceptance: parallel-efficiency target SKIPPED (%s)\n",
-              smoke ? "smoke run" : "host has fewer than 4 cpus");
-  return 0;
+  return study.finish();
 }

@@ -73,10 +73,6 @@ Instance::Instance(ofi::Fabric& fabric, sim::Process& process,
   pv_internal_rdma_ = pvar_session_.alloc("internal_rdma_transfer_time");
   pv_origin_cb_ = pvar_session_.alloc("origin_completion_callback_time");
   pv_output_deser_ = pvar_session_.alloc("output_deserialization_time");
-
-  // Bounded-memory flight-recorder mode, when configured.
-  trace_.set_ring_chunks(cfg_.trace_ring_chunks);
-  sysstats_.set_ring_chunks(cfg_.sysstat_ring_chunks);
 }
 
 Instance::~Instance() = default;

@@ -400,10 +400,6 @@ std::uint64_t Engine::arena_slot_count() const noexcept {
   return n;
 }
 
-void Engine::reserve_events_per_lane(std::uint32_t n) {
-  for (auto& l : lanes_) l->reserve_events(n);
-}
-
 void Engine::reserve_events_on(std::uint32_t lane, std::uint32_t n) {
   lanes_[lane]->reserve_events(n);
 }

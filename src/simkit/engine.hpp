@@ -245,13 +245,11 @@ class Engine {
   /// identical phases.
   [[nodiscard]] std::uint64_t arena_slot_count() const noexcept;
 
-  /// Pre-size every lane's slot table and event heap for `n` simultaneous
+  /// Pre-size one lane's slot table and event heap for `n` simultaneous
   /// pending events, so a known steady state never grows containers
-  /// mid-run. Call before scheduling.
-  void reserve_events_per_lane(std::uint32_t n);
-
-  /// Per-lane variant of reserve_events_per_lane (event populations are
-  /// rarely uniform: server lanes hold the in-transit deliveries).
+  /// mid-run. Call before scheduling. Event populations are rarely uniform
+  /// (server lanes hold the in-transit deliveries), so capacities are per
+  /// lane.
   void reserve_events_on(std::uint32_t lane, std::uint32_t n);
 
   /// Event slots ever created on one lane (its arena high-water mark) —

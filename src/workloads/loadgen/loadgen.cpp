@@ -36,9 +36,6 @@ LoadgenWorld::LoadgenWorld(LoadgenParams params) : params_(std::move(params)) {
   sim::ClusterParams cp;
   cp.node_count = params_.node_count;
   cluster_ = std::make_unique<sim::Cluster>(*eng_, cp);
-  if (params_.reserve_events_per_lane != 0) {
-    eng_->reserve_events_per_lane(params_.reserve_events_per_lane);
-  }
   if (!params_.reserve_events_by_lane.empty()) {
     assert(params_.reserve_events_by_lane.size() == eng_->lane_count());
     for (std::uint32_t l = 0; l < eng_->lane_count(); ++l) {

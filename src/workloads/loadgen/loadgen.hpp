@@ -62,11 +62,9 @@ struct LoadgenParams {
   /// Pre-size each server's request arena (0 = grow on demand). Steady
   /// -state zero-allocation runs pass the expected queue high-water mark.
   std::uint32_t reserve_requests_per_server = 0;
-  /// Pre-size each lane's event arena/heap (0 = grow on demand).
-  std::uint32_t reserve_events_per_lane = 0;
-  /// Per-lane event reserve (empty = use the uniform value). Event
+  /// Per-lane event arena/heap reserve (empty = grow on demand). Event
   /// populations are skewed — server lanes hold the in-transit deliveries —
-  /// so a warmup run's per-lane high-water marks make better capacities.
+  /// so a warmup run's per-lane high-water marks are the capacities.
   std::vector<std::uint32_t> reserve_events_by_lane{};
   /// Row-major lanes^2 outbox capacity plan (Engine::outbox_highwater from
   /// a warmup run; empty = grow on demand).

@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <map>
+#include <tuple>
 #include <vector>
 
 #include "symbiosys/analysis.hpp"
@@ -86,6 +88,83 @@ TEST(ProfileStore, ClearDropsMemoAndEntries) {
   ASSERT_NE(stats, nullptr);
   EXPECT_EQ(stats->at(prof::Interval::kOriginExec).count, 1u);
   EXPECT_EQ(stats->at(prof::Interval::kOriginExec).sum_ns, 4.0);
+}
+
+namespace {
+
+/// Ordered reference store: one std::map per ProfileStore.
+using RefKey = std::tuple<prof::Breadcrumb, prof::Side, std::uint32_t,
+                          std::uint32_t>;
+using RefStore = std::map<RefKey, prof::CallpathStats>;
+
+void ref_record(RefStore& ref, const prof::CallpathKey& k, prof::Interval iv,
+                double ns) {
+  ref[RefKey{k.breadcrumb, k.side, k.self_ep, k.peer_ep}].at(iv).add(ns);
+}
+
+void expect_matches_reference(const prof::ProfileStore& store,
+                              const RefStore& ref) {
+  ASSERT_EQ(store.size(), ref.size());
+  for (const auto& [k, want] : ref) {
+    const auto& [bc, side, self_ep, peer_ep] = k;
+    const auto* got =
+        store.entries().find(prof::CallpathKey{bc, side, self_ep, peer_ep});
+    ASSERT_NE(got, nullptr);
+    for (int i = 0; i < static_cast<int>(prof::Interval::kCount); ++i) {
+      const auto iv = static_cast<prof::Interval>(i);
+      EXPECT_EQ(got->at(iv).count, want.at(iv).count);
+      EXPECT_EQ(got->at(iv).sum_ns, want.at(iv).sum_ns);
+      EXPECT_EQ(got->at(iv).min_ns, want.at(iv).min_ns);
+      EXPECT_EQ(got->at(iv).max_ns, want.at(iv).max_ns);
+    }
+  }
+}
+
+}  // namespace
+
+// The record stream a deployment produces: 16 client instances, each with
+// its own store, interleaving op by op against one provider store. Per op
+// the origin completion records four intervals, the target completion five
+// and the response's on_sent callback one more: ten records per op. The
+// flat store, driven through the batched calls the runtime makes, must
+// hold exactly what an ordered map fed record by record holds.
+TEST(ProfileStore, RecordStreamMatchesMapReference) {
+  using S = prof::IntervalSample;
+  using Iv = prof::Interval;
+  constexpr std::uint32_t kClients = 16;
+  constexpr std::size_t kOps = 20'000;
+  const auto bc = prof::extend(0x1111, 0x55AA);
+  std::vector<prof::ProfileStore> clients(kClients);
+  prof::ProfileStore server;
+  std::vector<RefStore> ref_clients(kClients);
+  RefStore ref_server;
+  std::uint32_t c = 0;
+  for (std::size_t r = 0; r < kOps; ++r) {
+    const double ns = static_cast<double>(1 + (r & 0xFF));
+    const prof::CallpathKey ok{bc, prof::Side::kOrigin, c, 100};
+    const prof::CallpathKey tk{bc, prof::Side::kTarget, 100, c};
+    clients[c].record_batch(ok, S{Iv::kOriginExec, ns}, S{Iv::kInputSer, ns},
+                            S{Iv::kOriginCallback, ns},
+                            S{Iv::kOutputDeser, ns});
+    server.record_batch(tk, S{Iv::kHandlerWait, ns}, S{Iv::kTargetExec, ns},
+                        S{Iv::kInputDeser, ns}, S{Iv::kOutputSer, ns},
+                        S{Iv::kInternalRdma, ns});
+    server.record(tk, Iv::kTargetCallback, ns);
+    for (const auto iv : {Iv::kOriginExec, Iv::kInputSer, Iv::kOriginCallback,
+                          Iv::kOutputDeser}) {
+      ref_record(ref_clients[c], ok, iv, ns);
+    }
+    for (const auto iv : {Iv::kHandlerWait, Iv::kTargetExec, Iv::kInputDeser,
+                          Iv::kOutputSer, Iv::kInternalRdma,
+                          Iv::kTargetCallback}) {
+      ref_record(ref_server, tk, iv, ns);
+    }
+    if (++c == kClients) c = 0;
+  }
+  for (std::uint32_t i = 0; i < kClients; ++i) {
+    expect_matches_reference(clients[i], ref_clients[i]);
+  }
+  expect_matches_reference(server, ref_server);
 }
 
 // ---------------------------------------------------------------------------

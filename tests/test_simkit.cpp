@@ -487,7 +487,7 @@ TEST(Engine, ArenaStatsAggregateAcrossLanes) {
 
 TEST(Engine, ReserveEventsAvoidsContainerGrowth) {
   sim::Engine eng;
-  eng.reserve_events_per_lane(256);
+  eng.reserve_events_on(0, 256);
   int runs = 0;
   for (int i = 0; i < 200; ++i) {
     eng.at(static_cast<sim::TimeNs>(i), [&runs] { ++runs; });
