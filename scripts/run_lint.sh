@@ -1,7 +1,10 @@
 #!/usr/bin/env sh
-# Lint driver: the in-tree symlint analyzer plus (when installed) clang-tidy
-# with the checked-in .clang-tidy config, warnings-as-errors over the
-# determinism-critical libraries (src/symbiosys, src/simkit).
+# Lint driver: the in-tree symlint analyzer, run exactly as its two ctest
+# gates run it (`symlint` over src/ with the P1 check against
+# docs/PVARS.md, and `symlint_selfcheck` over tools/symlint, bench and
+# src/workloads), plus (when installed) clang-tidy with the checked-in
+# .clang-tidy config, warnings-as-errors over the determinism-critical
+# libraries (src/symbiosys, src/simkit). Fails if any of them fails.
 #
 # Usage:
 #   scripts/run_lint.sh [build-dir]               # full lint (default: build)
@@ -75,11 +78,12 @@ if [ -z "${symlint_bin:-}" ] || [ ! -x "$symlint_bin" ]; then
   exit 2
 fi
 
-# Mirror the `symlint` ctest gate: one cold in-memory run of the per-TU
-# and cross-TU rules over src/, plus the P1 check against docs/PVARS.md.
+# Mirror both symlint ctest gates (tools/symlint/CMakeLists.txt).
 fail=0
 "$symlint_bin" --root "$root/src" --pvars-doc "$root/docs/PVARS.md" \
   || fail=1
+"$symlint_bin" --root "$root/tools/symlint" --root "$root/bench" \
+  --root "$root/src/workloads" || fail=1
 
 run_tidy full
 rc=$?

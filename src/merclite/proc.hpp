@@ -10,6 +10,7 @@
 // by services via ADL for their own argument structs.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -138,6 +139,8 @@ inline void put(BufWriter& w, const std::string& s) {
 inline void get(BufReader& r, std::string& s) {
   std::uint32_t n = 0;
   get(r, n);
+  // Check the wire length before allocating for it.
+  if (n > r.remaining()) throw std::out_of_range("proc: buffer underrun");
   s.resize(n);
   if (n > 0) r.read_raw(s.data(), n);
 }
@@ -155,7 +158,9 @@ void get(BufReader& r, std::vector<T>& v) {
   std::uint32_t n = 0;
   get(r, n);
   v.clear();
-  v.reserve(n);
+  // Reserve no more than the bytes left: a wire count must not size the
+  // allocation by itself. The element reads below throw on an underrun.
+  v.reserve(std::min<std::size_t>(n, r.remaining()));
   for (std::uint32_t i = 0; i < n; ++i) {
     T e{};
     get(r, e);

@@ -80,6 +80,27 @@ TEST(Proc, UnderrunThrows) {
   EXPECT_THROW(hg::get(r, big), std::out_of_range);
 }
 
+TEST(Proc, OversizedLengthPrefixThrowsBeforeAllocating) {
+  // A 1 MiB length prefix followed by only 8 bytes: the decoder must reject
+  // the claim before reserving or resizing for it.
+  constexpr std::uint32_t kClaimed = 1u << 20;
+  hg::BufWriter w;
+  hg::put(w, kClaimed);
+  hg::put(w, std::uint64_t{0});
+  {
+    hg::BufReader r(w.buffer());
+    std::string s;
+    EXPECT_THROW(hg::get(r, s), std::out_of_range);
+    EXPECT_LT(s.capacity(), kClaimed);
+  }
+  {
+    hg::BufReader r(w.buffer());
+    std::vector<std::uint8_t> v;
+    EXPECT_THROW(hg::get(r, v), std::out_of_range);
+    EXPECT_LT(v.capacity(), kClaimed);
+  }
+}
+
 TEST(Proc, NestedVectors) {
   std::vector<std::vector<std::uint32_t>> vv = {{1, 2, 3}, {}, {42}};
   EXPECT_EQ(hg::decode<decltype(vv)>(hg::encode(vv)), vv);

@@ -90,11 +90,6 @@ class IndexScanner {
     return {};
   }
 
-  Ctx::Kind innermost_scope_kind() const {
-    if (ctx_.empty()) return Ctx::kNamespace;  // top level
-    return ctx_.back().kind;
-  }
-
   /// Scope kind that governs declaration statements: the innermost
   /// namespace/class/function, looking through plain blocks.
   Ctx::Kind decl_scope() const {
@@ -165,31 +160,9 @@ class IndexScanner {
     const std::size_t e = i_;
     if (b >= e) return {Ctx::kBlock, {}, true};
 
-    bool saw_namespace = false, saw_type_kw = false, saw_eq = false;
-    bool saw_operator = false;
-    int paren = 0;
+    bool saw_namespace = false, saw_type_kw = false, saw_operator = false;
     for (std::size_t k = b; k < e; ++k) {
-      if (t_[k].kind != Token::kIdent) {
-        if (t_[k].text == "(") ++paren;
-        else if (t_[k].text == ")") --paren;
-        // A depth-0 assignment means "not a function definition" — but only
-        // a real "=": the lexer splits "==" / "<=" / ... into single-char
-        // puncts, and default arguments live at paren depth >= 1.
-        if (t_[k].text == "=" && !saw_operator && paren == 0) {
-          const bool prev_op =
-              k > b && t_[k - 1].kind == Token::kPunct &&
-              t_[k - 1].text != ")" && t_[k - 1].text != "]" &&
-              t_[k - 1].text != "::";
-          const bool next_eq = k + 1 < e && t_[k + 1].text == "=";
-          // "typename = ..." / "class = ..." is a template default argument
-          // (enable_if-style SFINAE headers), not a variable initializer.
-          const bool tmpl_default =
-              k > b && t_[k - 1].kind == Token::kIdent &&
-              (t_[k - 1].text == "typename" || t_[k - 1].text == "class");
-          if (!prev_op && !next_eq && !tmpl_default) saw_eq = true;
-        }
-        continue;
-      }
+      if (t_[k].kind != Token::kIdent) continue;
       if (t_[k].text == "namespace") saw_namespace = true;
       if (t_[k].text == "class" || t_[k].text == "struct" ||
           t_[k].text == "union" || t_[k].text == "enum") {
@@ -227,7 +200,10 @@ class IndexScanner {
       }
       return {Ctx::kClass, std::move(name), true};
     }
-    if (saw_eq && !saw_operator) return {Ctx::kBlock, {}, true};
+    // A depth-0 assignment means "not a function definition".
+    if (!saw_operator && find_assign(b, e) != e) {
+      return {Ctx::kBlock, {}, true};
+    }
 
     // Function definition: first depth-0 "(" preceded by a plausible name.
     int depth = 0;
@@ -359,28 +335,41 @@ class IndexScanner {
     }
   }
 
-  /// "var = <rhs with calls or primitives>" — local taint propagation.
-  void analyze_taint_assign(std::size_t b, std::size_t e) {
-    // Find a plain "=" at paren depth 0 (not ==, <=, +=, ...).
+  /// First plain "=" at paren depth 0 in [b, e), or e. Only a real "="
+  /// counts: the lexer splits "==" / "<=" / "+=" into single-char puncts,
+  /// default arguments sit at depth >= 1, "typename = ..." / "class = ..."
+  /// is a template default argument (enable_if-style SFINAE headers), and
+  /// everything after "operator" is the operator's name or signature.
+  std::size_t find_assign(std::size_t b, std::size_t e) const {
     int depth = 0;
-    std::size_t eq = 0;
     for (std::size_t k = b; k < e; ++k) {
-      if (t_[k].text == "(") ++depth;
-      else if (t_[k].text == ")") --depth;
-      else if (t_[k].text == "=" && depth == 0) {
-        const bool prev_op =
-            k > b && t_[k - 1].kind == Token::kPunct &&
-            t_[k - 1].text != ")" && t_[k - 1].text != "]" &&
-            t_[k - 1].text != "::";
+      if (t_[k].kind == Token::kIdent) {
+        if (t_[k].text == "operator") return e;
+        continue;
+      }
+      if (t_[k].text == "(") {
+        ++depth;
+      } else if (t_[k].text == ")") {
+        --depth;
+      } else if (t_[k].text == "=" && depth == 0) {
+        const Token* pv = k > b ? &t_[k - 1] : nullptr;
+        const bool prev_op = pv != nullptr && pv->kind == Token::kPunct &&
+                             pv->text != ")" && pv->text != "]" &&
+                             pv->text != "::";
         const bool next_eq = k + 1 < e && t_[k + 1].text == "=";
-        if (!prev_op && !next_eq) {
-          eq = k;
-          break;
-        }
-        if (next_eq) ++k;
+        const bool tmpl_default =
+            pv != nullptr && pv->kind == Token::kIdent &&
+            (pv->text == "typename" || pv->text == "class");
+        if (!prev_op && !next_eq && !tmpl_default) return k;
       }
     }
-    if (eq == 0 || eq <= b) return;
+    return e;
+  }
+
+  /// "var = <rhs with calls or primitives>" — local taint propagation.
+  void analyze_taint_assign(std::size_t b, std::size_t e) {
+    const std::size_t eq = find_assign(b, e);
+    if (eq == e || eq == b) return;
     if (t_[eq - 1].kind != Token::kIdent) return;
     TaintAssign ta;
     ta.var = std::string(t_[eq - 1].text);
@@ -506,7 +495,7 @@ class IndexScanner {
       return;
     }
 
-    if (tables::kD1CallIdents.count(tok.text) != 0 && free_call_at(i_)) {
+    if (tables::kD1CallIdents.count(tok.text) != 0 && is_free_call(t_, i_)) {
       cur_.sources.push_back({std::string(tok.text), tok.line});
     }
     if (tables::kLaneBindCalls.count(tok.text) != 0) cur_.binds_lane = true;
@@ -531,7 +520,7 @@ class IndexScanner {
       return;
     }
 
-    if (tables::kSinkCalls.count(tok.text) != 0) scan_sink(tok, member_call);
+    if (tables::kSinkCalls.count(tok.text) != 0) scan_sink(tok);
 
     if (tables::kNonCalleeKeywords.count(tok.text) == 0 &&
         tables::kGuardTypes.count(tok.text) == 0) {
@@ -547,11 +536,6 @@ class IndexScanner {
   void scan_cost_seed(bool called) {
     const Token& tok = t_[i_];
     const Token* pv = at(i_ - 1);
-    const Token* qual = at(i_ - 2);
-    const bool std_qualified = pv != nullptr && pv->text == "::" &&
-                               qual != nullptr &&
-                               qual->kind == Token::kIdent &&
-                               qual->text == "std";
     // B2: raw `new`. Placement `new (addr) T` constructs into storage
     // someone else owns — the arena idiom itself — and "#include <new>" is
     // a header name, not an expression.
@@ -565,7 +549,7 @@ class IndexScanner {
       cur_.allocating.push_back({"new", tok.line});
       return;
     }
-    if (std_qualified) {
+    if (is_std_qualified(t_, i_)) {
       // B1: std:: blocking entities and std:: lock guards. argolite's
       // cooperative primitives (abt::Mutex, abt::LockGuard) are not std-
       // qualified and never seed.
@@ -580,18 +564,17 @@ class IndexScanner {
       }
     }
     if (!called) return;
-    if (tables::kD3CallIdents.count(tok.text) != 0 && free_call_at(i_)) {
+    if (tables::kD3CallIdents.count(tok.text) != 0 && is_free_call(t_, i_)) {
       cur_.blocking.push_back({std::string(tok.text) + "()", tok.line});
       return;
     }
-    if (tables::kAllocCallIdents.count(tok.text) != 0 && free_call_at(i_)) {
+    if (tables::kAllocCallIdents.count(tok.text) != 0 && is_free_call(t_, i_)) {
       cur_.allocating.push_back({std::string(tok.text) + "()", tok.line});
     }
   }
 
   /// Virtual-time scheduling sink: record the argument identifiers/calls.
-  void scan_sink(const Token& tok, bool member_call) {
-    (void)member_call;
+  void scan_sink(const Token& tok) {
     SinkCall sc;
     sc.name = std::string(tok.text);
     sc.line = tok.line;
@@ -621,22 +604,6 @@ class IndexScanner {
     }
     sc.args = any_tokens ? commas + 1 : 0;
     cur_.sinks.push_back(std::move(sc));
-  }
-
-  bool free_call_at(std::size_t i) const {
-    const Token* pv = at(i - 1);
-    if (pv == nullptr) return true;
-    if (pv->text == "." || pv->text == "->") return false;
-    if (pv->text == "::") {
-      const Token* qual = at(i - 2);
-      static const std::set<std::string_view> kNonQualifiers = {
-          "return", "co_return", "co_await", "co_yield", "throw",
-          "else",   "do",        "case",     "default",
-      };
-      return qual == nullptr || qual->kind != Token::kIdent ||
-             qual->text == "std" || kNonQualifiers.count(qual->text) != 0;
-    }
-    return true;
   }
 
   // --- held-mutex bookkeeping ---------------------------------------------
@@ -719,8 +686,8 @@ TuIndex build_tu_index(std::string_view path, std::string_view content) {
   }
 
   const Lexed lx = lex(content);
-  IndexScanner scanner(lx, tu);
-  scanner.run();
+  IndexScanner(lx, tu).run();
+  tu.tu_findings = lint_lexed(path, lx);
 
   // Expand allow() coverage: an annotation covers its own line and the
   // first code line after it (matching the per-TU "same line or directly
@@ -737,8 +704,6 @@ TuIndex build_tu_index(std::string_view path, std::string_view content) {
   std::sort(tu.allows.begin(), tu.allows.end());
   tu.allows.erase(std::unique(tu.allows.begin(), tu.allows.end()),
                   tu.allows.end());
-
-  tu.tu_findings = lint_source(path, content);
   return tu;
 }
 
@@ -752,21 +717,40 @@ std::vector<TuIndex> run_index(std::vector<std::string> files) {
   std::vector<TuIndex> out;
   out.reserve(files.size());
   for (const auto& file : files) {
-    std::ifstream in(file, std::ios::binary);
-    if (!in) {
-      TuIndex tu;
-      tu.path = file;
-      tu.norm = normalize(file);
-      tu.tu_findings.push_back(
-          {Rule::kAnnotation, file, 0, "cannot open file for linting"});
-      out.push_back(std::move(tu));
+    std::string content;
+    if (read_file(file, content)) {
+      out.push_back(build_tu_index(file, content));
       continue;
     }
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    out.push_back(build_tu_index(file, buf.str()));
+    TuIndex tu;
+    tu.path = file;
+    tu.norm = normalize(file);
+    tu.tu_findings.push_back(
+        {Rule::kAnnotation, file, 0, "cannot open file for linting"});
+    out.push_back(std::move(tu));
   }
   return out;
+}
+
+void add_sources(const std::filesystem::path& root,
+                 std::vector<std::string>& files) {
+  namespace fs = std::filesystem;
+  for (const auto& entry : fs::recursive_directory_iterator(root)) {
+    if (!entry.is_regular_file()) continue;
+    const auto ext = entry.path().extension().string();
+    if (ext == ".cpp" || ext == ".hpp" || ext == ".h" || ext == ".cc") {
+      files.push_back(entry.path().string());
+    }
+  }
+}
+
+bool read_file(const std::string& path, std::string& out) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) return false;
+  std::ostringstream buf;
+  buf << in.rdbuf();
+  out = buf.str();
+  return true;
 }
 
 }  // namespace symlint

@@ -18,6 +18,7 @@
 // ordered, and run_index returns the TUs in sorted file order.
 #pragma once
 
+#include <filesystem>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -134,5 +135,13 @@ struct TuIndex {
 /// Read and index `files` (disk paths), in sorted, deduplicated path order.
 /// Unreadable files get an A0 finding in their tu_findings.
 [[nodiscard]] std::vector<TuIndex> run_index(std::vector<std::string> files);
+
+/// Append every C++ source (.cpp, .hpp, .h, .cc) under the directory
+/// `root`, recursively.
+void add_sources(const std::filesystem::path& root,
+                 std::vector<std::string>& files);
+
+/// Read a whole file into `out`; false if it cannot be opened.
+bool read_file(const std::string& path, std::string& out);
 
 }  // namespace symlint

@@ -4,6 +4,8 @@
 #include <cctype>
 #include <set>
 
+#include "lint.hpp"
+
 namespace symlint {
 namespace {
 
@@ -66,14 +68,35 @@ void parse_annotation(std::string_view comment, int line, Lexed& out) {
 
 }  // namespace
 
-bool is_known_allow_rule(std::string_view rule) noexcept {
-  static const std::set<std::string_view> kKnownRules = {
-      "nondeterminism",      "unordered-iter",  "fiber-blocking",
-      "lane-affinity",       "lock-order",      "shared-state-escape",
-      "determinism-taint",   "may-block",       "may-allocate",
-      "pvar-contract",
+bool is_free_call(const std::vector<Token>& tokens, std::size_t i) {
+  if (i + 1 >= tokens.size() || tokens[i + 1].text != "(") return false;
+  if (i == 0) return true;
+  const Token& pv = tokens[i - 1];
+  if (pv.text == "." || pv.text == "->") return false;
+  if (pv.text != "::") return true;
+  // "::time(" (global) and "std::time(" are the libc call; any other
+  // qualifier ("Foo::time") is a different function. Keywords before "::"
+  // ("return ::time(...)") are not qualifiers.
+  static const std::set<std::string_view> kNonQualifiers = {
+      "return", "co_return", "co_await", "co_yield", "throw",
+      "else",   "do",        "case",     "default",
   };
-  return kKnownRules.count(rule) != 0;
+  if (i < 2) return true;
+  const Token& qual = tokens[i - 2];
+  return qual.kind != Token::kIdent || qual.text == "std" ||
+         kNonQualifiers.count(qual.text) != 0;
+}
+
+bool is_std_qualified(const std::vector<Token>& tokens, std::size_t i) {
+  return i >= 2 && tokens[i - 1].text == "::" &&
+         tokens[i - 2].kind == Token::kIdent && tokens[i - 2].text == "std";
+}
+
+bool is_known_allow_rule(std::string_view rule) noexcept {
+  for (const auto& info : kRules) {
+    if (info.rule != Rule::kAnnotation && info.name == rule) return true;
+  }
+  return false;
 }
 
 Lexed lex(std::string_view src) {

@@ -24,6 +24,16 @@ struct Token {
   int line;
 };
 
+/// True when tokens[i] is a *call* of a free (or std::/global-qualified)
+/// function: followed by "(" and not a member access or a name qualified by
+/// some other namespace or class ("Foo::time(" is not libc's time()).
+[[nodiscard]] bool is_free_call(const std::vector<Token>& tokens,
+                                std::size_t i);
+
+/// True when tokens[i] is qualified as std::<ident>.
+[[nodiscard]] bool is_std_qualified(const std::vector<Token>& tokens,
+                                    std::size_t i);
+
 struct AllowNote {
   std::string rule;  ///< annotation rule name, e.g. "unordered-iter"
   bool has_reason;

@@ -1,7 +1,6 @@
 #include "lint.hpp"
 
 #include <algorithm>
-#include <fstream>
 #include <set>
 #include <sstream>
 
@@ -52,38 +51,6 @@ class Scanner {
     return i + fwd < lx_.tokens.size() ? &lx_.tokens[i + fwd] : nullptr;
   }
 
-  /// True when token i is a *call* of a free (or std::/global-qualified)
-  /// function: followed by "(" and not a member access or a qualified name
-  /// in some other namespace.
-  bool is_free_call(std::size_t i) const {
-    const Token* nx = next(i);
-    if (nx == nullptr || nx->text != "(") return false;
-    const Token* pv = prev(i);
-    if (pv == nullptr) return true;
-    if (pv->text == "." || pv->text == "->") return false;
-    if (pv->text == "::") {
-      const Token* qual = prev(i, 2);
-      // "::time(" (global) and "std::time(" are the libc call; any other
-      // qualifier ("Foo::time") is a different function. Keywords before
-      // "::" ("return ::time(...)") are not qualifiers.
-      static const std::set<std::string_view> kNonQualifiers = {
-          "return", "co_return", "co_await", "co_yield", "throw",
-          "else",   "do",        "case",     "default",
-      };
-      return qual == nullptr || qual->kind != Token::kIdent ||
-             qual->text == "std" || kNonQualifiers.count(qual->text) != 0;
-    }
-    return true;
-  }
-
-  /// True when token i is qualified as std::<ident>.
-  bool is_std_qualified(std::size_t i) const {
-    const Token* pv = prev(i);
-    const Token* qual = prev(i, 2);
-    return pv != nullptr && pv->text == "::" && qual != nullptr &&
-           qual->kind == Token::kIdent && qual->text == "std";
-  }
-
   void add(Rule rule, int line, std::string message) {
     findings_.push_back(
         {rule, std::string(path_), line, std::move(message)});
@@ -99,7 +66,8 @@ class Scanner {
               "from sym::sim::Rng)");
       return;
     }
-    if (tables::kD1CallIdents.count(tok.text) != 0 && is_free_call(i)) {
+    if (tables::kD1CallIdents.count(tok.text) != 0 &&
+        is_free_call(lx_.tokens, i)) {
       add(Rule::kNondeterminism, tok.line,
           "nondeterministic call '" + std::string(tok.text) +
               "()' (draw virtual time from simkit/time.hpp and randomness "
@@ -180,14 +148,16 @@ class Scanner {
   // --- D3 ---
   void check_d3(std::size_t i) {
     const auto& tok = lx_.tokens[i];
-    if (tables::kD3StdIdents.count(tok.text) != 0 && is_std_qualified(i)) {
+    if (tables::kD3StdIdents.count(tok.text) != 0 &&
+        is_std_qualified(lx_.tokens, i)) {
       add(Rule::kFiberBlocking, tok.line,
           "blocking primitive 'std::" + std::string(tok.text) +
               "' in fiber-executed code (block through argolite's sync "
               "primitives in sym::abt so the ULT yields its ES)");
       return;
     }
-    if (tables::kD3CallIdents.count(tok.text) != 0 && is_free_call(i)) {
+    if (tables::kD3CallIdents.count(tok.text) != 0 &&
+        is_free_call(lx_.tokens, i)) {
       add(Rule::kFiberBlocking, tok.line,
           "blocking call '" + std::string(tok.text) +
               "()' in fiber-executed code (model delays with "
@@ -261,40 +231,6 @@ class Scanner {
 // Public API
 // ---------------------------------------------------------------------------
 
-std::string_view rule_id(Rule r) noexcept {
-  switch (r) {
-    case Rule::kAnnotation: return "A0";
-    case Rule::kNondeterminism: return "D1";
-    case Rule::kUnorderedIter: return "D2";
-    case Rule::kFiberBlocking: return "D3";
-    case Rule::kLaneAffinity: return "D4";
-    case Rule::kLockOrder: return "L1";
-    case Rule::kSharedEscape: return "E1";
-    case Rule::kTaint: return "T1";
-    case Rule::kMayBlock: return "B1";
-    case Rule::kMayAlloc: return "B2";
-    case Rule::kPvarContract: return "P1";
-  }
-  return "??";
-}
-
-std::string_view rule_name(Rule r) noexcept {
-  switch (r) {
-    case Rule::kAnnotation: return "annotation";
-    case Rule::kNondeterminism: return "nondeterminism";
-    case Rule::kUnorderedIter: return "unordered-iter";
-    case Rule::kFiberBlocking: return "fiber-blocking";
-    case Rule::kLaneAffinity: return "lane-affinity";
-    case Rule::kLockOrder: return "lock-order";
-    case Rule::kSharedEscape: return "shared-state-escape";
-    case Rule::kTaint: return "determinism-taint";
-    case Rule::kMayBlock: return "may-block";
-    case Rule::kMayAlloc: return "may-allocate";
-    case Rule::kPvarContract: return "pvar-contract";
-  }
-  return "unknown";
-}
-
 std::string Finding::format() const {
   std::ostringstream os;
   os << file << ':' << line << ": [" << rule_id(rule) << '/'
@@ -339,13 +275,9 @@ Scope classify(std::string_view path) {
   // The simkit substrate owns the real worker threads (window coordinator),
   // so std:: threading there is the implementation, not a violation.
   s.d3 = rel.rfind("src/simkit/", 0) != 0;
-  static const char* kLaneFiles[] = {
-      "simkit/lane.hpp",   "simkit/lane.cpp",   "simkit/window.hpp",
-      "simkit/window.cpp", "simkit/engine.hpp", "simkit/engine.cpp",
-  };
   s.d4 = true;
-  for (const char* f : kLaneFiles) {
-    if (ends_with(rel, f)) s.d4 = false;
+  for (std::size_t i = 0; i < tables::kLaneFileCount; ++i) {
+    if (ends_with(rel, tables::kHotPathFiles[i])) s.d4 = false;
   }
   return s;
 }
@@ -361,32 +293,15 @@ void sort_findings(std::vector<Finding>& findings) {
 
 std::vector<Finding> lint_source(std::string_view path,
                                  std::string_view content) {
-  const Scope scope = classify(path);
-  if (!scope.scan) return {};
-  const Lexed lx = lex(content);
-  Scanner scanner(path, lx, scope);
-  auto findings = scanner.run();
-  std::sort(findings.begin(), findings.end(),
-            [](const Finding& a, const Finding& b) {
-              if (a.line != b.line) return a.line < b.line;
-              return rule_id(a.rule) < rule_id(b.rule);
-            });
-  return findings;
+  return lint_lexed(path, lex(content));
 }
 
-bool lint_file(const std::string& path, std::vector<Finding>& out) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    out.push_back(
-        {Rule::kAnnotation, path, 0, "cannot open file for linting"});
-    return false;
-  }
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  const std::string content = buf.str();
-  const auto findings = lint_source(path, content);
-  out.insert(out.end(), findings.begin(), findings.end());
-  return true;
+std::vector<Finding> lint_lexed(std::string_view path, const Lexed& lx) {
+  const Scope scope = classify(path);
+  if (!scope.scan) return {};
+  auto findings = Scanner(path, lx, scope).run();
+  sort_findings(findings);
+  return findings;
 }
 
 }  // namespace symlint

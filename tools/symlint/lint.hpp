@@ -36,8 +36,7 @@
 //                            carries the witness chain with file:line hops
 //   B2 may-allocate          same propagation for heap allocation leaves
 //                            (raw new, malloc family, make_unique/shared,
-//                            std::function spill) — replaces the retired
-//                            per-TU D3 "alloc face" file list
+//                            std::function spill)
 //   P1 pvar-contract         PVAR registrations and action-span names in
 //                            code cross-checked against docs/PVARS.md;
 //                            drift in either direction is a finding
@@ -53,29 +52,56 @@
 // (tests/lint_fixtures) pins its exact diagnostics.
 #pragma once
 
+#include <cstddef>
+#include <iterator>
 #include <string>
 #include <string_view>
 #include <vector>
 
 namespace symlint {
 
+struct Lexed;
+
 enum class Rule {
-  kAnnotation,      // A0: malformed allow() annotation
-  kNondeterminism,  // D1
-  kUnorderedIter,   // D2
-  kFiberBlocking,   // D3
-  kLaneAffinity,    // D4
-  kLockOrder,       // L1 (cross-TU)
-  kSharedEscape,    // E1 (cross-TU)
-  kTaint,           // T1 (cross-TU)
-  kMayBlock,        // B1 (cross-TU)
-  kMayAlloc,        // B2 (cross-TU)
-  kPvarContract,    // P1 (cross-TU, registry vs docs/PVARS.md)
+  kAnnotation, kNondeterminism, kUnorderedIter, kFiberBlocking, kLaneAffinity,
+  kLockOrder,  kSharedEscape,   kTaint,         kMayBlock,      kMayAlloc,
+  kPvarContract,
 };
 
-/// Short rule id ("D1") and annotation name ("nondeterminism") for a rule.
-[[nodiscard]] std::string_view rule_id(Rule r) noexcept;
-[[nodiscard]] std::string_view rule_name(Rule r) noexcept;
+/// Every rule's short id ("D1") and annotation name ("nondeterminism"), in
+/// enum order.
+struct RuleInfo {
+  Rule rule;
+  std::string_view id;
+  std::string_view name;
+};
+inline constexpr RuleInfo kRules[] = {
+    {Rule::kAnnotation, "A0", "annotation"},  // malformed allow()
+    {Rule::kNondeterminism, "D1", "nondeterminism"},
+    {Rule::kUnorderedIter, "D2", "unordered-iter"},
+    {Rule::kFiberBlocking, "D3", "fiber-blocking"},
+    {Rule::kLaneAffinity, "D4", "lane-affinity"},
+    {Rule::kLockOrder, "L1", "lock-order"},  // cross-TU from here on
+    {Rule::kSharedEscape, "E1", "shared-state-escape"},
+    {Rule::kTaint, "T1", "determinism-taint"},
+    {Rule::kMayBlock, "B1", "may-block"},
+    {Rule::kMayAlloc, "B2", "may-allocate"},
+    {Rule::kPvarContract, "P1", "pvar-contract"},  // registry vs PVARS.md
+};
+
+static_assert([] {
+  for (std::size_t i = 0; i < std::size(kRules); ++i) {
+    if (static_cast<std::size_t>(kRules[i].rule) != i) return false;
+  }
+  return true;
+}(), "kRules must list every Rule in enum order");
+
+[[nodiscard]] constexpr std::string_view rule_id(Rule r) noexcept {
+  return kRules[static_cast<std::size_t>(r)].id;
+}
+[[nodiscard]] constexpr std::string_view rule_name(Rule r) noexcept {
+  return kRules[static_cast<std::size_t>(r)].name;
+}
 
 struct Finding {
   Rule rule;
@@ -100,10 +126,6 @@ struct Scope {
   bool d2 = false;
   bool d3 = false;
   bool d4 = false;
-  // The old per-TU D3 "alloc face" (a hard-coded hot-path file list) is
-  // retired: allocation discipline is now the interprocedural B2
-  // may-allocate rule over the cross-TU call graph (rules.hpp), which sees
-  // a malloc hidden one helper call away in another TU.
 };
 
 [[nodiscard]] Scope classify(std::string_view path);
@@ -115,9 +137,9 @@ struct Scope {
 [[nodiscard]] std::vector<Finding> lint_source(std::string_view path,
                                                std::string_view content);
 
-/// Lint a file on disk. Returns false (and appends a kAnnotation finding
-/// with the error) if the file cannot be read.
-bool lint_file(const std::string& path, std::vector<Finding>& out);
+/// lint_source over a TU that is already lexed (the indexer's token stream).
+[[nodiscard]] std::vector<Finding> lint_lexed(std::string_view path,
+                                              const Lexed& lx);
 
 /// Stable ordering used everywhere findings are emitted.
 void sort_findings(std::vector<Finding>& findings);

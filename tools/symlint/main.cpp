@@ -14,8 +14,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -29,15 +27,6 @@ namespace {
 
 constexpr const char* kUsage =
     "usage: symlint [--root DIR]... [--pvars-doc FILE] [FILE]...\n";
-
-bool read_text(const std::string& path, std::string& out) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return false;
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  out = buf.str();
-  return true;
-}
 
 }  // namespace
 
@@ -62,13 +51,7 @@ int main(int argc, char** argv) {
                      root.string().c_str());
         return 2;
       }
-      for (const auto& entry : fs::recursive_directory_iterator(root)) {
-        if (!entry.is_regular_file()) continue;
-        const auto ext = entry.path().extension().string();
-        if (ext == ".cpp" || ext == ".hpp" || ext == ".h" || ext == ".cc") {
-          files.push_back(entry.path().string());
-        }
-      }
+      symlint::add_sources(root, files);
     } else if (arg == "--pvars-doc") {
       pvars_doc_path = next("a file");
     } else if (arg == "--help" || arg == "-h") {
@@ -99,7 +82,7 @@ int main(int argc, char** argv) {
   }
   if (!pvars_doc_path.empty()) {
     std::string doc;
-    if (!read_text(pvars_doc_path, doc)) {
+    if (!symlint::read_file(pvars_doc_path, doc)) {
       std::fprintf(stderr, "symlint: cannot read pvars doc %s\n",
                    pvars_doc_path.c_str());
       return 2;

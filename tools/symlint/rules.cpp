@@ -42,6 +42,9 @@ struct FnRef {
   std::size_t fn;
 };
 
+using FnKey = std::pair<std::size_t, std::size_t>;
+FnKey key(FnRef r) { return {r.tu, r.fn}; }
+
 class Project {
  public:
   explicit Project(const std::vector<TuIndex>& tus) : tus_(tus) {
@@ -65,10 +68,12 @@ class Project {
     return tus_[r.tu].functions[r.fn];
   }
 
-  const std::vector<FnRef>* candidates(const std::string& callee) const {
-    if (tables::kOpaqueCallees.count(callee) != 0) return nullptr;
+  /// Every project function a call of `callee` may resolve to.
+  const std::vector<FnRef>& candidates(const std::string& callee) const {
+    static const std::vector<FnRef> kNone;
+    if (tables::kOpaqueCallees.count(callee) != 0) return kNone;
     const auto it = by_name_.find(callee);
-    return it == by_name_.end() ? nullptr : &it->second;
+    return it == by_name_.end() ? kNone : it->second;
   }
 
   /// Project-wide identity of a mutex token acquired inside `owner`.
@@ -85,10 +90,8 @@ class Project {
       }
     }
     if (global_mutexes_.count(token) != 0) return token;
-    if (mem != member_mutexes_.end()) {
-      return repo_rel(tu.norm) + ":" + token;
-    }
-    // Unknown declaration (e.g. local mutex): file-local identity.
+    // Ambiguous member or unknown declaration (e.g. a local mutex):
+    // file-local identity.
     return repo_rel(tu.norm) + ":" + token;
   }
 
@@ -98,6 +101,83 @@ class Project {
   /// member mutex name -> owning classes; global mutex names merge by name.
   std::map<std::string, std::set<std::string>> member_mutexes_;
   std::set<std::string> global_mutexes_;
+};
+
+// ---------------------------------------------------------------------------
+// Call-graph walkers: one breadth-first search with witness chains (E1,
+// B1/B2) and one memoised depth-first evaluation (L1, T1)
+// ---------------------------------------------------------------------------
+
+/// A function reached by walk_calls, with the edge that first reached it:
+/// the caller's index in the walk (npos for a root), the line of the call or
+/// &function reference in the caller, and which of the two it was.
+struct Hop {
+  FnRef fn;
+  std::size_t parent = std::string::npos;
+  int line = 0;
+  bool is_ref = false;
+  std::size_t depth = 0;
+};
+
+/// Breadth-first walk from `roots` over name-resolved calls (and &function
+/// references when `follow_refs`) that reaches each function once, by a
+/// shortest path. A function `max_depth` hops from its root is visited but
+/// not expanded. `visit(walk, i)` runs as walk[i] is dequeued; returning
+/// false ends the walk. The walk is the BFS tree: parent links lead from
+/// any hop back to its root (see chain_to).
+template <class Visit>
+std::vector<Hop> walk_calls(const Project& p, const std::vector<FnRef>& roots,
+                            std::size_t max_depth, bool follow_refs,
+                            Visit&& visit) {
+  std::vector<Hop> walk;
+  std::set<FnKey> seen;
+  for (const auto& r : roots) {
+    if (seen.insert(key(r)).second) walk.push_back({r});
+  }
+  for (std::size_t i = 0; i < walk.size(); ++i) {
+    if (!visit(walk, i)) break;
+    const std::size_t depth = walk[i].depth + 1;
+    if (depth > max_depth) continue;
+    const FunctionInfo& f = p.fn(walk[i].fn);
+    auto push = [&](const std::string& name, int line, bool is_ref) {
+      for (const auto& cand : p.candidates(name)) {
+        if (seen.insert(key(cand)).second) {
+          walk.push_back({cand, i, line, is_ref, depth});
+        }
+      }
+    };
+    for (const auto& c : f.calls) push(c.callee, c.line, false);
+    if (!follow_refs) continue;
+    for (const auto& r : f.fn_refs) push(r.name, r.line, true);
+  }
+  return walk;
+}
+
+/// Indices of the hops from the root down to walk[i].
+std::vector<std::size_t> chain_to(const std::vector<Hop>& walk,
+                                  std::size_t i) {
+  std::vector<std::size_t> chain;
+  for (; i != std::string::npos; i = walk[i].parent) chain.push_back(i);
+  std::reverse(chain.begin(), chain.end());
+  return chain;
+}
+
+/// Memoised depth-first evaluation over the call graph: get(r, eval) runs
+/// eval(r) once per function, and eval recurses through get for callees.
+/// The placeholder stored before eval runs cuts call cycles: a function
+/// reached again while it is still being evaluated yields T{}.
+template <class T>
+class CallMemo {
+ public:
+  template <class Eval>
+  const T& get(FnRef r, Eval&& eval) {
+    const auto [it, fresh] = memo_.try_emplace(key(r));
+    if (fresh) it->second = eval(r);  // map iterators survive the recursion
+    return it->second;
+  }
+
+ private:
+  std::map<FnKey, T> memo_;
 };
 
 // ---------------------------------------------------------------------------
@@ -122,30 +202,23 @@ class LockOrder {
   }
 
  private:
-  /// Mutex ids a function acquires transitively (memoized; cycles in the
-  /// call graph are cut by the in-progress marker).
+  /// Mutex ids a function acquires, directly or through its callees.
   const std::set<std::string>& trans_acq(FnRef r) {
-    const auto key = std::make_pair(r.tu, r.fn);
-    const auto it = trans_.find(key);
-    if (it != trans_.end()) return it->second;
-    auto [slot, inserted] = trans_.emplace(key, std::set<std::string>{});
-    if (!in_progress_.insert(key).second) return slot->second;
-    const FunctionInfo& f = p_.fn(r);
-    const TuIndex& tu = p_.tus()[r.tu];
-    std::set<std::string> acc;
-    for (const auto& a : f.acquires) acc.insert(p_.mutex_id(a.mutex, f, tu));
-    for (const auto& c : f.calls) {
-      const auto* cands = p_.candidates(c.callee);
-      if (cands == nullptr) continue;
-      for (const auto& cand : *cands) {
-        const auto& sub = trans_acq(cand);
-        acc.insert(sub.begin(), sub.end());
+    return trans_.get(r, [&](FnRef r) {
+      const FunctionInfo& f = p_.fn(r);
+      const TuIndex& tu = p_.tus()[r.tu];
+      std::set<std::string> acc;
+      for (const auto& a : f.acquires) {
+        acc.insert(p_.mutex_id(a.mutex, f, tu));
       }
-    }
-    in_progress_.erase(key);
-    auto& out = trans_[key];  // re-find: recursion may have rehashed
-    out = std::move(acc);
-    return out;
+      for (const auto& c : f.calls) {
+        for (const auto& cand : p_.candidates(c.callee)) {
+          const auto& sub = trans_acq(cand);
+          acc.insert(sub.begin(), sub.end());
+        }
+      }
+      return acc;
+    });
   }
 
   void add_edge(const std::string& from, const std::string& to,
@@ -168,10 +241,8 @@ class LockOrder {
         }
         for (const auto& c : f.calls) {
           if (c.held.empty()) continue;
-          const auto* cands = p_.candidates(c.callee);
-          if (cands == nullptr) continue;
           std::set<std::string> acquired;
-          for (const auto& cand : *cands) {
+          for (const auto& cand : p_.candidates(c.callee)) {
             const auto& sub = trans_acq(cand);
             acquired.insert(sub.begin(), sub.end());
           }
@@ -189,55 +260,34 @@ class LockOrder {
     }
   }
 
+  /// For each mutex in order, the shortest cycle back to it (BFS over the
+  /// ordered edges), reported once per distinct ring.
   std::vector<Finding> report_cycles() {
-    // Nodes in deterministic order.
-    std::set<std::string> nodes;
-    for (const auto& [from, tos] : edges_) {
-      nodes.insert(from);
-      for (const auto& [to, e] : tos) nodes.insert(to);
-    }
-
     std::vector<Finding> out;
     std::set<std::string> reported;  // canonical rings already emitted
-    for (const auto& start : nodes) {
-      // Shortest path start -> ... -> start via BFS (self-edges included).
+    for (const auto& [start, succ] : edges_) {
       std::map<std::string, std::string> parent;
-      std::vector<std::string> frontier;
-      const auto succ_it = edges_.find(start);
-      if (succ_it == edges_.end()) continue;
+      std::vector<std::string> queue{start};
       bool closed = false;
-      for (const auto& [to, e] : succ_it->second) {
-        if (to == start) {  // direct self-cycle
-          emit_cycle({start, start}, reported, out);
-          closed = true;
-          break;
-        }
-        if (parent.emplace(to, start).second) frontier.push_back(to);
-      }
-      if (closed) continue;
-      while (!frontier.empty() && !closed) {
-        std::vector<std::string> next_frontier;
-        for (const auto& node : frontier) {
-          const auto it = edges_.find(node);
-          if (it == edges_.end()) continue;
-          for (const auto& [to, e] : it->second) {
-            if (to == start) {
-              std::vector<std::string> path{start};
-              for (std::string cur = node; cur != start;
-                   cur = parent.at(cur)) {
-                path.push_back(cur);
-              }
-              std::reverse(path.begin() + 1, path.end());
-              path.push_back(start);
-              emit_cycle(path, reported, out);
-              closed = true;
-              break;
+      for (std::size_t qi = 0; qi < queue.size() && !closed; ++qi) {
+        const auto it = edges_.find(queue[qi]);
+        if (it == edges_.end()) continue;
+        for (const auto& [to, e] : it->second) {
+          if (to == start) {
+            std::vector<std::string> path;
+            for (std::string cur = queue[qi]; cur != start;
+                 cur = parent.at(cur)) {
+              path.push_back(cur);
             }
-            if (parent.emplace(to, node).second) next_frontier.push_back(to);
+            path.push_back(start);
+            std::reverse(path.begin(), path.end());
+            path.push_back(start);
+            emit_cycle(path, reported, out);
+            closed = true;
+            break;
           }
-          if (closed) break;
+          if (parent.emplace(to, queue[qi]).second) queue.push_back(to);
         }
-        frontier = std::move(next_frontier);
       }
     }
     return out;
@@ -287,8 +337,7 @@ class LockOrder {
   const Project& p_;
   /// from-mutex -> (to-mutex -> first witness edge), all ordered.
   std::map<std::string, std::map<std::string, LockEdge>> edges_;
-  std::map<std::pair<std::size_t, std::size_t>, std::set<std::string>> trans_;
-  std::set<std::pair<std::size_t, std::size_t>> in_progress_;
+  CallMemo<std::set<std::string>> trans_;
 };
 
 // ---------------------------------------------------------------------------
@@ -329,7 +378,7 @@ class SharedEscape {
   /// the argolite runtime shims) over name-resolvable calls.
   void build_reachability() {
     const auto& tus = p_.tus();
-    std::vector<FnRef> frontier;
+    std::vector<FnRef> roots;
     for (std::size_t ti = 0; ti < tus.size(); ++ti) {
       const std::string rel = repo_rel(tus[ti].norm);
       const bool is_root_tu = rel.find("simkit/window.") != std::string::npos ||
@@ -338,33 +387,14 @@ class SharedEscape {
                               rel.find("argolite/") != std::string::npos;
       if (!is_root_tu) continue;
       for (std::size_t fi = 0; fi < tus[ti].functions.size(); ++fi) {
-        const auto key = std::make_pair(ti, fi);
-        if (chain_.emplace(key, std::vector<std::string>{
-                                    tus[ti].functions[fi].name})
-                .second) {
-          frontier.push_back({ti, fi});
-        }
+        roots.push_back({ti, fi});
       }
     }
-    while (!frontier.empty()) {
-      std::vector<FnRef> next_frontier;
-      for (const auto& r : frontier) {
-        const auto& here = chain_.at(std::make_pair(r.tu, r.fn));
-        if (here.size() >= 8) continue;  // witness depth cap
-        for (const auto& c : p_.fn(r).calls) {
-          const auto* cands = p_.candidates(c.callee);
-          if (cands == nullptr) continue;
-          for (const auto& cand : *cands) {
-            const auto key = std::make_pair(cand.tu, cand.fn);
-            if (chain_.count(key) != 0) continue;
-            std::vector<std::string> path = here;
-            path.push_back(p_.fn(cand).name);
-            chain_.emplace(key, std::move(path));
-            next_frontier.push_back(cand);
-          }
-        }
-      }
-      frontier = std::move(next_frontier);
+    // A witness chain names at most 8 functions.
+    walk_ = walk_calls(p_, roots, /*max_depth=*/7, /*follow_refs=*/false,
+                       [](const auto&, std::size_t) { return true; });
+    for (std::size_t i = 0; i < walk_.size(); ++i) {
+      reached_.emplace(key(walk_[i].fn), i);
     }
   }
 
@@ -383,19 +413,16 @@ class SharedEscape {
     msg << "'" << p_.fn(first_ref).name << "' at " << rel << ":" << first_line;
     if (refs.size() > 1) msg << " (+" << refs.size() - 1 << " more)";
 
-    const std::vector<std::string>* witness = nullptr;
-    for (const auto& [r, line] : refs) {
-      const auto it = chain_.find(std::make_pair(r.tu, r.fn));
-      if (it != chain_.end()) {
-        witness = &it->second;
-        break;
-      }
-    }
-    if (witness != nullptr) {
+    const auto witness =
+        std::find_if(refs.begin(), refs.end(), [&](const auto& ref) {
+          return reached_.count(key(ref.first)) != 0;
+        });
+    if (witness != refs.end()) {
       msg << ". Worker path: ";
-      for (std::size_t i = 0; i < witness->size(); ++i) {
-        if (i != 0) msg << " -> ";
-        msg << (*witness)[i];
+      const char* sep = "";
+      for (const auto i : chain_to(walk_, reached_.at(key(witness->first)))) {
+        msg << sep << p_.fn(walk_[i].fn).name;
+        sep = " -> ";
       }
     } else {
       msg << ". No static call path from the worker roots was resolved, but"
@@ -414,9 +441,8 @@ class SharedEscape {
   }
 
   const Project& p_;
-  /// (tu, fn) -> witness chain from a worker root down to the function.
-  std::map<std::pair<std::size_t, std::size_t>, std::vector<std::string>>
-      chain_;
+  std::vector<Hop> walk_;  ///< BFS tree from the worker roots
+  std::map<FnKey, std::size_t> reached_;  ///< function -> its hop in walk_
 };
 
 // ---------------------------------------------------------------------------
@@ -457,107 +483,86 @@ class Taint {
   /// or calls a tainted function. allow(nondeterminism) silences the D1
   /// diagnostic but does not launder the value.
   const std::optional<TaintOrigin>& tainted(FnRef r) {
-    const auto key = std::make_pair(r.tu, r.fn);
-    const auto it = memo_.find(key);
-    if (it != memo_.end()) return it->second;
-    memo_.emplace(key, std::nullopt);
-    if (!in_progress_.insert(key).second) return memo_.at(key);
-
-    const TuIndex& tu = p_.tus()[r.tu];
-    const FunctionInfo& f = p_.fn(r);
-    std::optional<TaintOrigin> result;
-    if (classify(tu.norm).d1 && !f.sources.empty()) {
-      const SourceCall& src = f.sources.front();
-      std::ostringstream site;
-      site << repo_rel(tu.norm) << ":" << src.line;
-      result = TaintOrigin{src.primitive, site.str(), {f.name}};
-    } else {
+    return memo_.get(r, [&](FnRef r) -> std::optional<TaintOrigin> {
+      const TuIndex& tu = p_.tus()[r.tu];
+      const FunctionInfo& f = p_.fn(r);
+      if (classify(tu.norm).d1 && !f.sources.empty()) {
+        const SourceCall& src = f.sources.front();
+        std::ostringstream site;
+        site << repo_rel(tu.norm) << ":" << src.line;
+        return TaintOrigin{src.primitive, site.str(), {f.name}};
+      }
       for (const auto& c : f.calls) {
-        const auto* cands = p_.candidates(c.callee);
-        if (cands == nullptr) continue;
-        for (const auto& cand : *cands) {
-          const auto& sub = tainted(cand);
-          if (sub.has_value()) {
-            result = *sub;
-            result->chain.insert(result->chain.begin(), f.name);
-            break;
-          }
+        if (const TaintOrigin* sub = tainted_call(c.callee)) {
+          TaintOrigin origin = *sub;
+          origin.chain.insert(origin.chain.begin(), f.name);
+          return origin;
         }
-        if (result.has_value()) break;
+      }
+      return std::nullopt;
+    });
+  }
+
+  /// The origin of a call of `callee` that returns a tainted value: that of
+  /// its first tainted candidate, or nullptr.
+  const TaintOrigin* tainted_call(const std::string& callee) {
+    for (const auto& cand : p_.candidates(callee)) {
+      const auto& sub = tainted(cand);
+      if (sub.has_value()) return &*sub;
+    }
+    return nullptr;
+  }
+
+  /// Where a tainted value reaching `sink` in `f` comes from, and through
+  /// what: a call among the arguments, or an argument local assigned, before
+  /// the sink, from a primitive or a tainted call.
+  std::optional<std::pair<TaintOrigin, std::string>> sink_origin(
+      const TuIndex& tu, const FunctionInfo& f, const SinkCall& sink) {
+    for (const auto& callee : sink.arg_calls) {
+      if (const TaintOrigin* origin = tainted_call(callee)) {
+        return std::make_pair(*origin, "the result of '" + callee + "()'");
       }
     }
-    in_progress_.erase(key);
-    auto& slot = memo_.at(key);
-    slot = std::move(result);
-    return slot;
+    for (const auto& ident : sink.arg_idents) {
+      for (const auto& ta : f.taints) {
+        if (ta.var != ident || ta.line > sink.line) continue;
+        if (ta.direct_source) {
+          std::ostringstream site;
+          site << repo_rel(tu.norm) << ":" << ta.line;
+          return std::make_pair(
+              TaintOrigin{"a clock/rng primitive", site.str(), {f.name}},
+              "local '" + ident + "'");
+        }
+        for (const auto& callee : ta.from_calls) {
+          if (const TaintOrigin* origin = tainted_call(callee)) {
+            return std::make_pair(*origin, "local '" + ident +
+                                               "' assigned from '" + callee +
+                                               "()'");
+          }
+        }
+      }
+    }
+    return std::nullopt;
   }
 
   std::optional<Finding> check_sink(std::size_t ti, std::size_t fi,
                                     const SinkCall& sink) {
     const TuIndex& tu = p_.tus()[ti];
     const FunctionInfo& f = tu.functions[fi];
-
-    const TaintOrigin* origin = nullptr;
-    TaintOrigin local;
-    std::string via;
-
-    for (const auto& callee : sink.arg_calls) {
-      const auto* cands = p_.candidates(callee);
-      if (cands == nullptr) continue;
-      for (const auto& cand : *cands) {
-        const auto& sub = tainted(cand);
-        if (sub.has_value()) {
-          origin = &*sub;
-          via = "the result of '" + callee + "()'";
-          break;
-        }
-      }
-      if (origin != nullptr) break;
-    }
-    if (origin == nullptr) {
-      for (const auto& ident : sink.arg_idents) {
-        for (const auto& ta : f.taints) {
-          if (ta.var != ident || ta.line > sink.line) continue;
-          if (ta.direct_source) {
-            std::ostringstream site;
-            site << repo_rel(tu.norm) << ":" << ta.line;
-            local = TaintOrigin{"a clock/rng primitive", site.str(), {f.name}};
-            origin = &local;
-            via = "local '" + ident + "'";
-            break;
-          }
-          for (const auto& callee : ta.from_calls) {
-            const auto* cands = p_.candidates(callee);
-            if (cands == nullptr) continue;
-            for (const auto& cand : *cands) {
-              const auto& sub = tainted(cand);
-              if (sub.has_value()) {
-                local = *sub;
-                origin = &local;
-                via = "local '" + ident + "' assigned from '" + callee +
-                      "()'";
-                break;
-              }
-            }
-            if (origin != nullptr) break;
-          }
-          if (origin != nullptr) break;
-        }
-        if (origin != nullptr) break;
-      }
-    }
-    if (origin == nullptr) return std::nullopt;
+    const auto found = sink_origin(tu, f, sink);
+    if (!found.has_value()) return std::nullopt;
+    const auto& [origin, via] = *found;
 
     std::ostringstream msg;
     msg << "clock/rng-derived value flows into virtual-time sink '"
         << sink.name << "' in '" << f.name << "' through " << via
-        << "; taint originates from '" << origin->primitive << "' at "
-        << origin->site;
-    if (origin->chain.size() > 1) {
+        << "; taint originates from '" << origin.primitive << "' at "
+        << origin.site;
+    if (origin.chain.size() > 1) {
       msg << " via ";
-      for (std::size_t i = 0; i < origin->chain.size(); ++i) {
+      for (std::size_t i = 0; i < origin.chain.size(); ++i) {
         if (i != 0) msg << " -> ";
-        msg << origin->chain[i];
+        msg << origin.chain[i];
       }
     }
     msg << ". Event timestamps must derive from sim::now()/SimRng; annotate"
@@ -572,9 +577,7 @@ class Taint {
   }
 
   const Project& p_;
-  std::map<std::pair<std::size_t, std::size_t>, std::optional<TaintOrigin>>
-      memo_;
-  std::set<std::pair<std::size_t, std::size_t>> in_progress_;
+  CallMemo<std::optional<TaintOrigin>> memo_;
 };
 
 // ---------------------------------------------------------------------------
@@ -585,10 +588,9 @@ class Taint {
 ///
 ///   direct  Any blocking/allocating leaf site inside a hot-path *file*
 ///           (tables::kHotPathFiles — the per-event lane/window/engine/
-///           fiber machinery) is reported at the seed line. This subsumes
-///           the retired per-TU D3 allocation face and, unlike call-graph
-///           reachability, also catches seeds only reachable through
-///           type-erased dispatch (SmallFn::emplace's heap spill).
+///           fiber machinery) is reported at the seed line. Unlike
+///           call-graph reachability, this also catches seeds only reachable
+///           through type-erased dispatch (SmallFn::emplace's heap spill).
 ///
 ///   reach   A named hot-path *root* (tables::kHotPathRoots — lane pumps,
 ///           window workers, fiber trampolines, argolite dispatch, loadgen
@@ -676,75 +678,59 @@ class HotPathCost {
     }
   }
 
-  struct Hop {
-    FnRef fn;
-    std::string chain;  ///< rendered "Root -> callee [rel:line] -> ..."
-    std::size_t depth = 0;
-  };
-
+  /// Reports the first blocking and the first allocating seed a BFS from
+  /// `root` reaches, each with its shortest witness chain.
   void reach_from(FnRef root, const std::string& root_rel,
                   std::vector<Finding>& out) {
-    const auto& tus = p_.tus();
-    const FunctionInfo& root_fn = p_.fn(root);
     bool found_block = false;
     bool found_alloc = false;
-
-    std::set<std::pair<std::size_t, std::size_t>> visited;
-    std::vector<Hop> frontier{{root, root_fn.name, 0}};
-    visited.insert({root.tu, root.fn});
-
-    while (!frontier.empty() && !(found_block && found_alloc)) {
-      std::vector<Hop> next_frontier;
-      for (const auto& hop : frontier) {
-        const TuIndex& tu = tus[hop.fn.tu];
-        const FunctionInfo& f = p_.fn(hop.fn);
-        const std::string rel = repo_rel(tu.norm);
-        // Seeds inside hot-path files are reported by the direct face.
-        if (!hot_file(rel)) {
-          if (!found_block && !f.blocking.empty()) {
-            found_block = try_emit(root, root_rel, hop, tu, rel,
-                                   f.blocking.front(), true, out);
-          }
-          if (!found_alloc && !f.allocating.empty()) {
-            found_alloc = try_emit(root, root_rel, hop, tu, rel,
-                                   f.allocating.front(), false, out);
-          }
-          if (found_block && found_alloc) return;
-        }
-        if (hop.depth >= 8) continue;  // witness depth cap
-        auto push = [&](const std::string& name, int line, bool is_ref) {
-          const auto* cands = p_.candidates(name);
-          if (cands == nullptr) return;
-          for (const auto& cand : *cands) {
-            if (!visited.insert({cand.tu, cand.fn}).second) continue;
-            std::ostringstream step;
-            step << hop.chain << " -> " << (is_ref ? "&" : "")
-                 << p_.fn(cand).name << " [" << rel << ":" << line << "]";
-            next_frontier.push_back({cand, step.str(), hop.depth + 1});
-          }
-        };
-        for (const auto& c : f.calls) push(c.callee, c.line, false);
-        for (const auto& r : f.fn_refs) push(r.name, r.line, true);
-      }
-      frontier = std::move(next_frontier);
-    }
+    walk_calls(p_, {root}, /*max_depth=*/8, /*follow_refs=*/true,
+               [&](const std::vector<Hop>& walk, std::size_t i) {
+                 const TuIndex& tu = p_.tus()[walk[i].fn.tu];
+                 const FunctionInfo& f = p_.fn(walk[i].fn);
+                 const std::string rel = repo_rel(tu.norm);
+                 // Seeds inside hot-path files are reported by the direct
+                 // face.
+                 if (hot_file(rel)) return true;
+                 if (!found_block && !f.blocking.empty()) {
+                   found_block = true;
+                   emit_reach(root, root_rel, walk, i, tu, rel,
+                              f.blocking.front(), true, out);
+                 }
+                 if (!found_alloc && !f.allocating.empty()) {
+                   found_alloc = true;
+                   emit_reach(root, root_rel, walk, i, tu, rel,
+                              f.allocating.front(), false, out);
+                 }
+                 return !(found_block && found_alloc);
+               });
   }
 
-  bool try_emit(FnRef root, const std::string& root_rel, const Hop& hop,
-                const TuIndex& seed_tu, const std::string& seed_rel,
-                const SourceCall& seed, bool block, std::vector<Finding>& out) {
+  void emit_reach(FnRef root, const std::string& root_rel,
+                  const std::vector<Hop>& walk, std::size_t hop,
+                  const TuIndex& seed_tu, const std::string& seed_rel,
+                  const SourceCall& seed, bool block,
+                  std::vector<Finding>& out) {
     const FunctionInfo& root_fn = p_.fn(root);
     const TuIndex& root_tu = p_.tus()[root.tu];
     const char* const rule_name = block ? "may-block" : "may-allocate";
-    if (allowed(root_tu, root_fn.line, rule_name)) return true;
-    if (allowed(seed_tu, seed.line, rule_name)) return true;
+    if (allowed(root_tu, root_fn.line, rule_name)) return;
+    if (allowed(seed_tu, seed.line, rule_name)) return;
 
     std::ostringstream msg;
     msg << "hot-path root '" << root_fn.name << "' (" << root_rel << ":"
         << root_fn.line << ") may " << (block ? "block" : "allocate") << ": "
-        << hop.chain << "; " << (block ? "blocking" : "allocating")
-        << " site '" << seed.primitive << "' at " << seed_rel << ":"
-        << seed.line << ". "
+        << root_fn.name;
+    // "Root -> callee [caller-rel:line] -> &fnref [caller-rel:line] ..."
+    for (const auto k : chain_to(walk, hop)) {
+      const Hop& h = walk[k];
+      if (h.parent == std::string::npos) continue;
+      msg << " -> " << (h.is_ref ? "&" : "") << p_.fn(h.fn).name << " ["
+          << repo_rel(p_.tus()[walk[h.parent].fn.tu].norm) << ":" << h.line
+          << "]";
+    }
+    msg << "; " << (block ? "blocking" : "allocating") << " site '"
+        << seed.primitive << "' at " << seed_rel << ":" << seed.line << ". "
         << (block ? "Hand blocking work to a coordinator thread"
                   : "Hoist the allocation out of the per-event path")
         << " or annotate allow(" << rule_name
@@ -756,7 +742,6 @@ class HotPathCost {
     fd.line = root_fn.line;
     fd.message = msg.str();
     out.push_back(std::move(fd));
-    return true;
   }
 
   const Project& p_;

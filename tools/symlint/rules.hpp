@@ -34,8 +34,7 @@
 //                          from a named lane-/fiber-executed root through
 //                          name-resolved calls and &function references.
 //                          Reach findings carry the full witness chain with
-//                          file:line at every hop. Subsumes the retired
-//                          per-TU D3 allocation face.
+//                          file:line at every hop.
 //   P1 pvar-contract       Code-registered PVAR names and action-span names
 //                          (run separately, needs the doc text) must match
 //                          docs/PVARS.md exactly; drift in either direction

@@ -5,6 +5,7 @@
 // or a lock-guard type, so the tables live in one place.
 #pragma once
 
+#include <cstddef>
 #include <set>
 #include <string_view>
 
@@ -53,13 +54,14 @@ inline const std::set<std::string_view> kAllocStdIdents = {
 
 // B1/B2: the lane-executed hot-path files. Every function defined in one of
 // these is presumed lane-executed, so a blocking/allocating seed inside them
-// is reported directly (no call chain needed) — this subsumes the retired
-// per-TU D3 "alloc face".
+// is reported directly (no call chain needed). The first kLaneFileCount
+// entries are the Lane-internal files D4 exempts.
 inline const char* const kHotPathFiles[] = {
     "simkit/lane.hpp",   "simkit/lane.cpp",    "simkit/window.hpp",
     "simkit/window.cpp", "simkit/engine.hpp",  "simkit/engine.cpp",
     "simkit/arena.hpp",  "simkit/smallfn.hpp", "simkit/dheap.hpp",
 };
+inline constexpr std::size_t kLaneFileCount = 6;
 
 // B1/B2 reachability roots: the named lane-/fiber-/ULT-executed entry
 // points (the dispatch loops and pumps the E1 BFS also starts from, but
