@@ -97,6 +97,39 @@ TEST(ParallelEngine, CancelWorksOnOwnLane) {
   EXPECT_FALSE(eng.cancel(id));
 }
 
+// Cross-lane selection: step() runs the earliest live event of any lane,
+// ties going to the lowest lane index and cancelled heads skipped, and the
+// window loop opens each window at the earliest pending event.
+TEST(ParallelEngine, StepPicksEarliestLaneAndWindowsStartThere) {
+  const auto schedule = [](sim::Engine& eng, std::vector<std::uint32_t>& ran) {
+    const auto on = [&eng, &ran](std::uint32_t lane, sim::TimeNs t) {
+      return eng.at_on(lane, t, [&ran, lane] { ran.push_back(lane); });
+    };
+    on(2, 100);
+    on(3, 200);
+    on(1, 200);
+    on(0, 300);
+    EXPECT_TRUE(eng.cancel(on(1, 50)));
+  };
+
+  sim::Engine stepped(7, sharded(4, 1));
+  stepped.set_lookahead(100);
+  std::vector<std::uint32_t> ran;
+  schedule(stepped, ran);
+  while (stepped.step()) {
+  }
+  EXPECT_EQ(ran, (std::vector<std::uint32_t>{2, 1, 3, 0}));
+  EXPECT_FALSE(stepped.step());
+
+  sim::Engine windowed(7, sharded(4, 1));
+  windowed.set_lookahead(100);
+  std::vector<std::uint32_t> ran_windowed;
+  schedule(windowed, ran_windowed);
+  windowed.run();
+  EXPECT_EQ(windowed.windows_executed(), 3u);
+  EXPECT_EQ(ran_windowed.size(), 4u);
+}
+
 // Ping-pong across two lanes: per-lane execution logs must be identical for
 // every worker count. Each lane only appends to its own log, so the logs
 // are race-free even when lanes execute on different worker threads.
