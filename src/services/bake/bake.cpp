@@ -82,6 +82,9 @@ Status Provider::do_write(std::uint64_t rid, std::uint64_t offset,
   auto it = regions_.find(rid);
   if (it == regions_.end()) return Status::kNoRegion;
   Region& region = it->second;
+  // The write must end inside the 64-bit offset space: a wrapped end would
+  // skip the resize below and copy in front of the region buffer.
+  if (bytes > UINT64_MAX - offset) return Status::kOutOfRange;
 
   // Pull blob content from the origin through the bulk interface.
   req.bulk_pull(bytes);

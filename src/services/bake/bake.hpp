@@ -19,7 +19,7 @@
 
 namespace sym::bake {
 
-enum class Status : std::uint8_t { kOk = 0, kNoRegion = 1 };
+enum class Status : std::uint8_t { kOk = 0, kNoRegion = 1, kOutOfRange = 2 };
 
 /// Simulated NVMe-class storage device: bandwidth with request
 /// serialization. Writers sleep (IO wait) until their turn completes.
@@ -98,7 +98,8 @@ class Client {
 
   /// Write `data` into a region at `offset` (bulk path). The buffer is
   /// exposed to the provider as-is, so a relaying service passes on the
-  /// attachment it received instead of copying it.
+  /// attachment it received instead of copying it. kOutOfRange when the
+  /// write would end past the 64-bit offset space.
   Status write(ofi::EpAddr target, std::uint16_t provider, std::uint64_t rid,
                std::uint64_t offset,
                std::shared_ptr<const std::vector<std::byte>> data);

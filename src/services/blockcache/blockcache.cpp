@@ -112,20 +112,11 @@ void Provider::register_pvars() {
           [this](double v) {
             if (v >= 1) pending_capacity_ = static_cast<std::uint32_t>(v);
           });
-  reg.add({"bc_tenant_quota_blocks",
-           "per-tenant resident-block quota, 0 = unlimited (writable)",
-           PvarClass::kSize, PvarBind::kNoObject, true},
-          [this](const hg::Handle*) {
-            return static_cast<double>(tenant_quota_blocks_);
-          },
-          [this](double v) {
-            if (v >= 0) pending_quota_ = static_cast<std::uint32_t>(v);
-          });
 
   // Per-tenant queue depth and service share, one PVAR slot per tenant id
-  // below max_tenants (ids beyond the slots are scheduled normally, they
+  // below kMaxTenants (ids beyond the slots are scheduled normally, they
   // just are not individually observable).
-  for (std::uint32_t k = 0; k < cfg_.max_tenants; ++k) {
+  for (std::uint32_t k = 0; k < kMaxTenants; ++k) {
     const std::string t = "bc_t" + std::to_string(k);
     reg.add({t + "_queue_depth", "queued requests of tenant " +
              std::to_string(k), PvarClass::kLevel, PvarBind::kNoObject, false},
@@ -203,7 +194,7 @@ void Provider::dispatch_loop() {
       continue;
     }
     if (mid_.finalized()) break;
-    abt::sleep_for(cfg_.dispatch_poll);
+    abt::sleep_for(kDispatchPoll);
   }
 }
 
@@ -245,20 +236,19 @@ void Provider::service_read(QueuedOp& op) {
   auto it = blocks_.find(key);
   if (it == blocks_.end()) {
     ++misses_;
-    fetch_fill(key, readahead_for(key), op.tenant);
+    fetch_fill(key, readahead_for(key));
     it = blocks_.find(key);
     if (it == blocks_.end()) {
       // The readahead fill evicted the target itself (capacity smaller
       // than the fetch run): re-fetch just the one block.
-      fetch_fill(key, 1, op.tenant);
+      fetch_fill(key, 1);
       it = blocks_.find(key);
     }
   } else {
     ++hits_;
   }
   Block& b = it->second;
-  touch(key, b);
-  b.owner = op.tenant;
+  touch(b);
   abt::compute(static_cast<sim::DurationNs>(
       std::llround(static_cast<double>(cfg_.block_bytes) * kCopyNsPerByte)));
   op.out = b.data;
@@ -284,11 +274,11 @@ void Provider::service_write(QueuedOp& op) {
     if (it == blocks_.end()) {
       if (lo != 0 || n != bs) {
         // Partial-block write to an absent block: read-modify-write.
-        fetch_fill(key, 1, op.tenant);
+        fetch_fill(key, 1);
         it = blocks_.find(key);
       }
       if (it == blocks_.end()) {
-        insert_block(key, op.tenant);
+        insert_block(key);
         it = blocks_.find(key);
       }
     }
@@ -304,8 +294,7 @@ void Provider::service_write(QueuedOp& op) {
     b.dirty_lo = was_dirty ? std::min(b.dirty_lo, lo) : lo;
     b.dirty_hi = was_dirty ? std::max(b.dirty_hi, lo + n) : lo + n;
     if (!was_dirty) ++dirty_;
-    b.owner = op.tenant;
-    touch(key, b);
+    touch(b);
     pos += n;
     src += n;
     remaining -= n;
@@ -324,11 +313,7 @@ void Provider::apply_pending_controls() {
   if (pending_capacity_ != 0) {
     cfg_.capacity_blocks = pending_capacity_;
     pending_capacity_ = 0;
-    while (blocks_.size() > cfg_.capacity_blocks) evict_one(0);
-  }
-  if (pending_quota_ != ~0u) {
-    tenant_quota_blocks_ = pending_quota_;
-    pending_quota_ = ~0u;
+    while (blocks_.size() > cfg_.capacity_blocks) evict_one();
   }
 }
 
@@ -350,8 +335,7 @@ std::uint32_t Provider::readahead_for(const BlockKey& key) const {
   return std::min(cfg_.readahead_blocks, cfg_.capacity_blocks);
 }
 
-void Provider::fetch_fill(const BlockKey& key, std::uint32_t count,
-                          std::uint32_t tenant) {
+void Provider::fetch_fill(const BlockKey& key, std::uint32_t count) {
   const sim::TimeNs fetch_start = mid_.engine().now();
   const std::uint64_t rid = region_of(key.object);
   const std::uint64_t bs = cfg_.block_bytes;
@@ -366,7 +350,7 @@ void Provider::fetch_fill(const BlockKey& key, std::uint32_t count,
   for (std::uint32_t i = 0; i < count; ++i) {
     const BlockKey k{key.object, key.block + i};
     if (blocks_.find(k) != blocks_.end()) continue;  // never clobber dirty data
-    Block& b = insert_block(k, tenant);
+    Block& b = insert_block(k);
     const std::uint64_t off = static_cast<std::uint64_t>(i) * bs;
     if (off < data.size()) {
       const std::size_t n = std::min<std::size_t>(bs, data.size() - off);
@@ -394,86 +378,34 @@ std::uint64_t Provider::region_of(std::uint64_t object) {
 }
 
 // ---------------------------------------------------------------------------
-// Residency: insertion, LRU/clock touch, eviction
+// Residency: insertion, LRU touch, eviction
 // ---------------------------------------------------------------------------
 
-Provider::Block& Provider::insert_block(const BlockKey& key,
-                                        std::uint32_t tenant) {
-  while (blocks_.size() >= cfg_.capacity_blocks) evict_one(tenant);
+Provider::Block& Provider::insert_block(const BlockKey& key) {
+  while (blocks_.size() >= cfg_.capacity_blocks) evict_one();
   Block b;
   b.data.assign(cfg_.block_bytes, std::byte{0});
-  b.owner = tenant;
   auto [it, inserted] = blocks_.emplace(key, std::move(b));
   lru_.push_back(key);
   it->second.lru_pos = std::prev(lru_.end());
-  if (cfg_.eviction == Eviction::kClock) clock_ring_.push_back(key);
   mid_.process().add_rss(cfg_.block_bytes);
   return it->second;
 }
 
-void Provider::touch(const BlockKey& key, Block& b) {
-  if (cfg_.eviction == Eviction::kLru) {
-    lru_.splice(lru_.end(), lru_, b.lru_pos);
-    b.lru_pos = std::prev(lru_.end());
-  } else {
-    b.referenced = true;
-  }
-  (void)key;
+void Provider::touch(Block& b) {
+  lru_.splice(lru_.end(), lru_, b.lru_pos);
+  b.lru_pos = std::prev(lru_.end());
 }
 
-std::size_t Provider::tenant_occupancy(std::uint32_t tenant) const {
-  std::size_t n = 0;
-  for (const auto& [key, b] : blocks_) {
-    if (b.owner == tenant) ++n;
-  }
-  return n;
-}
-
-void Provider::evict_one(std::uint32_t incoming_tenant) {
+void Provider::evict_one() {
   const sim::TimeNs started = mid_.engine().now();
-  // Cache partitioning: a tenant over its quota evicts its own coldest
-  // block first, so one tenant's working set cannot evict everyone else's.
-  if (tenant_quota_blocks_ > 0 &&
-      tenant_occupancy(incoming_tenant) >= tenant_quota_blocks_) {
-    for (const auto& key : lru_) {
-      const auto it = blocks_.find(key);
-      if (it != blocks_.end() && it->second.owner == incoming_tenant) {
-        evict_key(key);
-        mid_.record_action_span("bc_evict", started);
-        return;
-      }
-    }
-  }
-  if (cfg_.eviction == Eviction::kLru) {
-    evict_key(lru_.front());
-  } else {
-    // Clock / second chance over the ring; stale entries (evicted via the
-    // quota path above) are skipped lazily.
-    while (!clock_ring_.empty()) {
-      const BlockKey key = clock_ring_.front();
-      clock_ring_.pop_front();
-      const auto it = blocks_.find(key);
-      if (it == blocks_.end()) continue;
-      if (it->second.referenced) {
-        it->second.referenced = false;
-        clock_ring_.push_back(key);
-        continue;
-      }
-      evict_key(key);
-      break;
-    }
-  }
-  mid_.record_action_span("bc_evict", started);
-}
-
-void Provider::evict_key(const BlockKey& key) {
-  const auto it = blocks_.find(key);
-  if (it == blocks_.end()) return;
-  if (it->second.dirty()) writeback_run(key, 1);
+  const auto it = blocks_.find(lru_.front());
+  if (it->second.dirty()) writeback_run(it->first, 1);
   lru_.erase(it->second.lru_pos);
   blocks_.erase(it);
   mid_.process().add_rss(-static_cast<std::int64_t>(cfg_.block_bytes));
   ++evictions_;
+  mid_.record_action_span("bc_evict", started);
 }
 
 // ---------------------------------------------------------------------------

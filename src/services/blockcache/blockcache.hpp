@@ -8,8 +8,8 @@
 //  * objects are split into fixed-size blocks; a pure placement function
 //    (placement.hpp) maps each block to one per-node cache server, so
 //    clients route requests without a directory service;
-//  * each cache server holds a bounded set of blocks with LRU or clock
-//    eviction, fetches missing blocks from the BAKE backend (batching
+//  * each cache server holds a bounded set of blocks with LRU eviction,
+//    fetches missing blocks from the BAKE backend (batching
 //    sequential miss runs into one large backend read — the readahead that
 //    makes locality-aligned placement ~order-of-magnitude faster than hash
 //    placement for streaming readers), and write-back-buffers dirty blocks,
@@ -19,17 +19,17 @@
 //    (scheduler.hpp): a single dispatcher ULT arbitrates competing tenant
 //    jobs under FIFO, size-fair or job-fair policy.
 //
-// Determinism: all cache-server state (block map, LRU/clock structures,
-// scheduler queues, counters) is owned by the server instance's lane and is
-// only touched from that instance's handler/dispatcher/flusher ULTs.
-// Control-plane writes arriving through the writable PVARs are staged into
-// pending fields and applied by the dispatcher at its next iteration, so
+// Determinism: all cache-server state (block map, LRU list, scheduler
+// queues, counters) is owned by the server instance's lane and is only
+// touched from that instance's handler/dispatcher/flusher ULTs.
+// Control-plane writes arriving through the writable PVAR are staged into
+// a pending field and applied by the dispatcher at its next iteration, so
 // even the PolicyEngine actuator path mutates cache state from exactly one
 // ULT. Measurement: the RPCs carry the usual t1..t14 spans; block fetch /
 // fill / evict / writeback emit self-contained action spans; the PVAR
-// registry gains bc_* rows (docs/PVARS.md) including two writable actuator
-// knobs (bc_capacity_blocks, bc_tenant_quota_blocks) that give the
-// PolicyEngine its second actuator surface.
+// registry gains bc_* rows (docs/PVARS.md) including the writable actuator
+// knob bc_capacity_blocks that gives the PolicyEngine its second actuator
+// surface.
 //
 // RPCs: bc_read_rpc, bc_write_rpc, bc_flush_rpc.
 #pragma once
@@ -51,17 +51,10 @@ namespace sym::blockcache {
 
 enum class Status : std::uint8_t { kOk = 0, kBadRequest = 1 };
 
-enum class Eviction : std::uint8_t { kLru = 0, kClock = 1 };
-
-[[nodiscard]] constexpr const char* to_string(Eviction e) noexcept {
-  return e == Eviction::kLru ? "lru" : "clock";
-}
-
 struct ProviderConfig {
   /// Block geometry and cache capacity (in blocks).
   std::uint32_t block_bytes = 64 * 1024;
   std::uint32_t capacity_blocks = 256;
-  Eviction eviction = Eviction::kLru;
   SchedPolicy policy = SchedPolicy::kFifo;
 
   /// BAKE backend this cache tier fronts.
@@ -82,12 +75,6 @@ struct ProviderConfig {
   /// server a contended resource the fairness policies arbitrate.
   sim::DurationNs service_op_cost = sim::usec(2);
   double service_bw_bytes_per_ns = 2.0;
-  /// Dispatcher idle poll (bounds dispatcher wake-up latency).
-  sim::DurationNs dispatch_poll = sim::usec(20);
-
-  /// Number of per-tenant PVAR slots (bc_t<k>_queue_depth /
-  /// bc_t<k>_service_share are registered for k < max_tenants).
-  std::uint32_t max_tenants = 8;
 };
 
 /// One per-node cache server: provider + dispatcher + periodic flusher.
@@ -167,8 +154,6 @@ class Provider {
     std::vector<std::byte> data;
     std::uint32_t dirty_lo = 0;  ///< dirty byte range [lo, hi)
     std::uint32_t dirty_hi = 0;
-    std::uint32_t owner = 0;     ///< tenant that last touched the block
-    bool referenced = false;     ///< clock ref bit
     std::list<BlockKey>::iterator lru_pos;
     [[nodiscard]] bool dirty() const noexcept { return dirty_hi > dirty_lo; }
   };
@@ -200,23 +185,21 @@ class Provider {
   void service_read(QueuedOp& op);
   void service_write(QueuedOp& op);
 
-  /// Apply control-plane writes staged by the writable PVARs.
+  /// Apply control-plane writes staged by the writable PVAR.
   void apply_pending_controls();
 
   /// Fetch `count` blocks starting at `key` from the backend in one read,
   /// fill the absent ones into the cache (clean). Records bc_fetch/bc_fill
   /// action spans and the backend counters.
-  void fetch_fill(const BlockKey& key, std::uint32_t count,
-                  std::uint32_t tenant);
+  void fetch_fill(const BlockKey& key, std::uint32_t count);
   /// Sequential-run readahead size for a miss at `key`.
   [[nodiscard]] std::uint32_t readahead_for(const BlockKey& key) const;
 
   /// Insert an absent block (evicting if at capacity); returns it zeroed.
-  Block& insert_block(const BlockKey& key, std::uint32_t tenant);
-  void touch(const BlockKey& key, Block& b);
-  void evict_one(std::uint32_t incoming_tenant);
-  void evict_key(const BlockKey& key);
-  [[nodiscard]] std::size_t tenant_occupancy(std::uint32_t tenant) const;
+  Block& insert_block(const BlockKey& key);
+  void touch(Block& b);
+  /// Evict the least recently used block.
+  void evict_one();
 
   /// Write back all dirty blocks, coalescing runs of adjacent dirty blocks
   /// of one object into single backend writes. `max_runs` = 0 means all.
@@ -237,7 +220,6 @@ class Provider {
   FairScheduler<QueuedOp*> sched_;
   std::map<BlockKey, Block> blocks_;
   std::list<BlockKey> lru_;            ///< front = coldest
-  std::deque<BlockKey> clock_ring_;    ///< second-chance ring
   std::map<std::uint64_t, std::uint64_t> regions_;  ///< object -> bake rid
   /// Per-object sequential-stream detector: the block each recently seen
   /// miss stream expects next. One server may field several interleaved
@@ -247,6 +229,11 @@ class Provider {
   /// lands on any tracked stream's expected-next block.
   std::map<std::uint64_t, std::deque<std::uint32_t>> streams_;
   static constexpr std::size_t kMaxStreamsPerObject = 8;
+  /// Dispatcher idle poll (bounds dispatcher wake-up latency).
+  static constexpr sim::DurationNs kDispatchPoll = sim::usec(20);
+  /// Per-tenant PVAR slots: bc_t<k>_queue_depth / bc_t<k>_service_share
+  /// are registered for k < kMaxTenants.
+  static constexpr std::uint32_t kMaxTenants = 8;
 
   std::size_t dirty_ = 0;
   std::uint64_t hits_ = 0;
@@ -259,10 +246,7 @@ class Provider {
   std::uint64_t read_ops_ = 0;
   std::uint64_t write_ops_ = 0;
 
-  /// Per-tenant block quota (0 = unlimited); staged by the writable PVAR.
-  std::uint32_t tenant_quota_blocks_ = 0;
   std::uint32_t pending_capacity_ = 0;   ///< 0 = no pending change
-  std::uint32_t pending_quota_ = ~0u;    ///< ~0u = no pending change
   /// Set by the periodic flusher ULT, consumed by the dispatcher: only the
   /// dispatcher ULT ever walks or mutates blocks_ (lane-ownership within
   /// the instance), so the flusher stages a request instead of sweeping.

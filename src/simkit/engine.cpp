@@ -35,74 +35,6 @@ inline TimeNs sat_add(TimeNs a, DurationNs b) noexcept {
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// NextEventIndex
-// ---------------------------------------------------------------------------
-
-void NextEventIndex::resize(std::uint32_t lanes) {
-  heap_.clear();
-  pos_.assign(lanes, kAbsent);
-  time_.assign(lanes, kTimeNever);
-}
-
-void NextEventIndex::sift_up(std::size_t i) {
-  const Entry e = heap_[i];
-  while (i > 0) {
-    const std::size_t parent = (i - 1) / 4;
-    if (!before(e, heap_[parent])) break;
-    place(i, heap_[parent]);
-    i = parent;
-  }
-  place(i, e);
-}
-
-void NextEventIndex::sift_down(std::size_t i) {
-  const Entry e = heap_[i];
-  const std::size_t n = heap_.size();
-  while (true) {
-    const std::size_t first_child = 4 * i + 1;
-    if (first_child >= n) break;
-    std::size_t best = first_child;
-    const std::size_t last_child = std::min(first_child + 4, n);
-    for (std::size_t c = first_child + 1; c < last_child; ++c) {
-      if (before(heap_[c], heap_[best])) best = c;
-    }
-    if (!before(heap_[best], e)) break;
-    place(i, heap_[best]);
-    i = best;
-  }
-  place(i, e);
-}
-
-void NextEventIndex::update(std::uint32_t lane, TimeNs t) {
-  if (time_[lane] == t) return;
-  time_[lane] = t;
-  const std::uint32_t at = pos_[lane];
-  if (t == kTimeNever) {
-    if (at == kAbsent) return;
-    // Remove: move the last entry into the hole and restore heap order.
-    const Entry last = heap_.back();
-    heap_.pop_back();
-    pos_[lane] = kAbsent;
-    if (last.lane != lane) {
-      heap_[at] = last;  // place() via sift below
-      pos_[last.lane] = at;
-      sift_up(at);
-      sift_down(pos_[last.lane]);
-    }
-    return;
-  }
-  if (at == kAbsent) {
-    heap_.push_back(Entry{t, lane});
-    pos_[lane] = static_cast<std::uint32_t>(heap_.size() - 1);
-    sift_up(heap_.size() - 1);
-    return;
-  }
-  heap_[at].t = t;
-  sift_up(at);
-  sift_down(pos_[lane]);
-}
-
-// ---------------------------------------------------------------------------
 // ActiveLaneScope
 // ---------------------------------------------------------------------------
 
@@ -143,7 +75,6 @@ void Engine::build_lanes(std::uint32_t count) {
   }
   const std::uint32_t w = config_.worker_count == 0 ? 1 : config_.worker_count;
   workers_ = std::min(w, count);
-  next_index_.resize(count);  // lanes start with next_dirty set
 }
 
 void Engine::shard_for_nodes(std::uint32_t node_count) {
@@ -259,13 +190,16 @@ void Engine::run_until_classic(TimeNs deadline) {
 // Execution — sharded (safe windows)
 // ---------------------------------------------------------------------------
 
-void Engine::refresh_next_index() {
-  for (std::uint32_t i = 0; i < lanes_.size(); ++i) {
-    Lane& l = *lanes_[i];
-    if (!l.take_next_dirty()) continue;
-    TimeNs t;
-    next_index_.update(i, l.peek_next(t) ? t : kTimeNever);
+Lane* Engine::earliest_lane(TimeNs& t) {
+  Lane* best = nullptr;
+  for (auto& l : lanes_) {
+    TimeNs lt;
+    if (l->peek_next(lt) && (best == nullptr || lt < t)) {
+      best = l.get();
+      t = lt;
+    }
   }
+  return best;
 }
 
 TimeNs Engine::window_end(TimeNs start, bool bounded,
@@ -279,12 +213,11 @@ void Engine::run_windows(bool bounded, TimeNs deadline) {
          "sharded engine requires a lookahead (set by the Cluster)");
   WindowCoordinator coord(*this, workers_);
   while (!stopped()) {
-    refresh_next_index();
-    if (next_index_.empty()) break;
     // Lockstep window [start, start + lookahead) from the earliest pending
     // event anywhere: every event executed inside it is at or after start,
     // so anything it posts to another lane lands at or beyond the end.
-    const TimeNs start = next_index_.top_time();
+    TimeNs start;
+    if (earliest_lane(start) == nullptr) break;
     if (bounded && start > deadline) break;
     main_now_ = start;
     coord.execute_window(window_end(start, bounded, deadline));
@@ -314,13 +247,9 @@ void Engine::run_until(TimeNs deadline) {
 }
 
 bool Engine::step() {
-  // Shares the incremental next-event index with run_windows(): only lanes
-  // whose heap top may have moved are re-peeked, and the (time, lane)
-  // heap order reproduces the historical "earliest event, ties by lane
-  // index" selection exactly.
-  refresh_next_index();
-  if (next_index_.empty()) return false;
-  Lane* best = lanes_[next_index_.top_lane()].get();
+  TimeNs t;
+  Lane* best = earliest_lane(t);
+  if (best == nullptr) return false;
   {
     ActiveLaneScope scope(*this, *best);
     best->pop_and_run();

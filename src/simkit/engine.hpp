@@ -81,45 +81,6 @@ struct EngineConfig {
   std::uint32_t worker_count = 1;
 };
 
-/// Incrementally maintained minimum over per-lane cached next-event times:
-/// an indexed 4-ary min-heap keyed by (time, lane). Replaces the O(lanes)
-/// peek-min sweep (which walked every lane's event heap) that both
-/// Engine::step() and the window loop used to duplicate; lanes are
-/// re-cached only when their heap top may have moved (Lane::take_next_dirty).
-class NextEventIndex {
- public:
-  struct Entry {
-    TimeNs t;
-    std::uint32_t lane;
-  };
-
-  void resize(std::uint32_t lanes);
-  /// Set lane's cached next-event time; kTimeNever removes it.
-  void update(std::uint32_t lane, TimeNs t);
-  [[nodiscard]] bool empty() const noexcept { return heap_.empty(); }
-  [[nodiscard]] std::uint32_t top_lane() const noexcept {
-    return heap_.front().lane;
-  }
-  [[nodiscard]] TimeNs top_time() const noexcept { return heap_.front().t; }
-
- private:
-  [[nodiscard]] static bool before(const Entry& a, const Entry& b) noexcept {
-    if (a.t != b.t) return a.t < b.t;
-    return a.lane < b.lane;
-  }
-  void sift_up(std::size_t i);
-  void sift_down(std::size_t i);
-  void place(std::size_t i, Entry e) {
-    heap_[i] = e;
-    pos_[e.lane] = static_cast<std::uint32_t>(i);
-  }
-
-  static constexpr std::uint32_t kAbsent = 0xFFFFFFFFu;
-  std::vector<Entry> heap_;
-  std::vector<std::uint32_t> pos_;  ///< lane -> heap slot (kAbsent if none)
-  std::vector<TimeNs> time_;        ///< lane -> cached time (kTimeNever)
-};
-
 class Engine {
  public:
   using Callback = Lane::Callback;
@@ -346,9 +307,9 @@ class Engine {
   void run_until_classic(TimeNs deadline);
   void run_windows(bool bounded, TimeNs deadline);
 
-  /// Re-cache the next-event time of every lane whose heap top may have
-  /// moved since the last refresh (Lane::take_next_dirty handshake).
-  void refresh_next_index();
+  /// The lane holding the earliest live event, ties going to the lowest
+  /// lane index; nullptr when every lane is empty. Sets `t` to its time.
+  [[nodiscard]] Lane* earliest_lane(TimeNs& t);
   /// Exclusive end of the window starting at `start`: start + lookahead,
   /// capped just past the deadline of a bounded run.
   [[nodiscard]] TimeNs window_end(TimeNs start, bool bounded,
@@ -364,7 +325,6 @@ class Engine {
   std::vector<std::unique_ptr<Lane>> lanes_;
 
   // Window machinery (sharded mode).
-  NextEventIndex next_index_;
   std::uint64_t windows_executed_ = 0;
   std::uint64_t merge_pairs_visited_ = 0;
   std::uint64_t dirty_pairs_posted_ = 0;

@@ -62,7 +62,6 @@ std::uint64_t Lane::schedule(TimeNs t, Callback cb) {
   arena_.cb(idx) = std::move(cb);
   heap_push(HeapEntry{t, next_seq_++, idx});
   ++pending_;
-  next_dirty_ = true;
   return (static_cast<std::uint64_t>(arena_.hot(idx).generation & 0x0FFFFFFFu)
           << 28) |
          idx;
@@ -95,7 +94,6 @@ bool Lane::cancel(std::uint32_t slot, std::uint32_t generation) {
   s.flags |= LaneArena::kCancelled;
   arena_.cb(slot) = nullptr;  // free captured state eagerly
   --pending_;
-  next_dirty_ = true;
   return true;
 }
 
@@ -148,7 +146,6 @@ bool Lane::pop_and_run() {
     }
     if ((s.flags & LaneArena::kStepped) != 0) ++coalesced_;
     --pending_;
-    next_dirty_ = true;
     if (s.steps_after != 0) {
       // Not the entry's last step: it stays on top, keyed by the next
       // reserved sequence number. The callback runs outside the slot

@@ -137,17 +137,6 @@ class Lane {
   }
   void clear_dirty_outboxes() noexcept { dirty_dst_.clear(); }
 
-  /// Next-event cache invalidation handshake with the engine's incremental
-  /// next-event index: any mutation that can move the heap top (schedule,
-  /// cancel, pop) sets the flag; the engine consumes it when it refreshes
-  /// the cached next-event time for this lane. Only touched by the thread
-  /// currently owning the lane (or the coordinator between windows).
-  [[nodiscard]] bool take_next_dirty() noexcept {
-    const bool d = next_dirty_;
-    next_dirty_ = false;
-    return d;
-  }
-
   /// Count of merged cross-lane events that arrived with a timestamp below
   /// this lane's clock: a window-protocol violation (a post with less than
   /// the lookahead), so 0 in every correct run.
@@ -233,7 +222,6 @@ class Lane {
   TimeNs inplace_end_ = 0;  ///< exclusive continue_in_place() bound
   std::uint64_t causality_clamps_ = 0;
   std::size_t pending_ = 0;
-  bool next_dirty_ = true;
   std::vector<HeapEntry> heap_;
   LaneArena arena_;
   Rng rng_;

@@ -83,15 +83,6 @@ class Rng {
     return -mean * std::log(u);
   }
 
-  /// Normally distributed double (Box-Muller, one value per call).
-  double normal(double mean, double stddev) noexcept {
-    double u1 = uniform01();
-    double u2 = uniform01();
-    if (u1 <= 0.0) u1 = 0x1.0p-53;
-    const double mag = std::sqrt(-2.0 * std::log(u1));
-    return mean + stddev * mag * std::cos(6.283185307179586 * u2);
-  }
-
   /// True with probability p.
   bool bernoulli(double p) noexcept { return uniform01() < p; }
 

@@ -207,7 +207,7 @@ Endpoint& Fabric::create_endpoint(sim::Process& process) {
 Fabric::TransferTiming Fabric::plan_transfer(sim::NodeId src, sim::NodeId dst,
                                              std::uint64_t bytes) {
   auto& engine = cluster_.engine();
-  const sim::TimeNs start = engine.now() + per_message_overhead_;
+  const sim::TimeNs start = engine.now() + kPerMessageOverhead;
   sim::TimeNs src_complete;
   if (src == dst) {
     // Loopback: memory copy, no NIC involvement or contention.

@@ -102,10 +102,7 @@ class Fabric {
 
   /// Fixed per-message software overhead (driver + protocol processing).
   [[nodiscard]] sim::DurationNs per_message_overhead() const noexcept {
-    return per_message_overhead_;
-  }
-  void set_per_message_overhead(sim::DurationNs d) noexcept {
-    per_message_overhead_ = d;
+    return kPerMessageOverhead;
   }
 
  private:
@@ -121,7 +118,7 @@ class Fabric {
 
   sim::Cluster& cluster_;
   std::vector<std::unique_ptr<Endpoint>> endpoints_;
-  sim::DurationNs per_message_overhead_ = sim::nsec(1000);
+  static constexpr sim::DurationNs kPerMessageOverhead = sim::nsec(1000);
 };
 
 }  // namespace sym::ofi

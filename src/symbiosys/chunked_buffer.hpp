@@ -7,16 +7,9 @@
 // workload being measured. This buffer instead appends into fixed-size
 // chunks: appends never move existing elements, iteration order is stable
 // (oldest to newest), and memory grows one chunk at a time.
-//
-// Ring mode bounds memory for always-on deployments: when the configured
-// chunk budget is reached, the oldest chunk is recycled to the tail and its
-// elements are dropped (counted in dropped()). This is the flight-recorder
-// discipline production tracing systems use so instrumentation can stay on
-// indefinitely.
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -32,40 +25,18 @@ class ChunkedBuffer {
   void push_back(const T& v) { emplace_back() = v; }
 
   T& emplace_back() {
-    if (chunks_.empty() || chunks_.back()->count == ChunkCap) grow();
-    Chunk& c = *chunks_.back();
-    ++total_appended_;
-    return c.items[c.count++];
+    if (size_ % ChunkCap == 0) chunks_.push_back(std::make_unique<Chunk>());
+    return chunks_.back()->items[size_++ % ChunkCap];
   }
 
-  /// Elements currently held (appended minus dropped by ring eviction).
-  [[nodiscard]] std::size_t size() const noexcept {
-    return total_appended_ - dropped_;
-  }
-  [[nodiscard]] bool empty() const noexcept { return size() == 0; }
-
-  /// Lifetime append count, including ring-evicted elements.
-  [[nodiscard]] std::uint64_t total_appended() const noexcept {
-    return total_appended_;
-  }
-  /// Elements evicted by ring mode so far.
-  [[nodiscard]] std::uint64_t dropped() const noexcept { return dropped_; }
+  [[nodiscard]] std::size_t size() const noexcept { return size_; }
+  [[nodiscard]] bool empty() const noexcept { return size_ == 0; }
 
   [[nodiscard]] std::size_t chunk_count() const noexcept {
     return chunks_.size();
   }
 
-  /// Bound the buffer to `max_chunks` chunks (ChunkCap elements each);
-  /// 0 restores unbounded growth. Takes effect on the next append that
-  /// would otherwise allocate a new chunk.
-  void set_ring_chunks(std::size_t max_chunks) noexcept {
-    max_chunks_ = max_chunks;
-  }
-  [[nodiscard]] std::size_t ring_chunks() const noexcept {
-    return max_chunks_;
-  }
-
-  /// Random access by logical index (0 = oldest retained element).
+  /// Random access by logical index (0 = oldest element).
   [[nodiscard]] const T& operator[](std::size_t i) const noexcept {
     return chunks_[i / ChunkCap]->items[i % ChunkCap];
   }
@@ -75,31 +46,7 @@ class ChunkedBuffer {
 
   void clear() {
     chunks_.clear();
-    spare_.clear();
-    total_appended_ = 0;
-    dropped_ = 0;
-  }
-
-  /// Empty the buffer but keep every chunk allocated for reuse — the arena
-  /// discipline for phase-structured workloads (drain a trace between
-  /// checkpoint bursts, refill during the next one) where clear()'s
-  /// deallocate-and-regrow would reintroduce the allocation spike this
-  /// buffer exists to avoid. Counters reset like clear(); subsequent
-  /// appends refill the retained chunks before any new chunk is allocated.
-  void reset_retaining_chunks() {
-    for (auto& c : chunks_) {
-      c->count = 0;
-      spare_.push_back(std::move(c));
-    }
-    chunks_.clear();
-    total_appended_ = 0;
-    dropped_ = 0;
-  }
-
-  /// Chunks parked by reset_retaining_chunks() and not yet refilled
-  /// (diagnostic: retained capacity still waiting to pay off).
-  [[nodiscard]] std::size_t spare_chunks() const noexcept {
-    return spare_.size();
+    size_ = 0;
   }
 
   class const_iterator {
@@ -126,33 +73,10 @@ class ChunkedBuffer {
  private:
   struct Chunk {
     T items[ChunkCap];
-    std::size_t count = 0;
   };
 
-  void grow() {
-    if (max_chunks_ > 0 && chunks_.size() >= max_chunks_) {
-      // Ring eviction: recycle the oldest chunk to the tail. The chunk's
-      // storage is reused, so steady-state ring mode never allocates.
-      auto oldest = std::move(chunks_.front());
-      dropped_ += oldest->count;
-      oldest->count = 0;
-      chunks_.erase(chunks_.begin());
-      chunks_.push_back(std::move(oldest));
-      return;
-    }
-    if (!spare_.empty()) {
-      chunks_.push_back(std::move(spare_.back()));
-      spare_.pop_back();
-      return;
-    }
-    chunks_.push_back(std::make_unique<Chunk>());
-  }
-
   std::vector<std::unique_ptr<Chunk>> chunks_;
-  std::vector<std::unique_ptr<Chunk>> spare_;
-  std::size_t max_chunks_ = 0;
-  std::uint64_t total_appended_ = 0;
-  std::uint64_t dropped_ = 0;
+  std::size_t size_ = 0;
 };
 
 }  // namespace sym::prof

@@ -167,10 +167,4 @@ SysStatStore read_sysstats_csv_file(const std::string& path) {
   return read_sysstats_csv(is);
 }
 
-void write_names_csv(std::ostream& os) {
-  // NameRegistry has no iteration API by design (hash->name map is an
-  // implementation detail); re-register via format on demand instead.
-  os << "# names resolved via NameRegistry::global() at analysis time\n";
-}
-
 }  // namespace sym::prof

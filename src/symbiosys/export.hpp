@@ -31,8 +31,4 @@ void write_trace_csv_file(const std::string& path, const TraceStore&);
 void write_sysstats_csv_file(const std::string& path, const SysStatStore&);
 [[nodiscard]] SysStatStore read_sysstats_csv_file(const std::string& path);
 
-/// Dump the global name registry (hash16,name) so analysis run in another
-/// process could resolve breadcrumbs.
-void write_names_csv(std::ostream& os);
-
 }  // namespace sym::prof

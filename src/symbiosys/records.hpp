@@ -254,8 +254,7 @@ struct TraceEvent {
 
 /// The per-process trace buffer: a chunked arena, so appending an event in
 /// the middle of a measured workload never triggers a full-buffer
-/// reallocation spike. set_ring_chunks() bounds memory for always-on runs
-/// (flight-recorder mode: oldest events are dropped, dropped() counts them).
+/// reallocation spike.
 class TraceStore {
  public:
   using Buffer = ChunkedBuffer<TraceEvent, 1024>;
@@ -263,13 +262,6 @@ class TraceStore {
   void append(const TraceEvent& ev) { events_.push_back(ev); }
   [[nodiscard]] const Buffer& events() const noexcept { return events_; }
   [[nodiscard]] std::size_t size() const noexcept { return events_.size(); }
-  [[nodiscard]] std::uint64_t dropped() const noexcept {
-    return events_.dropped();
-  }
-  /// Bound the buffer to `max_chunks` chunks of 1024 events (0 = unbounded).
-  void set_ring_chunks(std::size_t max_chunks) noexcept {
-    events_.set_ring_chunks(max_chunks);
-  }
   void clear() { events_.clear(); }
 
  private:
@@ -289,8 +281,8 @@ struct SysStat {
 };
 
 /// Per-process system-statistics buffer, filled by margolite's sampler ULT.
-/// Chunked like TraceStore: the sampler appends one row per tick forever,
-/// so the buffer must neither reallocate nor grow unbounded in ring mode.
+/// Chunked like TraceStore: the sampler appends one row per tick for the
+/// whole run, so the buffer must never reallocate.
 class SysStatStore {
  public:
   using Buffer = ChunkedBuffer<SysStat, 512>;
@@ -298,13 +290,6 @@ class SysStatStore {
   void append(const SysStat& s) { samples_.push_back(s); }
   [[nodiscard]] const Buffer& samples() const noexcept { return samples_; }
   [[nodiscard]] std::size_t size() const noexcept { return samples_.size(); }
-  [[nodiscard]] std::uint64_t dropped() const noexcept {
-    return samples_.dropped();
-  }
-  /// Bound the buffer to `max_chunks` chunks of 512 samples (0 = unbounded).
-  void set_ring_chunks(std::size_t max_chunks) noexcept {
-    samples_.set_ring_chunks(max_chunks);
-  }
   void clear() { samples_.clear(); }
 
  private:

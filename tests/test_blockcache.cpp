@@ -150,21 +150,17 @@ TEST(Blockcache, ColdMissesThenHitsOnSecondPass) {
 }
 
 TEST(Blockcache, EvictionBoundsOccupancyAtCapacity) {
-  for (const auto eviction : {bc::Eviction::kLru, bc::Eviction::kClock}) {
-    auto p = base_params();
-    p.cache.capacity_blocks = 8;
-    p.cache.eviction = eviction;
-    p.tenants = {TenantSpec{.width = 1,
-                            .blocks_per_client = 16,
-                            .passes = 1,
-                            .pattern = CachePattern::kSeqRead}};
-    CacheWorld world(p);
-    world.run();
-    EXPECT_EQ(world.total_misses(), 16u) << to_string(eviction);
-    EXPECT_EQ(world.total_evictions(), 8u) << to_string(eviction);
-    EXPECT_EQ(world.cache_provider(0).occupancy_blocks(), 8u)
-        << to_string(eviction);
-  }
+  auto p = base_params();
+  p.cache.capacity_blocks = 8;
+  p.tenants = {TenantSpec{.width = 1,
+                          .blocks_per_client = 16,
+                          .passes = 1,
+                          .pattern = CachePattern::kSeqRead}};
+  CacheWorld world(p);
+  world.run();
+  EXPECT_EQ(world.total_misses(), 16u);
+  EXPECT_EQ(world.total_evictions(), 8u);
+  EXPECT_EQ(world.cache_provider(0).occupancy_blocks(), 8u);
 }
 
 TEST(Blockcache, SequentialMissRunsTriggerReadahead) {

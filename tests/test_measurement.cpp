@@ -1,7 +1,7 @@
 // Tests for the fast-path measurement pipeline: the flat-hash ProfileStore
-// and its memo under rehash, chunked trace buffers (iteration order, ring
-// eviction), and the CallpathKeyHash bucket distribution under
-// power-of-two masking.
+// and its memo under rehash, chunked trace buffers (iteration order, chunk
+// growth), and the CallpathKeyHash bucket distribution under power-of-two
+// masking.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -193,69 +193,11 @@ TEST(ChunkedBuffer, IterationOrderStableAcrossChunks) {
   EXPECT_EQ(store.events()[kEvents - 1].request_id, kEvents - 1);
 }
 
-// Flight-recorder mode: a bounded buffer drops whole chunks from the front,
-// counts them in dropped(), and keeps iterating the retained suffix in
-// order. Steady state must not grow the chunk count.
-TEST(ChunkedBuffer, RingModeEvictsOldestChunks) {
-  prof::TraceStore store;
-  store.set_ring_chunks(2);  // retain at most 2 * 1024 events
-  constexpr std::size_t kEvents = 5 * 1024;
-  for (std::size_t i = 0; i < kEvents; ++i) {
-    prof::TraceEvent ev;
-    ev.request_id = i;
-    store.append(ev);
-  }
-  EXPECT_EQ(store.events().chunk_count(), 2u);
-  EXPECT_EQ(store.dropped(), kEvents - 2 * 1024);
-  EXPECT_EQ(store.size(), 2 * 1024u);
-  // Oldest retained element is the first of the surviving chunks.
-  std::size_t expect = kEvents - 2 * 1024;
-  for (const auto& ev : store.events()) {
-    ASSERT_EQ(ev.request_id, expect);
-    ++expect;
-  }
-  EXPECT_EQ(expect, kEvents);
-}
-
-TEST(ChunkedBuffer, UnboundedWhenRingDisabled) {
+TEST(ChunkedBuffer, GrowsOneChunkAtATime) {
   prof::ChunkedBuffer<int, 4> buf;
   for (int i = 0; i < 64; ++i) buf.push_back(i);
   EXPECT_EQ(buf.size(), 64u);
-  EXPECT_EQ(buf.dropped(), 0u);
   EXPECT_EQ(buf.chunk_count(), 16u);
-}
-
-// Phase-structured reuse: reset_retaining_chunks() parks every chunk in a
-// spare pool and an identical refill consumes the pool instead of
-// allocating — the buffer-level analogue of the lane-arena steady state.
-TEST(ChunkedBuffer, ResetRetainsChunksForIdenticalRefill) {
-  prof::ChunkedBuffer<int, 4> buf;
-  for (int i = 0; i < 64; ++i) buf.push_back(i);
-  ASSERT_EQ(buf.chunk_count(), 16u);
-
-  buf.reset_retaining_chunks();
-  EXPECT_EQ(buf.size(), 0u);
-  EXPECT_TRUE(buf.empty());
-  EXPECT_EQ(buf.chunk_count(), 0u);
-  EXPECT_EQ(buf.spare_chunks(), 16u);
-
-  for (int i = 0; i < 64; ++i) buf.push_back(i * 2);
-  EXPECT_EQ(buf.chunk_count(), 16u);
-  EXPECT_EQ(buf.spare_chunks(), 0u) << "refill should consume the pool";
-  for (int i = 0; i < 64; ++i) ASSERT_EQ(buf[static_cast<std::size_t>(i)], i * 2);
-
-  // A refill larger than the retained capacity grows past the pool.
-  buf.reset_retaining_chunks();
-  for (int i = 0; i < 80; ++i) buf.push_back(i);
-  EXPECT_EQ(buf.chunk_count(), 20u);
-  EXPECT_EQ(buf[79], 79);
-
-  // Full clear() releases the pool as well.
-  buf.reset_retaining_chunks();
-  EXPECT_GT(buf.spare_chunks(), 0u);
-  buf.clear();
-  EXPECT_EQ(buf.spare_chunks(), 0u);
-  EXPECT_EQ(buf.chunk_count(), 0u);
 }
 
 // ---------------------------------------------------------------------------

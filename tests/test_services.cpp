@@ -398,6 +398,25 @@ TEST(Bake, ReadReturnsExactBytesAtAnyOffset) {
   });
 }
 
+TEST(Bake, WriteWhoseEndWrapsIsRejected) {
+  ServiceWorld w;
+  bake::Provider provider(w.server, 2);
+  bake::Client cl(w.client);
+  w.run_client([&] {
+    const auto addr = w.server.addr();
+    const auto rid = cl.create(addr, 2, 0);
+    auto blob = std::make_shared<const std::vector<std::byte>>(
+        16, std::byte{0x7E});
+    // offset + 16 wraps to 8 in 64 bits.
+    EXPECT_EQ(cl.write(addr, 2, rid, UINT64_MAX - 7, blob),
+              bake::Status::kOutOfRange);
+    EXPECT_EQ(cl.write(addr, 2, rid, 32, blob), bake::Status::kOk);
+    EXPECT_EQ(cl.read(addr, 2, rid, 32, 16), *blob);
+  });
+  ASSERT_NE(provider.region(1), nullptr);
+  EXPECT_EQ(provider.region(1)->data.size(), 48u);
+}
+
 TEST(Bake, CreateWritePersistComposite) {
   ServiceWorld w;
   bake::Provider provider(w.server, 2);

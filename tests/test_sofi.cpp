@@ -25,7 +25,6 @@ struct SofiFixture {
     p.max_clock_skew = 0;
     cluster = std::make_unique<sim::Cluster>(eng, p);
     fabric = std::make_unique<ofi::Fabric>(*cluster);
-    fabric->set_per_message_overhead(sim::nsec(1000));
     a = &fabric->create_endpoint(cluster->spawn_process(0, "a"));
     b = &fabric->create_endpoint(cluster->spawn_process(1, "b"));
     same_node_as_a = &fabric->create_endpoint(cluster->spawn_process(0, "c"));

@@ -319,26 +319,24 @@ TEST(TraceSummary, IncompleteSpansKeepMissingEventsAtZero) {
   EXPECT_EQ(no_t14.duration(), 0u);
 }
 
-TEST(TraceSummary, RingModeDroppedEventsLeavePartialSpans) {
-  // The origin store keeps one 1024-event chunk. A filler span's t1 shifts
-  // the chunk boundary so span 511 loses only its t1 while spans 0..510
-  // lose both origin events; the target store keeps everything.
-  prof::TraceStore o, t;
-  o.set_ring_chunks(1);
-  const auto bc = prof::hash16("ring_rpc");
-  o.append(trace_event(prof::TraceEventKind::kOriginStart, 9999, bc, 0, 1, 2,
-                       1));
+TEST(TraceSummary, LostOriginEventsLeavePartialSpans) {
+  // The origin store keeps only the newest 17 origin events: span 512
+  // loses only its t1 while spans 1..511 lose both origin events; the
+  // target store keeps everything.
+  prof::TraceStore all, o, t;
+  const auto bc = prof::hash16("lost_rpc");
   constexpr std::uint64_t kSpans = 520;
   for (std::uint64_t i = 0; i < kSpans; ++i) {
     const sim::TimeNs base = 10'000 * (i + 1);
-    emit_span(o, t, i + 1, bc, 0, 1, 2, base, base + 100, base + 200,
+    emit_span(all, t, i + 1, bc, 0, 1, 2, base, base + 100, base + 200,
               base + 300, 0, 0);
   }
-  ASSERT_EQ(o.dropped(), 1024u);
+  for (std::size_t i = all.size() - 17; i < all.size(); ++i) {
+    o.append(all.events()[i]);
+  }
   const auto summary = prof::TraceSummary::build({&o, &t});
   EXPECT_EQ(summary.total_events, o.size() + t.size());
-  EXPECT_EQ(summary.total_spans, kSpans);  // the filler span was dropped
-  EXPECT_EQ(summary.find(9999), nullptr);
+  EXPECT_EQ(summary.total_spans, kSpans);
   std::size_t target_only = 0;
   for (const auto& rt : summary.requests) {
     for (const auto& sp : rt.spans) {
@@ -356,7 +354,7 @@ TEST(TraceSummary, RingModeDroppedEventsLeavePartialSpans) {
   const prof::Span& whole = only_span(summary, 513);
   EXPECT_EQ(whole.origin_start, 10'000u * 513);
   EXPECT_EQ(whole.duration(), 300u);
-  // Complete spans have zero skew; dropped-origin spans add endpoint 0.
+  // Complete spans have zero skew; lost-origin spans add endpoint 0.
   EXPECT_DOUBLE_EQ(summary.clock_offset_ns.at(2), 0);
   EXPECT_EQ(summary.clock_offset_ns.count(0), 1u);
 }
