@@ -6,6 +6,7 @@
 // the design choices called out in DESIGN.md.
 #include <benchmark/benchmark.h>
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -125,6 +126,31 @@ static void BM_PoolWake(benchmark::State& state) {
       static_cast<double>(state.iterations());
 }
 BENCHMARK(BM_PoolWake)->Arg(1)->Arg(8)->Arg(30);
+
+// Host cost of one handler ULT's life: spawn, dispatch, run and finish of
+// an empty ULT whose closure is the size of margolite's handler closure
+// (instance pointer, handle, handler reference, t4), on one ES. The stack
+// comes from the per-thread pool, so what remains is the ULT itself.
+static void BM_UltSpawn(benchmark::State& state) {
+  namespace abt = sym::abt;
+  sim::Engine eng;
+  sim::Cluster cluster(eng, sim::ClusterParams{});
+  abt::Runtime rt(eng, cluster.spawn_process(0, "bench"));
+  abt::Pool& pool = rt.create_pool("handlers");
+  rt.create_xstream({&pool});
+  auto handle = std::make_shared<int>(0);
+  for (auto _ : state) {
+    rt.create_ult(pool, [&rt, h = handle, &pool, t4 = eng.now()] {
+      benchmark::DoNotOptimize(h.get());
+      benchmark::DoNotOptimize(t4);
+      benchmark::DoNotOptimize(&rt);
+      benchmark::DoNotOptimize(&pool);
+    });
+    eng.run();
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_UltSpawn);
 
 // The Lane event heap's sift primitives (simkit/dheap.hpp): push/pop a
 // fixed pseudo-random schedule. The workload mirrors the Lane event heap —

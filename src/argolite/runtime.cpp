@@ -14,7 +14,7 @@ namespace sym::abt {
 Ult::Ult(Id id, Pool& pool, std::function<void()> body)
     : id_(id),
       pool_(&pool),
-      fiber_(std::make_unique<sim::Fiber>(std::move(body))) {}
+      fiber_(std::move(body)) {}
 
 void Ult::local_set(KeyId key, std::uint64_t value) {
   if (locals_.size() <= key) {

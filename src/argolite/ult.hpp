@@ -9,7 +9,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <vector>
 
 #include "argolite/types.hpp"
@@ -62,7 +61,7 @@ class Ult {
   Id id_;
   Pool* pool_;
   UltState state_ = UltState::kReady;
-  std::unique_ptr<sim::Fiber> fiber_;
+  sim::Fiber fiber_;  ///< embedded: a spawn is one allocation
   std::vector<std::uint64_t> locals_;
   sim::TimeNs created_at_ = 0;
   sim::TimeNs first_run_at_ = 0;

@@ -114,12 +114,12 @@ void Xstream::run_ult(Ult& ult) {
   Ult* prev_ult = g_current_ult;
   g_current_xstream = this;
   g_current_ult = &ult;
-  ult.fiber_->switch_in();
+  ult.fiber_.switch_in();
   g_current_xstream = prev_xs;
   g_current_ult = prev_ult;
 
   ult.pool().on_run_end();
-  if (ult.fiber_->finished()) ult.state_ = UltState::kFinished;
+  if (ult.fiber_.finished()) ult.state_ = UltState::kFinished;
   postprocess(ult);
 }
 

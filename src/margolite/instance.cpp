@@ -254,7 +254,7 @@ void Instance::emit_trace(prof::TraceEventKind kind, std::uint64_t request_id,
 PendingOpPtr Instance::forward_async(ofi::EpAddr dest,
                                      std::uint16_t provider_id, hg::RpcId rpc,
                                      std::vector<std::byte> input,
-                                     std::shared_ptr<const void> attachment,
+                                     std::shared_ptr<void> attachment,
                                      std::uint64_t attachment_bytes,
                                      sim::DurationNs timeout) {
   assert(abt::self() != nullptr && "forward_async() outside ULT context");
@@ -373,14 +373,13 @@ const std::vector<std::byte>& PendingOp::wait_retry(
     abt::sleep_for(backoff);
     backoff *= 2;
     ++attempts_;
-    // The busy reject handed the request input back on the handle, which
-    // also keeps the attachment, so the op is re-issued verbatim; adopt the
-    // retry's handle so the caller sees the final attempt's response and
-    // flags.
+    // The busy reject handed the request input and attachment back on the
+    // handle, so the op is re-issued verbatim; adopt the retry's handle so
+    // the caller sees the final attempt's response and flags.
     auto retry = inst_->forward_async(
         handle_->peer_addr(), handle_->header.provider_id,
-        handle_->header.rpc_id, std::move(handle_->body), handle_->attachment,
-        handle_->attachment_bytes);
+        handle_->header.rpc_id, std::move(handle_->body),
+        std::move(handle_->attachment), handle_->attachment_bytes);
     retry->wait();
     handle_ = retry->handle_;
   }

@@ -193,7 +193,7 @@ class Instance {
   /// timed semantics). A late response is absorbed silently.
   PendingOpPtr forward_async(ofi::EpAddr dest, std::uint16_t provider_id,
                              hg::RpcId rpc, std::vector<std::byte> input,
-                             std::shared_ptr<const void> attachment = nullptr,
+                             std::shared_ptr<void> attachment = nullptr,
                              std::uint64_t attachment_bytes = 0,
                              sim::DurationNs timeout = 0);
 

@@ -236,12 +236,12 @@ void Class::forward(const HandlePtr& h, std::vector<std::byte> input,
     ++eager_overflows_;
     wire_bytes = kRpcHeaderWireSize + config_.eager_limit;
   }
-  // The input moves to the target, which adopts it as its body; should the
-  // target early-reject the request as busy, it hands the input back for
-  // the retry (see respond()).
+  // The input and the attachment move to the target, which adopts them;
+  // should the target early-reject the request as busy, it hands both back
+  // for the retry (see respond()).
   endpoint_.post_send(h->peer_, kTagRequest,
                       frame(std::move(input), h->header), /*context=*/0,
-                      wire_bytes, h->attachment);
+                      wire_bytes, std::move(h->attachment));
 }
 
 void Class::respond(const HandlePtr& h, std::vector<std::byte> output,
@@ -258,12 +258,15 @@ void Class::respond(const HandlePtr& h, std::vector<std::byte> output,
   resp.flags = h->header.flags & (kFlagError | kFlagBusy);
   resp.body_size = output.size();
   std::uint64_t wire_bytes = 0;  // 0 => full size
+  std::shared_ptr<void> attachment;
   if ((resp.flags & kFlagBusy) != 0) {
     // A busy early-reject is an empty response. It carries the request
-    // input back to the origin, which re-sends it on retry; the input rides
-    // as content only, so the wire is charged for the empty response.
+    // input and attachment back to the origin, which re-sends them on
+    // retry; both ride as content only, so the wire is charged for the
+    // empty response.
     assert(output.empty() && "a busy early-reject has no output");
     output = std::move(h->body);
+    attachment = std::move(h->attachment);
     wire_bytes = kRpcHeaderWireSize;
   }
 
@@ -277,7 +280,7 @@ void Class::respond(const HandlePtr& h, std::vector<std::byte> output,
     };
   }
   endpoint_.post_send(h->peer_, kTagResponse, frame(std::move(output), resp),
-                      ctx, wire_bytes);
+                      ctx, wire_bytes, std::move(attachment));
 }
 
 void Class::bulk_transfer(const HandlePtr& h, std::uint64_t bytes,
@@ -393,7 +396,9 @@ void Class::handle_response_arrival(ofi::CqEntry&& entry) {
   HandlePtr h = std::move(it->second);
   posted_.erase(it);
   if ((resp.flags & kFlagBusy) != 0) {
-    h->body = std::move(entry.data);  // the input, handed back for a retry
+    // The input and attachment, handed back for a retry.
+    h->body = std::move(entry.data);
+    h->attachment = std::move(entry.attachment);
   } else {
     h->response_body = std::move(entry.data);
   }

@@ -120,17 +120,26 @@ class Handle {
   /// transfers (Mercury bulk handle). The target may only dereference it
   /// after a bulk_transfer() on this handle completes. Use the typed
   /// helpers to access it.
-  std::shared_ptr<const void> attachment;
+  ///
+  /// It travels with its request like the input body: forward() moves the
+  /// origin handle's reference onto the wire, a busy early-reject hands it
+  /// back for the retry, and otherwise the target handle owns it, so a
+  /// handler may move the content out when its caller kept no reference.
+  std::shared_ptr<void> attachment;
   std::uint64_t attachment_bytes = 0;
 
   template <typename T>
-  void attach(std::shared_ptr<const T> data, std::uint64_t bytes) {
+  void attach(std::shared_ptr<T> data, std::uint64_t bytes) {
     attachment = std::move(data);
     attachment_bytes = bytes;
   }
   template <typename T>
   [[nodiscard]] const T* attached() const noexcept {
     return static_cast<const T*>(attachment.get());
+  }
+  template <typename T>
+  [[nodiscard]] T* attached() noexcept {
+    return static_cast<T*>(attachment.get());
   }
 
   [[nodiscard]] bool target_side() const noexcept { return target_side_; }
@@ -205,8 +214,9 @@ class Class {
 
   /// Origin: serialize (charging t2->t3 cost), post the request, register
   /// the completion callback. Must run in ULT context. `input` itself goes
-  /// on the wire and becomes the target's body; the origin handle's body
-  /// stays empty unless a busy early-reject hands the input back.
+  /// on the wire and becomes the target's body, and the handle's attachment
+  /// goes with it; the origin handle holds neither unless a busy
+  /// early-reject hands them back.
   void forward(const HandlePtr& h, std::vector<std::byte> input,
                CompletionCallback on_complete);
 

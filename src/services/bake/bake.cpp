@@ -201,7 +201,7 @@ std::uint64_t Client::create(ofi::EpAddr target, std::uint16_t provider,
 
 Status Client::write(ofi::EpAddr target, std::uint16_t provider,
                      std::uint64_t rid, std::uint64_t offset,
-                     std::shared_ptr<const std::vector<std::byte>> data) {
+                     std::shared_ptr<std::vector<std::byte>> data) {
   const std::uint64_t bytes = data != nullptr ? data->size() : 0;
   hg::BufWriter w;
   hg::put(w, rid);
@@ -225,9 +225,9 @@ std::uint64_t Client::create_write_persist(ofi::EpAddr target,
   auto shared =
       // symlint: allow(may-allocate) reason=payload moves once into a
       // shared RPC buffer; client writes are service calls, not lane events
-      std::make_shared<const std::vector<std::byte>>(std::move(data));
+      std::make_shared<std::vector<std::byte>>(std::move(data));
   auto op = mid_.forward_async(target, provider, cwp_id_, hg::encode(bytes),
-                               shared, bytes);
+                               std::move(shared), bytes);
   return hg::decode<std::uint64_t>(op->wait());
 }
 

@@ -102,7 +102,7 @@ class Client {
   /// write would end past the 64-bit offset space.
   Status write(ofi::EpAddr target, std::uint16_t provider, std::uint64_t rid,
                std::uint64_t offset,
-               std::shared_ptr<const std::vector<std::byte>> data);
+               std::shared_ptr<std::vector<std::byte>> data);
 
   /// Flush a region to the device.
   Status persist(ofi::EpAddr target, std::uint16_t provider,

@@ -455,7 +455,7 @@ void Provider::writeback_run(const BlockKey& first, std::uint32_t count) {
                  // symlint: allow(may-allocate) reason=payload moves once
                  // into the shared buffer BAKE pulls from; writebacks are
                  // service calls, not lane events
-                 std::make_shared<const std::vector<std::byte>>(
+                 std::make_shared<std::vector<std::byte>>(
                      std::move(payload)));
   ++writeback_ops_;
   writeback_bytes_ += static_cast<std::uint64_t>(count) * bs;
@@ -551,7 +551,7 @@ Status Client::write(std::uint64_t object, std::uint64_t offset,
       seg_end = std::min<std::uint64_t>(data.size(), seg_end + bs);
     }
     const std::uint64_t seg_bytes = seg_end - pos;
-    auto shared = std::make_shared<const std::vector<std::byte>>(
+    auto shared = std::make_shared<std::vector<std::byte>>(
         data.begin() + static_cast<std::ptrdiff_t>(pos),
         data.begin() + static_cast<std::ptrdiff_t>(seg_end));
     hg::BufWriter w;
@@ -561,7 +561,7 @@ Status Client::write(std::uint64_t object, std::uint64_t offset,
     hg::put(w, start);
     hg::put(w, seg_bytes);
     auto op = mid_.forward_async(server, view_.provider, write_id_, w.take(),
-                                 shared, seg_bytes);
+                                 std::move(shared), seg_bytes);
     const auto st = static_cast<Status>(hg::decode<std::uint8_t>(op->wait()));
     if (st != Status::kOk) result = st;
     pos = seg_end;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <utility>
 
 #include "argolite/runtime.hpp"
 #include "simkit/rng.hpp"
@@ -64,8 +65,9 @@ bool DataStore::load_event(const EventId& id, std::string* payload) {
 }
 
 void DataStore::WriteBatch::store(const EventId& id, std::string payload) {
-  const std::string key = id.key();
-  groups_[store_.db_of_key(key)].emplace_back(key, std::move(payload));
+  std::string key = id.key();
+  groups_[store_.db_of_key(key)].emplace_back(std::move(key),
+                                              std::move(payload));
   ++pending_;
 }
 
@@ -73,15 +75,15 @@ std::vector<margo::PendingOpPtr> DataStore::WriteBatch::flush_async() {
   // One put_packed per non-empty database group, all in flight at once —
   // this is why "more databases" means "more RPCs" (paper §V-C3).
   std::vector<margo::PendingOpPtr> ops;
-  ops.reserve(groups_.size());
-  for (auto& [db, kvs] : groups_) {
+  ops.reserve(std::min(pending_, groups_.size()));
+  for (std::uint32_t db = 0; db < groups_.size(); ++db) {
+    if (groups_[db].empty()) continue;
     const std::uint32_t server = db / store_.dbs_per_server_;
     ops.push_back(store_.kv_.iput_packed(store_.servers_.at(server),
                                          store_.sdskv_provider_,
                                          db % store_.dbs_per_server_,
-                                         std::move(kvs)));
+                                         std::exchange(groups_[db], {})));
   }
-  groups_.clear();
   pending_ = 0;
   return ops;
 }
@@ -133,15 +135,12 @@ DataLoaderStats run_data_loader(DataStore& store, const EventFileModel& model,
                       model.read_bw_bytes_per_ns)));
 
     DataStore::WriteBatch batch(store);
+    EventId id{.dataset = dataset, .run = client_rank, .subrun = f};
     for (std::uint32_t e = 0; e < model.events_per_file; ++e) {
       abt::compute(model.serialize_per_event);
       // Cooperative yield so the (possibly ES-sharing) progress ULT can run
       // between event serializations, as margo-aware client code does.
       if ((e & 63u) == 63u) abt::yield();
-      EventId id;
-      id.dataset = dataset;
-      id.run = client_rank;
-      id.subrun = f;
       id.event = event_no++;
       batch.store(id, std::string(model.payload_bytes, 'x'));
       ++stats.events;

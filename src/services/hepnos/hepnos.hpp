@@ -12,7 +12,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -80,10 +79,12 @@ class DataStore {
   void store_event(const EventId& id, std::string payload);
 
   /// A batch of events accumulated client-side, grouped per database and
-  /// flushed as one sdskv_put_packed per non-empty group.
+  /// flushed as one sdskv_put_packed per non-empty group, in ascending
+  /// database order.
   class WriteBatch {
    public:
-    explicit WriteBatch(DataStore& store) : store_(store) {}
+    explicit WriteBatch(DataStore& store)
+        : store_(store), groups_(store.total_databases()) {}
 
     void store(const EventId& id, std::string payload);
     [[nodiscard]] std::size_t pending() const noexcept { return pending_; }
@@ -97,7 +98,7 @@ class DataStore {
 
    private:
     DataStore& store_;
-    std::map<std::uint32_t, std::vector<sdskv::KeyValue>> groups_;
+    std::vector<std::vector<sdskv::KeyValue>> groups_;  ///< by database
     std::size_t pending_ = 0;
   };
 

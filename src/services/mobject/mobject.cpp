@@ -82,11 +82,12 @@ void Server::handle_write_op(margo::Request& req) {
   const std::uint64_t rid = blob_->create(self, bkp, bytes);        // 5 bake
   {
     // Relay the client's attached payload to BAKE as the same buffer
-    // (sizes drive the timing; content rides along).
-    auto payload = std::static_pointer_cast<const std::vector<std::byte>>(
-        req.handle()->attachment);
+    // (sizes drive the timing; content rides along). The attachment moves
+    // on with the BAKE request.
+    auto payload = std::static_pointer_cast<std::vector<std::byte>>(
+        std::move(req.handle()->attachment));
     if (payload == nullptr) {
-      payload = std::make_shared<const std::vector<std::byte>>(bytes);
+      payload = std::make_shared<std::vector<std::byte>>(bytes);
     }
     req.bulk_pull(bytes);  // pull the client's payload into our memory
     blob_->write(self, bkp, rid, 0, std::move(payload));            // 6 bake
@@ -151,13 +152,12 @@ std::uint64_t Client::write_op(ofi::EpAddr target, std::uint16_t provider,
                                const std::string& name,
                                std::vector<std::byte> data) {
   const std::uint64_t bytes = data.size();
-  auto shared =
-      std::make_shared<const std::vector<std::byte>>(std::move(data));
+  auto shared = std::make_shared<std::vector<std::byte>>(std::move(data));
   hg::BufWriter w;
   hg::put(w, name);
   hg::put(w, bytes);
-  auto op = mid_.forward_async(target, provider, write_id_, w.take(), shared,
-                               bytes);
+  auto op = mid_.forward_async(target, provider, write_id_, w.take(),
+                               std::move(shared), bytes);
   return hg::decode<std::uint64_t>(op->wait());
 }
 

@@ -64,8 +64,9 @@ void Provider::handle_migrate(margo::Request& req) {
 
   // Ship the fileset to the destination REMI provider: small metadata RPC,
   // content exposed for the destination's bulk pull.
-  auto shared =
-      std::make_shared<const std::vector<sdskv::KeyValue>>(std::move(all));
+  // The source erases the migrated keys after the transfer, so it keeps a
+  // reference and the destination copies the pairs out.
+  auto shared = std::make_shared<std::vector<sdskv::KeyValue>>(std::move(all));
   hg::BufWriter w;
   hg::put(w, dst_db);
   hg::put(w, items);

@@ -1,6 +1,7 @@
 #include "services/sdskv/backend.hpp"
 
 #include <cmath>
+#include <utility>
 
 #include "argolite/runtime.hpp"
 
@@ -45,7 +46,7 @@ const char* to_string(BackendType t) noexcept {
   return "?";
 }
 
-void Backend::put_multi(const std::vector<KeyValue>& kvs) {
+void Backend::put_multi(std::vector<KeyValue> kvs) {
   for (const auto& [k, v] : kvs) put(k, v);
 }
 
@@ -53,11 +54,13 @@ void Backend::put_multi(const std::vector<KeyValue>& kvs) {
 // MapBackend
 // ---------------------------------------------------------------------------
 
-void MapBackend::put_locked(const std::string& key, const std::string& value) {
+template <typename Key, typename Value>
+void MapBackend::put_locked(Key&& key, Value&& value) {
   const auto bytes = key.size() + value.size();
   abt::compute(kMapPutBase + static_cast<sim::DurationNs>(
                                  std::llround(bytes * kMapPutPerByte)));
-  auto [it, inserted] = map_.insert_or_assign(key, value);
+  auto [it, inserted] = map_.insert_or_assign(std::forward<Key>(key),
+                                              std::forward<Value>(value));
   (void)it;
   if (inserted) account(static_cast<std::int64_t>(bytes));
 }
@@ -67,11 +70,11 @@ void MapBackend::put(const std::string& key, const std::string& value) {
   put_locked(key, value);
 }
 
-void MapBackend::put_multi(const std::vector<KeyValue>& kvs) {
+void MapBackend::put_multi(std::vector<KeyValue> kvs) {
   // The whole batch inserts under one lock acquisition — batching pays off,
   // but concurrent batches to the same database fully serialize.
   abt::LockGuard g(write_lock_);
-  for (const auto& [k, v] : kvs) put_locked(k, v);
+  for (auto& [k, v] : kvs) put_locked(std::move(k), std::move(v));
 }
 
 bool MapBackend::get(const std::string& key, std::string* value) {

@@ -50,9 +50,9 @@ class Backend {
   /// Insert or overwrite one pair.
   virtual void put(const std::string& key, const std::string& value) = 0;
 
-  /// Insert a batch (put_packed). Default: sequential puts; backends may
-  /// amortize locking.
-  virtual void put_multi(const std::vector<KeyValue>& kvs);
+  /// Insert a batch (put_packed), taking its pairs. Default: sequential
+  /// puts; backends may amortize locking and move the pairs in.
+  virtual void put_multi(std::vector<KeyValue> kvs);
 
   /// Lookup. Returns false if absent.
   virtual bool get(const std::string& key, std::string* value) = 0;
@@ -96,7 +96,7 @@ class MapBackend final : public Backend {
     return BackendType::kMap;
   }
   void put(const std::string& key, const std::string& value) override;
-  void put_multi(const std::vector<KeyValue>& kvs) override;
+  void put_multi(std::vector<KeyValue> kvs) override;
   bool get(const std::string& key, std::string* value) override;
   std::size_t list_keyvals(const std::string& start_key, std::size_t max,
                            const ScanVisitor& visit) override;
@@ -109,7 +109,8 @@ class MapBackend final : public Backend {
   }
 
  private:
-  void put_locked(const std::string& key, const std::string& value);
+  template <typename Key, typename Value>
+  void put_locked(Key&& key, Value&& value);
 
   std::map<std::string, std::string> map_;
   abt::Mutex write_lock_;  ///< map backend: no parallel insertions

@@ -1,5 +1,6 @@
 #include "services/sdskv/sdskv.hpp"
 
+#include <cassert>
 #include <cstring>
 
 #include "argolite/runtime.hpp"
@@ -168,8 +169,13 @@ void Provider::handle_put_packed(margo::Request& req) {
   abt::compute(sim::nsec(600) +
                static_cast<sim::DurationNs>(static_cast<double>(bytes) *
                                             kPackedDecodeNsPerByte));
-  const auto* kvs = req.handle()->attached<std::vector<KeyValue>>();
-  if (kvs != nullptr) db->put_multi(*kvs);
+  // The handler owns the attachment (the client kept no reference to the
+  // batch), so the pairs move into the database without a copy.
+  auto* kvs = req.handle()->attached<std::vector<KeyValue>>();
+  if (kvs != nullptr) {
+    assert(req.handle()->attachment.use_count() == 1);
+    db->put_multi(std::move(*kvs));
+  }
   req.respond_value(static_cast<std::uint8_t>(Status::kOk));
 }
 
@@ -279,19 +285,21 @@ margo::PendingOpPtr Client::iput_packed(ofi::EpAddr target,
                                         std::uint32_t db,
                                         std::vector<KeyValue> kvs) {
   const auto bytes = payload_bytes(kvs);
-  auto shared = std::make_shared<const std::vector<KeyValue>>(std::move(kvs));
+  const auto count = static_cast<std::uint32_t>(kvs.size());
   hg::BufWriter w;
   hg::put(w, db);
-  hg::put(w, static_cast<std::uint32_t>(shared->size()));
+  hg::put(w, count);
   hg::put(w, bytes);
-  return mid_.forward_async(target, provider, put_packed_id_, w.take(),
-                            shared, bytes);
+  // The batch goes to the provider: no reference to it stays here.
+  return mid_.forward_async(
+      target, provider, put_packed_id_, w.take(),
+      std::make_shared<std::vector<KeyValue>>(std::move(kvs)), bytes);
 }
 
 Status Client::finish_put_packed(const margo::PendingOpPtr& op) {
   // Busy early-rejects (admission control) are retried with backoff; the
-  // reject hands the request input back and the bulk attachment stays on
-  // the handle, so the op can be re-forwarded as-is.
+  // reject hands the request input and the bulk attachment back on the
+  // handle, so the op can be re-forwarded as-is.
   const auto& resp = op->wait_retry();
   if (op->busy()) return Status::kBusy;
   return static_cast<Status>(hg::decode<std::uint8_t>(resp));

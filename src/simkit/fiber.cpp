@@ -3,9 +3,14 @@
 #include <cassert>
 #include <cstdlib>
 #include <cstring>
+#include <new>
 #include <stdexcept>
 #include <utility>
 #include <vector>
+
+#ifndef SYM_FIBER_FAST_SWITCH
+#include <ucontext.h>
+#endif
 
 // AddressSanitizer tracks one stack per thread; ucontext switches move
 // execution to heap-allocated fiber stacks behind its back, which produces
@@ -141,7 +146,43 @@ sym_fiber_asm_switch:
 .size sym_fiber_asm_switch, .-sym_fiber_asm_switch
 )");
 
+#else  // !SYM_FIBER_FAST_SWITCH
+
+namespace {
+
+// The portable path's register save areas: the fiber's own context and the
+// scheduler context it returns to. They sit at the top of the fiber's stack
+// block rather than in the Fiber, which stays the same size in every build.
+struct SaveAreas {
+  ucontext_t fiber;
+  ucontext_t sched;
+};
+
+SaveAreas& save_areas(const FiberStack& stack) noexcept {
+  auto top = reinterpret_cast<std::uintptr_t>(stack.base()) + stack.size();
+  top = (top - sizeof(SaveAreas)) & ~(std::uintptr_t{alignof(SaveAreas)} - 1);
+  return *reinterpret_cast<SaveAreas*>(top);
+}
+
+}  // namespace
+
 #endif  // SYM_FIBER_FAST_SWITCH
+
+namespace {
+
+// The stack bytes a fiber's frames may use: the whole block under the fast
+// switch, the block below the save areas on the ucontext path.
+std::size_t stack_span(const FiberStack& stack) noexcept {
+#ifdef SYM_FIBER_FAST_SWITCH
+  return stack.size();
+#else
+  return static_cast<std::size_t>(
+      reinterpret_cast<std::uintptr_t>(&save_areas(stack)) -
+      reinterpret_cast<std::uintptr_t>(stack.base()));
+#endif
+}
+
+}  // namespace
 
 // ---------------------------------------------------------------------------
 // FiberStack / StackPool
@@ -250,7 +291,7 @@ void Fiber::switch_in() {
   Fiber* prev = g_current_fiber;
   g_current_fiber = this;
   void* sched_fake_stack = nullptr;
-  asan_start_switch(&sched_fake_stack, stack_->base(), stack_->size());
+  asan_start_switch(&sched_fake_stack, stack_->base(), stack_span(*stack_));
 #ifdef SYM_TSAN_FIBERS
   if (tsan_fiber_ == nullptr) tsan_fiber_ = tsan_create_fiber();
   tsan_sched_ = tsan_current_fiber();
@@ -299,21 +340,26 @@ void Fiber::trampoline(unsigned hi, unsigned lo) {
   // scheduler's shadow stack underflows and libtsan crashes walking it.
   // Jumping away keeps entry/exit balanced per context; uc_link remains as
   // a safety net but is never reached.
-  swapcontext(&self->ctx_, &self->return_ctx_);
+  SaveAreas& areas = save_areas(*self->stack_);
+  swapcontext(&areas.fiber, &areas.sched);
   std::abort();  // unreachable: a finished fiber is never resumed
 }
 
 void Fiber::switch_in() {
   assert(!finished_ && "cannot resume a finished fiber");
   assert(g_current_fiber == nullptr && "nested fibers are not supported");
+  SaveAreas* areas = &save_areas(*stack_);
   if (!started_) {
     started_ = true;
-    if (getcontext(&ctx_) != 0) throw std::runtime_error("getcontext failed");
-    ctx_.uc_stack.ss_sp = stack_->base();
-    ctx_.uc_stack.ss_size = stack_->size();
-    ctx_.uc_link = &return_ctx_;
+    areas = new (areas) SaveAreas{};
+    ucontext_t& ctx = areas->fiber;
+    if (getcontext(&ctx) != 0) throw std::runtime_error("getcontext failed");
+    // The stack runs from the block's base up to the save areas.
+    ctx.uc_stack.ss_sp = stack_->base();
+    ctx.uc_stack.ss_size = stack_span(*stack_);
+    ctx.uc_link = &areas->sched;
     const auto ptr = reinterpret_cast<std::uintptr_t>(this);
-    makecontext(&ctx_, reinterpret_cast<void (*)()>(&Fiber::trampoline), 2,
+    makecontext(&ctx, reinterpret_cast<void (*)()>(&Fiber::trampoline), 2,
                 static_cast<unsigned>(ptr >> 32),
                 static_cast<unsigned>(ptr & 0xFFFFFFFFu));
   }
@@ -321,7 +367,7 @@ void Fiber::switch_in() {
   Fiber* prev = g_current_fiber;
   g_current_fiber = this;
   void* sched_fake_stack = nullptr;
-  asan_start_switch(&sched_fake_stack, stack_->base(), stack_->size());
+  asan_start_switch(&sched_fake_stack, stack_->base(), stack_span(*stack_));
 #ifdef SYM_TSAN_FIBERS
   if (tsan_fiber_ == nullptr) tsan_fiber_ = tsan_create_fiber();
   // Remember the scheduler's TSan context on every entry: a resume may come
@@ -329,7 +375,7 @@ void Fiber::switch_in() {
   tsan_sched_ = tsan_current_fiber();
   tsan_switch_to(tsan_fiber_);
 #endif
-  if (swapcontext(&return_ctx_, &ctx_) != 0) {
+  if (swapcontext(&areas->sched, &areas->fiber) != 0) {
     g_current_fiber = prev;
     throw std::runtime_error("swapcontext into fiber failed");
   }
@@ -344,7 +390,8 @@ void Fiber::switch_out() {
   asan_start_switch(&self->asan_fake_stack_, self->asan_sched_bottom_,
                     self->asan_sched_size_);
   tsan_switch_to(self->tsan_sched_);
-  if (swapcontext(&self->ctx_, &self->return_ctx_) != 0) {
+  SaveAreas& areas = save_areas(*self->stack_);
+  if (swapcontext(&areas.fiber, &areas.sched) != 0) {
     throw std::runtime_error("swapcontext out of fiber failed");
   }
   // Resumed by a later switch_in(); refresh the scheduler-stack bounds in

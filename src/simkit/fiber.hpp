@@ -12,13 +12,20 @@
 // worker thread of the sharded engine) so lanes recycle stacks without
 // locking; each lane is pinned to one worker, so a fiber's stack is
 // acquired and released on the same thread's pool.
+//
+// A Fiber itself is small (112 bytes on LP64, pinned below) so argolite
+// embeds it in each ULT: one allocation per spawn. It holds no register
+// save area. The fast switch parks the stack pointer of each side in two
+// words; the portable ucontext path keeps its two ucontext_t save areas
+// (~1 KiB each) at the top of the fiber's own stack block, below which the
+// usable stack begins. The layout is the same in every build.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <ucontext.h>
+#include <vector>
 
 // Fast userspace context switch: on x86-64, glibc's swapcontext issues a
 // rt_sigprocmask syscall on every switch to save/restore the signal mask —
@@ -119,8 +126,6 @@ class Fiber {
 
   std::function<void()> entry_;
   std::unique_ptr<FiberStack> stack_;
-  ucontext_t ctx_{};
-  ucontext_t return_ctx_{};
   // Fast-switch stack pointers (x86-64 unsanitized builds; kept in the
   // layout unconditionally like the sanitizer fields below): where the fiber
   // last suspended, and where the scheduler waits for it to yield.
@@ -144,5 +149,10 @@ class Fiber {
   void* tsan_fiber_ = nullptr;
   void* tsan_sched_ = nullptr;
 };
+
+// Every ULT embeds a Fiber, so its size is the per-spawn allocation: the
+// entry function plus ten pointer-sized words, with no register save area.
+static_assert(sizeof(Fiber) == sizeof(std::function<void()>) + 10 * 8,
+              "sim::Fiber grew: it is embedded in every argolite ULT");
 
 }  // namespace sym::sim

@@ -73,7 +73,7 @@ Endpoint::~Endpoint() { sim::debug::unbind_home_lane(this); }
 void Endpoint::post_send(EpAddr dst, std::uint64_t tag,
                          std::vector<std::byte> data, std::uint64_t context,
                          std::uint64_t wire_bytes,
-                         std::shared_ptr<const void> attachment) {
+                         std::shared_ptr<void> attachment) {
   Endpoint& peer = fabric_.endpoint(dst);
   sim::debug::assert_home_lane(this, "Endpoint::post_send");
   const std::uint64_t bytes =

@@ -50,7 +50,7 @@ class Endpoint {
   /// RDMA" path for overflowing request metadata).
   void post_send(EpAddr dst, std::uint64_t tag, std::vector<std::byte> data,
                  std::uint64_t context, std::uint64_t wire_bytes = 0,
-                 std::shared_ptr<const void> attachment = nullptr);
+                 std::shared_ptr<void> attachment = nullptr);
 
   /// One-sided transfer of `bytes` between this endpoint and `peer` (the
   /// direction does not change the timing model). Initiator receives a

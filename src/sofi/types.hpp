@@ -44,8 +44,9 @@ struct CqEntry {
   /// buffer referenced by the message. It rides along for content purposes
   /// but contributes nothing to the wire cost — the receiver must issue a
   /// bulk transfer (post_rdma) before touching it, which is where the bytes
-  /// are charged. This models Mercury bulk handles over real RDMA.
-  std::shared_ptr<const void> attachment;
+  /// are charged. This models Mercury bulk handles over real RDMA. The
+  /// message carries the sender's reference: the receiver adopts it.
+  std::shared_ptr<void> attachment;
 };
 
 }  // namespace sym::ofi

@@ -2,6 +2,7 @@
 // RPC class mechanics (eager overflow, posted handles, progress/trigger).
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -546,6 +547,38 @@ TEST(HgMessage, BusyRejectHandsTheInputBackUncharged) {
   EXPECT_TRUE(h->response_body.empty());
   ASSERT_EQ(h->body.size(), 40u);  // back on the handle for the retry
   EXPECT_EQ(h->body[39], std::byte{0x7E});
+}
+
+TEST(HgMessage, BusyRejectHandsTheAttachmentBack) {
+  HgFixture f;
+  long target_refs = 0;
+  f.server.register_rpc("busy", [&](hg::HandlePtr h) {
+    target_refs = h->attachment.use_count();
+    h->header.flags |= hg::kFlagBusy;
+    f.server.respond(h, {}, nullptr);
+    EXPECT_EQ(h->attachment, nullptr);  // on its way back with the reject
+  });
+  const auto rpc = f.client.register_rpc("busy", nullptr);
+  auto h = f.client.create_handle(f.server.addr(), rpc, 0);
+  auto blob = std::make_shared<std::vector<int>>(100, 7);
+  const std::vector<int>* raw = blob.get();
+  h->attach(std::move(blob), 400);
+  f.client.forward(h, written(8, std::byte{0x01}), nullptr);
+  EXPECT_EQ(h->attachment, nullptr);  // in flight: the origin holds none
+  EXPECT_EQ(h->attachment_bytes, 400u);
+  f.eng.run();
+  f.server.progress();
+  EXPECT_EQ(target_refs, 1);  // the target held the only reference
+  // The attachment rides uncharged: the reject is an empty response.
+  EXPECT_EQ(f.server.endpoint().bytes_sent(), hg::kRpcHeaderWireSize);
+  f.eng.run();
+  f.client.progress();
+  ASSERT_NE(h->header.flags & hg::kFlagBusy, 0);
+  // The same buffer is back on the handle for the retry, solely owned.
+  const auto* back = h->attached<std::vector<int>>();
+  ASSERT_EQ(back, raw);
+  EXPECT_EQ(h->attachment.use_count(), 1);
+  EXPECT_EQ(back->at(99), 7);
 }
 
 TEST(HgMessage, TruncatedMessagesAreDroppedAndCounted) {

@@ -5,9 +5,13 @@
 // observable in the stitched trace.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "margolite/policy.hpp"
+#include "services/sdskv/sdskv.hpp"
 #include "simkit/cluster.hpp"
 #include "sofi/fabric.hpp"
 #include "symbiosys/analysis.hpp"
@@ -19,6 +23,7 @@ namespace abt = sym::abt;
 namespace hg = sym::hg;
 namespace margo = sym::margo;
 namespace prof = sym::prof;
+namespace sdskv = sym::sdskv;
 
 namespace {
 
@@ -228,6 +233,65 @@ TEST(Admission, ForwardRetryBacksOffUntilAccepted) {
   EXPECT_EQ(handled, kClients);
   EXPECT_GT(max_attempts_seen, 1u);  // someone actually had to back off
   EXPECT_GT(w.server->admission_rejects(), 0u);
+}
+
+TEST(Admission, RetriedPutPackedStoresEveryPairOnce) {
+  // A busy reject hands the batch back with the input, so the retry ships
+  // the same pairs; the accepted attempt's handler moves them into the
+  // database.
+  World w(server_with_es(1));
+  sdskv::Provider kv(*w.server, 1, sdskv::ProviderConfig{});
+  sdskv::Client cl(*w.client);
+  w.server->set_admission_limit(2);
+  constexpr int kClients = 12;
+  constexpr int kPairs = 5;
+  auto key_of = [](int c, int i) {
+    return "c" + std::to_string(c) + "/k" + std::to_string(i);
+  };
+  auto value_of = [](int c, int i) {
+    return std::string(200 + 10 * i, static_cast<char>('a' + c));
+  };
+
+  w.server->start();
+  w.client->start();
+  int done = 0;
+  for (int c = 0; c < kClients; ++c) {
+    w.client->spawn([&, c] {
+      std::vector<sdskv::KeyValue> kvs;
+      for (int i = 0; i < kPairs; ++i) {
+        kvs.emplace_back(key_of(c, i), value_of(c, i));
+      }
+      EXPECT_EQ(cl.put_packed(w.server->addr(), 1, 0, std::move(kvs)),
+                sdskv::Status::kOk);
+      if (++done < kClients) return;
+      // Every batch landed: read each pair back through the RPC stack.
+      for (int cc = 0; cc < kClients; ++cc) {
+        for (int i = 0; i < kPairs; ++i) {
+          std::string v;
+          EXPECT_EQ(cl.get(w.server->addr(), 1, 0, key_of(cc, i), &v),
+                    sdskv::Status::kOk);
+          EXPECT_EQ(v, value_of(cc, i));
+        }
+      }
+      w.client->finalize();
+      w.server->finalize();
+    });
+  }
+  w.eng.run();
+
+  ASSERT_EQ(done, kClients);
+  EXPECT_GT(w.server->admission_rejects(), 0u);  // some batches retried
+  // Each batch ran its handler once, and the store holds each pair once.
+  EXPECT_EQ(w.server->requests_handled(),
+            static_cast<std::uint64_t>(kClients + kClients * kPairs));
+  EXPECT_EQ(kv.db(0).size(), static_cast<std::size_t>(kClients * kPairs));
+  std::uint64_t bytes = 0;
+  for (int c = 0; c < kClients; ++c) {
+    for (int i = 0; i < kPairs; ++i) {
+      bytes += key_of(c, i).size() + value_of(c, i).size();
+    }
+  }
+  EXPECT_EQ(kv.db(0).stored_bytes(), bytes);
 }
 
 TEST(Admission, WatermarkRuleEngagesAndLifts) {

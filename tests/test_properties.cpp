@@ -159,7 +159,7 @@ TEST_P(RpcFuzz, IntervalAccountingInvariants) {
   client.spawn([&] {
     std::vector<margo::PendingOpPtr> ops;
     for (int i = 0; i < 50; ++i) {
-      auto payload = std::make_shared<const std::vector<std::byte>>(512);
+      auto payload = std::make_shared<std::vector<std::byte>>(512);
       ops.push_back(client.forward_async(
           server.addr(), 1, rpc,
           sym::hg::encode(static_cast<std::uint32_t>(i)), payload, 512));

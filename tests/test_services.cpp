@@ -358,7 +358,7 @@ TEST(Bake, CreateWritePersistRead) {
     EXPECT_GT(rid, 0u);
     std::vector<std::byte> blob(1024, std::byte{0xAB});
     EXPECT_EQ(cl.write(w.server.addr(), 2, rid, 0,
-                       std::make_shared<const std::vector<std::byte>>(blob)),
+                       std::make_shared<std::vector<std::byte>>(blob)),
               bake::Status::kOk);
     EXPECT_EQ(cl.persist(w.server.addr(), 2, rid), bake::Status::kOk);
     const auto back = cl.read(w.server.addr(), 2, rid, 0, 1024);
@@ -405,8 +405,7 @@ TEST(Bake, WriteWhoseEndWrapsIsRejected) {
   w.run_client([&] {
     const auto addr = w.server.addr();
     const auto rid = cl.create(addr, 2, 0);
-    auto blob = std::make_shared<const std::vector<std::byte>>(
-        16, std::byte{0x7E});
+    auto blob = std::make_shared<std::vector<std::byte>>(16, std::byte{0x7E});
     // offset + 16 wraps to 8 in 64 bits.
     EXPECT_EQ(cl.write(addr, 2, rid, UINT64_MAX - 7, blob),
               bake::Status::kOutOfRange);

@@ -140,7 +140,7 @@ TEST(Sofi, RdmaCompletesOnInitiatorOnly) {
 
 TEST(Sofi, AttachmentRidesAlongUncharged) {
   SofiFixture f;
-  auto blob = std::make_shared<const std::vector<int>>(1000, 42);
+  auto blob = std::make_shared<std::vector<int>>(1000, 42);
   f.a->post_send(f.b->addr(), 1, bytes(16), 0, 0, blob);
   f.eng.run();
   std::vector<ofi::CqEntry> events;
