@@ -6,6 +6,7 @@
 // the design choices called out in DESIGN.md.
 #include <benchmark/benchmark.h>
 
+#include <cstdio>
 #include <memory>
 #include <string>
 #include <vector>
@@ -520,6 +521,62 @@ static void BM_SdskvListKeyvals(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_SdskvListKeyvals);
+
+// HEPnOS-shaped put_packed batches through margolite/merclite on one lane:
+// 256 pairs per batch, 39-byte event keys from 56 interleaved loaders and
+// 512-byte values, into one provider's 128 map databases in turn. Four
+// batches per database (131,072 pairs, about 70 MiB stored) put about as
+// many pairs in each database as the HEPnOS ingest does; the count is fixed
+// so the store's size, and so the cost per pair, does not depend on the
+// timing. Instrumentation is off to time the message path and the inserts.
+static void BM_SdskvPutPacked(benchmark::State& state) {
+  constexpr std::uint32_t kDbs = 128;
+  constexpr int kBatch = 256;
+  constexpr unsigned kLoaders = 56;
+  sim::Engine eng;
+  sim::Cluster cluster(eng, sim::ClusterParams{.node_count = 1});
+  ofi::Fabric fabric{cluster};
+  auto& sproc = cluster.spawn_process(0, "bench-kv");
+  auto& cproc = cluster.spawn_process(0, "bench-client");
+  margo::Instance server(
+      fabric, sproc,
+      margo::InstanceConfig{.server = true, .instr = prof::Level::kOff});
+  margo::Instance client(fabric, cproc,
+                         margo::InstanceConfig{.instr = prof::Level::kOff});
+  sdskv::Provider provider(server, 1, sdskv::ProviderConfig{.db_count = kDbs});
+  sdskv::Client kv(client);
+  std::uint64_t event = 0;
+  bool ok = true;
+  server.start();
+  client.start();
+  client.spawn([&] {
+    std::uint32_t db = 0;
+    for (auto _ : state) {
+      std::vector<sdskv::KeyValue> batch;
+      batch.reserve(kBatch);
+      for (int i = 0; i < kBatch; ++i, ++event) {
+        char key[48];
+        std::snprintf(key, sizeof key, "ds00%%%08x%%%08x%%%016llx",
+                      static_cast<unsigned>(event % kLoaders), 0u,
+                      static_cast<unsigned long long>(event / kLoaders));
+        batch.emplace_back(key, std::string(512, 'e'));
+      }
+      ok &= kv.put_packed(server.addr(), 1, db, std::move(batch)) ==
+            sdskv::Status::kOk;
+      db = (db + 1) % kDbs;
+    }
+    client.finalize();
+    server.finalize();
+  });
+  eng.run();
+  if (!ok || provider.total_size() != event) {
+    state.SkipWithError("put_packed did not store every pair");
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(event));
+}
+BENCHMARK(BM_SdskvPutPacked)
+    ->Iterations(4 * 128)
+    ->Unit(benchmark::kMillisecond);
 
 // ---------------------------------------------------------------------------
 // Sonata JSON / jx9lite

@@ -11,7 +11,7 @@ namespace sym::abt {
 // Ult
 // ---------------------------------------------------------------------------
 
-Ult::Ult(Id id, Pool& pool, std::function<void()> body)
+Ult::Ult(Id id, Pool& pool, sim::SmallFn body)
     : id_(id),
       pool_(&pool),
       fiber_(std::move(body)) {}
@@ -88,7 +88,7 @@ Xstream& Runtime::create_xstream(std::vector<Pool*> pools) {
   return xs;
 }
 
-Ult& Runtime::create_ult(Pool& pool, std::function<void()> body) {
+Ult& Runtime::create_ult(Pool& pool, sim::SmallFn body) {
   ++ults_created_;
   // symlint: allow(may-allocate) reason=ULT construction is control-plane
   // work counted in ults_created_; dispatch loops reuse live ULTs

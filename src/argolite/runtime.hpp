@@ -6,7 +6,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -34,8 +33,9 @@ class Runtime {
   Xstream& create_xstream(std::vector<Pool*> pools);
 
   /// Spawn a ULT into `pool`. The ULT begins life kReady; it is destroyed
-  /// automatically when its body returns.
-  Ult& create_ult(Pool& pool, std::function<void()> body);
+  /// automatically when its body returns. A body whose capture fits
+  /// SmallFn's inline buffer costs no allocation beyond the ULT itself.
+  Ult& create_ult(Pool& pool, sim::SmallFn body);
 
   /// ULT-local key registry (global across runtimes, like Argobots keys).
   static KeyId key_create();

@@ -8,7 +8,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "argolite/types.hpp"
@@ -21,7 +20,7 @@ class Ult {
  public:
   using Id = std::uint64_t;
 
-  Ult(Id id, Pool& pool, std::function<void()> body);
+  Ult(Id id, Pool& pool, sim::SmallFn body);
   Ult(const Ult&) = delete;
   Ult& operator=(const Ult&) = delete;
 

@@ -413,7 +413,7 @@ Instance::RetryResult Instance::forward_retry(ofi::EpAddr dest,
   return result;
 }
 
-void Instance::spawn(std::function<void()> fn) {
+void Instance::spawn(sim::SmallFn fn) {
   runtime_->create_ult(*main_pool_, std::move(fn));
 }
 

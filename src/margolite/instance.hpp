@@ -220,7 +220,7 @@ class Instance {
                             sim::DurationNs initial_backoff = sim::usec(50));
 
   /// Spawn an application ULT on the main (client) pool.
-  void spawn(std::function<void()> fn);
+  void spawn(sim::SmallFn fn);
 
   // --- accessors -------------------------------------------------------------
 

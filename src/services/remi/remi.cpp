@@ -1,5 +1,10 @@
 #include "services/remi/remi.hpp"
 
+#include <cassert>
+#include <string>
+#include <utility>
+#include <vector>
+
 namespace sym::remi {
 namespace {
 
@@ -49,35 +54,43 @@ void Provider::handle_migrate(margo::Request& req) {
     return;
   }
 
-  // Read the whole source database (chunked scans through the backend).
+  // Read the whole source database: chunked scans through the backend,
+  // each decoded from the encoded pairs it appends.
   auto& db = local_kv_.db(src_db);
   std::vector<sdskv::KeyValue> all;
   std::string cursor;
-  while (db.list_keyvals(cursor, 256,
-                         [&all](const std::string& k, const std::string& v) {
-                           all.emplace_back(k, v);
-                         }) > 0) {
+  for (;;) {
+    hg::BufWriter chunk;
+    const std::size_t n = db.list_keyvals(cursor, 256, chunk);
+    if (n == 0) break;
+    hg::BufReader r(chunk.buffer());
+    for (std::size_t i = 0; i < n; ++i) hg::get(r, all.emplace_back());
     cursor = all.back().first;
   }
   const std::uint64_t bytes = sdskv::payload_bytes(all);
   const auto items = static_cast<std::uint32_t>(all.size());
+  // The keys to erase after the transfer are taken now, so the batch can
+  // go to the destination with no reference left here.
+  std::vector<std::string> erase_keys;
+  if (erase_source) {
+    erase_keys.reserve(all.size());
+    for (const auto& kv : all) erase_keys.push_back(kv.first);
+  }
 
   // Ship the fileset to the destination REMI provider: small metadata RPC,
   // content exposed for the destination's bulk pull.
-  // The source erases the migrated keys after the transfer, so it keeps a
-  // reference and the destination copies the pairs out.
-  auto shared = std::make_shared<std::vector<sdskv::KeyValue>>(std::move(all));
   hg::BufWriter w;
   hg::put(w, dst_db);
   hg::put(w, items);
   hg::put(w, bytes);
-  auto op = mid_.forward_async(destination, destination_provider, receive_id_,
-                               w.take(), shared, bytes);
+  auto op = mid_.forward_async(
+      destination, destination_provider, receive_id_, w.take(),
+      std::make_shared<std::vector<sdskv::KeyValue>>(std::move(all)), bytes);
   const auto resp = op->wait();
   const auto status = static_cast<Status>(hg::decode<std::uint8_t>(resp));
 
-  if (status == Status::kOk && erase_source) {
-    for (const auto& [k, v] : *shared) db.erase(k);
+  if (status == Status::kOk) {
+    for (const auto& k : erase_keys) db.erase(k);
   }
 
   hg::put(out, static_cast<std::uint8_t>(status));
@@ -102,18 +115,18 @@ void Provider::handle_receive(margo::Request& req) {
 
   // Pull the fileset content through the bulk interface...
   req.bulk_pull(bytes);
-  const auto* kvs =
-      req.handle()->attached<std::vector<sdskv::KeyValue>>();
+  auto* kvs = req.handle()->attached<std::vector<sdskv::KeyValue>>();
   if (kvs == nullptr) {
     req.respond_value(static_cast<std::uint8_t>(Status::kTransferFailed));
     return;
   }
   // ...and load it into the local SDSKV database through the RPC stack
   // (self-addressed put_packed), extending the distributed callpath to
-  // depth 3 for the end client.
-  const auto status = kv_client_->put_packed(mid_.addr(),
-                                             local_kv_provider_id_, dst_db,
-                                             *kvs);
+  // depth 3 for the end client. The source kept no reference to the batch,
+  // so its pairs move on without a copy.
+  assert(req.handle()->attachment.use_count() == 1);
+  const auto status = kv_client_->put_packed(
+      mid_.addr(), local_kv_provider_id_, dst_db, std::move(*kvs));
   req.respond_value(static_cast<std::uint8_t>(
       status == sdskv::Status::kOk ? Status::kOk : Status::kTransferFailed));
 }

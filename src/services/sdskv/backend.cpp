@@ -24,17 +24,6 @@ constexpr double kBtreePerByte = 0.4;
 constexpr sim::DurationNs kPageSplitCost = sim::usec(25);
 constexpr std::uint64_t kSplitEvery = 128;
 
-std::size_t scan(const std::map<std::string, std::string>& m,
-                 const std::string& start_key, std::size_t max,
-                 const ScanVisitor& visit) {
-  std::size_t n = 0;
-  for (auto it = m.upper_bound(start_key); it != m.end() && n < max;
-       ++it, ++n) {
-    visit(it->first, it->second);
-  }
-  return n;
-}
-
 }  // namespace
 
 const char* to_string(BackendType t) noexcept {
@@ -46,164 +35,115 @@ const char* to_string(BackendType t) noexcept {
   return "?";
 }
 
+// ---------------------------------------------------------------------------
+// Backend
+// ---------------------------------------------------------------------------
+
 void Backend::put_multi(std::vector<KeyValue> kvs) {
   for (const auto& [k, v] : kvs) put(k, v);
+}
+
+bool Backend::get(const std::string& key, std::string* value) {
+  abt::compute(costs_.get);
+  return store_.get(key, value);
+}
+
+std::size_t Backend::list_keyvals(const std::string& start_key,
+                                  std::size_t max, hg::BufWriter& out) {
+  const std::size_t n = store_.scan(start_key, max, out);
+  abt::compute(costs_.scan_base + kListPerItem * n);
+  return n;
+}
+
+bool Backend::erase(const std::string& key) {
+  abt::LockGuard g(lock_);
+  abt::compute(costs_.erase);
+  const auto bytes = store_.erase(key);
+  if (!bytes) return false;
+  stored_bytes_ -= *bytes;
+  process_.add_rss(-static_cast<std::int64_t>(*bytes));
+  return true;
+}
+
+void Backend::insert(const std::string& key, const std::string& value) {
+  if (!store_.put(key, value)) return;
+  const auto bytes = key.size() + value.size();
+  stored_bytes_ += bytes;
+  process_.add_rss(static_cast<std::int64_t>(bytes));
 }
 
 // ---------------------------------------------------------------------------
 // MapBackend
 // ---------------------------------------------------------------------------
 
-template <typename Key, typename Value>
-void MapBackend::put_locked(Key&& key, Value&& value) {
+MapBackend::MapBackend(sim::Process& process)
+    : Backend(process, {.get = kMapGetBase,
+                        .scan_base = kListBase,
+                        .erase = kMapGetBase}) {}
+
+void MapBackend::put_locked(const std::string& key, const std::string& value) {
   const auto bytes = key.size() + value.size();
   abt::compute(kMapPutBase + static_cast<sim::DurationNs>(
                                  std::llround(bytes * kMapPutPerByte)));
-  auto [it, inserted] = map_.insert_or_assign(std::forward<Key>(key),
-                                              std::forward<Value>(value));
-  (void)it;
-  if (inserted) account(static_cast<std::int64_t>(bytes));
+  insert(key, value);
 }
 
 void MapBackend::put(const std::string& key, const std::string& value) {
-  abt::LockGuard g(write_lock_);
+  abt::LockGuard g(lock_);
   put_locked(key, value);
 }
 
 void MapBackend::put_multi(std::vector<KeyValue> kvs) {
   // The whole batch inserts under one lock acquisition — batching pays off,
   // but concurrent batches to the same database fully serialize.
-  abt::LockGuard g(write_lock_);
-  for (auto& [k, v] : kvs) put_locked(std::move(k), std::move(v));
-}
-
-bool MapBackend::get(const std::string& key, std::string* value) {
-  abt::compute(kMapGetBase);
-  auto it = map_.find(key);
-  if (it == map_.end()) return false;
-  if (value != nullptr) *value = it->second;
-  return true;
-}
-
-std::size_t MapBackend::list_keyvals(const std::string& start_key,
-                                     std::size_t max,
-                                     const ScanVisitor& visit) {
-  const std::size_t n = scan(map_, start_key, max, visit);
-  abt::compute(kListBase + kListPerItem * n);
-  return n;
-}
-
-bool MapBackend::erase(const std::string& key) {
-  abt::LockGuard g(write_lock_);
-  abt::compute(kMapGetBase);
-  auto it = map_.find(key);
-  if (it == map_.end()) return false;
-  account(-static_cast<std::int64_t>(it->first.size() + it->second.size()));
-  map_.erase(it);
-  return true;
+  abt::LockGuard g(lock_);
+  for (const auto& [k, v] : kvs) put_locked(k, v);
 }
 
 // ---------------------------------------------------------------------------
 // LevelDbBackend
 // ---------------------------------------------------------------------------
 
+LevelDbBackend::LevelDbBackend(sim::Process& process)
+    : Backend(process,
+              {.get = kMapGetBase + kMapGetBase / 2,  // memtable + level probe
+               .scan_base = 2 * kListBase,            // merge of both
+               .erase = kWalAppendBase}) {}
+
 void LevelDbBackend::put(const std::string& key, const std::string& value) {
   const auto bytes = key.size() + value.size();
   {
     // Short WAL critical section.
-    abt::LockGuard g(wal_lock_);
+    abt::LockGuard g(lock_);
     abt::compute(kWalAppendBase + static_cast<sim::DurationNs>(
                                       std::llround(bytes * kWalPerByte)));
   }
   abt::compute(kMemtableInsert);
-  auto [it, inserted] = memtable_.insert_or_assign(key, value);
-  (void)it;
-  if (inserted) account(static_cast<std::int64_t>(bytes));
+  insert(key, value);
   memtable_bytes_ += bytes;
   if (memtable_bytes_ >= kMemtableLimit) {
     // Flush stall: the writer that filled the memtable pays for the flush.
-    abt::LockGuard g(wal_lock_);
+    abt::LockGuard g(lock_);
     abt::compute(kFlushCost);
-    for (auto& [k, v] : memtable_) levels_.insert_or_assign(k, std::move(v));
-    memtable_.clear();
     memtable_bytes_ = 0;
     ++flushes_;
   }
-}
-
-bool LevelDbBackend::get(const std::string& key, std::string* value) {
-  abt::compute(kMapGetBase + kMapGetBase / 2);  // memtable + level probe
-  if (auto it = memtable_.find(key); it != memtable_.end()) {
-    if (value != nullptr) *value = it->second;
-    return true;
-  }
-  if (auto it = levels_.find(key); it != levels_.end()) {
-    if (value != nullptr) *value = it->second;
-    return true;
-  }
-  return false;
-}
-
-std::size_t LevelDbBackend::list_keyvals(const std::string& start_key,
-                                         std::size_t max,
-                                         const ScanVisitor& visit) {
-  // Merge-scan of memtable and levels; on equal keys the memtable's newer
-  // value shadows the level's.
-  auto lv = levels_.upper_bound(start_key);
-  auto mt = memtable_.upper_bound(start_key);
-  std::size_t n = 0;
-  for (; n < max && (lv != levels_.end() || mt != memtable_.end()); ++n) {
-    if (mt == memtable_.end() ||
-        (lv != levels_.end() && lv->first < mt->first)) {
-      visit(lv->first, lv->second);
-      ++lv;
-      continue;
-    }
-    if (lv != levels_.end() && lv->first == mt->first) ++lv;
-    visit(mt->first, mt->second);
-    ++mt;
-  }
-  abt::compute(2 * kListBase + kListPerItem * n);
-  return n;
-}
-
-bool LevelDbBackend::erase(const std::string& key) {
-  abt::LockGuard g(wal_lock_);
-  abt::compute(kWalAppendBase);
-  bool existed = false;
-  if (auto it = memtable_.find(key); it != memtable_.end()) {
-    account(-static_cast<std::int64_t>(it->first.size() + it->second.size()));
-    memtable_.erase(it);
-    existed = true;
-  }
-  if (auto it = levels_.find(key); it != levels_.end()) {
-    if (!existed) {
-      account(
-          -static_cast<std::int64_t>(it->first.size() + it->second.size()));
-    }
-    levels_.erase(it);
-    existed = true;
-  }
-  return existed;
-}
-
-std::size_t LevelDbBackend::size() const noexcept {
-  std::size_t n = levels_.size();
-  for (const auto& [k, v] : memtable_) {
-    if (levels_.count(k) == 0) ++n;
-  }
-  return n;
 }
 
 // ---------------------------------------------------------------------------
 // BerkeleyDbBackend
 // ---------------------------------------------------------------------------
 
+BerkeleyDbBackend::BerkeleyDbBackend(sim::Process& process)
+    : Backend(process, {.get = kBtreeBase,
+                        .scan_base = kListBase,
+                        .erase = kBtreeBase}) {}
+
 void BerkeleyDbBackend::put(const std::string& key, const std::string& value) {
   abt::LockGuard g(lock_);
   const auto bytes = key.size() + value.size();
   const double logn =
-      tree_.empty() ? 1.0 : std::log2(static_cast<double>(tree_.size()) + 2);
+      size() == 0 ? 1.0 : std::log2(static_cast<double>(size()) + 2);
   abt::compute(kBtreeBase +
                static_cast<sim::DurationNs>(std::llround(
                    bytes * kBtreePerByte + 120.0 * logn)));
@@ -211,35 +151,7 @@ void BerkeleyDbBackend::put(const std::string& key, const std::string& value) {
     inserts_since_split_ = 0;
     abt::compute(kPageSplitCost);
   }
-  auto [it, inserted] = tree_.insert_or_assign(key, value);
-  (void)it;
-  if (inserted) account(static_cast<std::int64_t>(bytes));
-}
-
-bool BerkeleyDbBackend::get(const std::string& key, std::string* value) {
-  abt::compute(kBtreeBase);
-  auto it = tree_.find(key);
-  if (it == tree_.end()) return false;
-  if (value != nullptr) *value = it->second;
-  return true;
-}
-
-std::size_t BerkeleyDbBackend::list_keyvals(const std::string& start_key,
-                                            std::size_t max,
-                                            const ScanVisitor& visit) {
-  const std::size_t n = scan(tree_, start_key, max, visit);
-  abt::compute(kListBase + kListPerItem * n);
-  return n;
-}
-
-bool BerkeleyDbBackend::erase(const std::string& key) {
-  abt::LockGuard g(lock_);
-  abt::compute(kBtreeBase);
-  auto it = tree_.find(key);
-  if (it == tree_.end()) return false;
-  account(-static_cast<std::int64_t>(it->first.size() + it->second.size()));
-  tree_.erase(it);
-  return true;
+  insert(key, value);
 }
 
 // ---------------------------------------------------------------------------

@@ -170,7 +170,8 @@ void Provider::handle_put_packed(margo::Request& req) {
                static_cast<sim::DurationNs>(static_cast<double>(bytes) *
                                             kPackedDecodeNsPerByte));
   // The handler owns the attachment (the client kept no reference to the
-  // batch), so the pairs move into the database without a copy.
+  // batch), so the batch moves into the database, which copies each pair's
+  // bytes into its store once.
   auto* kvs = req.handle()->attached<std::vector<KeyValue>>();
   if (kvs != nullptr) {
     assert(req.handle()->attachment.use_count() == 1);
@@ -188,18 +189,15 @@ void Provider::handle_list_keyvals(margo::Request& req) {
   hg::get(r, start_key);
   hg::get(r, max);
   Backend* db = db_or_null(db_id);
-  // Serialize the pairs straight from the store into the response: the
-  // bytes are those of hg::encode(std::vector<KeyValue>), the count patched
-  // in once the scan is done.
+  // The store keeps its pairs in the wire encoding, so the scan copies
+  // them into the response: the bytes are those of
+  // hg::encode(std::vector<KeyValue>), the count patched in once the scan
+  // is done.
   hg::BufWriter w;
   hg::put(w, std::uint32_t{0});
   std::uint32_t count = 0;
   if (db != nullptr) {
-    count = static_cast<std::uint32_t>(db->list_keyvals(
-        start_key, max, [&w](const std::string& k, const std::string& v) {
-          hg::put(w, k);
-          hg::put(w, v);
-        }));
+    count = static_cast<std::uint32_t>(db->list_keyvals(start_key, max, w));
   }
   w.patch_raw(0, &count, sizeof count);
   req.respond(w.take());

@@ -229,7 +229,7 @@ void StackPool::drain() { pool_.clear(); }
 // Fiber
 // ---------------------------------------------------------------------------
 
-Fiber::Fiber(std::function<void()> entry, std::size_t stack_size)
+Fiber::Fiber(SmallFn entry, std::size_t stack_size)
     : entry_(std::move(entry)),
       stack_(StackPool::instance().acquire(stack_size)) {
   assert(entry_ && "fiber requires an entry function");

@@ -13,8 +13,10 @@
 // locking; each lane is pinned to one worker, so a fiber's stack is
 // acquired and released on the same thread's pool.
 //
-// A Fiber itself is small (112 bytes on LP64, pinned below) so argolite
-// embeds it in each ULT: one allocation per spawn. It holds no register
+// A Fiber is 192 bytes on LP64 (pinned below), and argolite embeds it in
+// each ULT: one allocation per spawn. Its entry function is a SmallFn, so a
+// body's capture (a handler ULT's request handle, handler and t4, say)
+// lives inline and costs no allocation of its own. It holds no register
 // save area. The fast switch parks the stack pointer of each side in two
 // words; the portable ucontext path keeps its two ucontext_t save areas
 // (~1 KiB each) at the top of the fiber's own stack block, below which the
@@ -23,9 +25,10 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <vector>
+
+#include "simkit/smallfn.hpp"
 
 // Fast userspace context switch: on x86-64, glibc's swapcontext issues a
 // rt_sigprocmask syscall on every switch to save/restore the signal mask —
@@ -95,8 +98,7 @@ class Fiber {
  public:
   static constexpr std::size_t kDefaultStackSize = 128 * 1024;
 
-  explicit Fiber(std::function<void()> entry,
-                 std::size_t stack_size = kDefaultStackSize);
+  explicit Fiber(SmallFn entry, std::size_t stack_size = kDefaultStackSize);
   ~Fiber();
   Fiber(const Fiber&) = delete;
   Fiber& operator=(const Fiber&) = delete;
@@ -124,7 +126,7 @@ class Fiber {
   static void fast_trampoline();
   void run_entry();
 
-  std::function<void()> entry_;
+  SmallFn entry_;
   std::unique_ptr<FiberStack> stack_;
   // Fast-switch stack pointers (x86-64 unsanitized builds; kept in the
   // layout unconditionally like the sanitizer fields below): where the fiber
@@ -152,7 +154,7 @@ class Fiber {
 
 // Every ULT embeds a Fiber, so its size is the per-spawn allocation: the
 // entry function plus ten pointer-sized words, with no register save area.
-static_assert(sizeof(Fiber) == sizeof(std::function<void()>) + 10 * 8,
+static_assert(sizeof(Fiber) == sizeof(SmallFn) + 10 * 8,
               "sim::Fiber grew: it is embedded in every argolite ULT");
 
 }  // namespace sym::sim

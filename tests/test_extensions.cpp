@@ -175,6 +175,52 @@ TEST(Remi, MigratesDatabaseBetweenProviders) {
   EXPECT_EQ(remi_dst.receives_served(), 1u);
 }
 
+// The source hands its only reference to the batch over with the request:
+// the destination's handler owns the attachment alone, so it can move the
+// pairs out. Here a bare handler stands in for the destination REMI
+// provider to look at what arrives.
+TEST(Remi, DestinationOwnsTheMigratedBatch) {
+  MultiWorld w(2);
+  sdskv::Provider kv_src(*w.instances[0], 1, sdskv::ProviderConfig{});
+  remi::Provider remi_src(*w.instances[0], 7, kv_src, 1);
+  remi::Client rc(*w.client);
+  sdskv::Client kvc(*w.client);
+  long owners = 0;
+  std::vector<sdskv::KeyValue> received;
+  w.instances[1]->register_rpc("remi_receive_rpc", 7, [&](margo::Request& req) {
+    auto r = req.reader();
+    std::uint32_t dst_db = 0, items = 0;
+    std::uint64_t bytes = 0;
+    sym::hg::get(r, dst_db);
+    sym::hg::get(r, items);
+    sym::hg::get(r, bytes);
+    req.bulk_pull(bytes);
+    owners = req.handle()->attachment.use_count();
+    auto* kvs = req.handle()->attached<std::vector<sdskv::KeyValue>>();
+    if (kvs != nullptr) received = std::move(*kvs);
+    req.respond_value(static_cast<std::uint8_t>(remi::Status::kOk));
+  });
+
+  std::vector<sdskv::KeyValue> sent;
+  for (int i = 0; i < 600; ++i) {
+    sent.emplace_back("mv-" + std::to_string(1000 + i),
+                      std::string(i % 3 == 0 ? 512 : 16, 'v'));
+  }
+  remi::MigrationResult result;
+  w.run_client([&] {
+    kvc.put_packed(w.instances[0]->addr(), 1, 0, sent);
+    result = rc.migrate(w.instances[0]->addr(), 7, 0, w.instances[1]->addr(),
+                        7, 0, /*erase_source=*/true);
+  });
+
+  EXPECT_EQ(result.status, remi::Status::kOk);
+  EXPECT_EQ(result.items, 600u);
+  EXPECT_EQ(owners, 1) << "the source kept a reference to the batch";
+  EXPECT_EQ(received, sent);  // every pair, in key order
+  EXPECT_EQ(kv_src.db(0).size(), 0u);
+  EXPECT_EQ(kv_src.db(0).stored_bytes(), 0u);
+}
+
 TEST(Remi, CopySemanticsKeepSource) {
   MultiWorld w(2);
   sdskv::Provider kv_src(*w.instances[0], 1, sdskv::ProviderConfig{});

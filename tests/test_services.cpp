@@ -13,8 +13,10 @@
 #include "services/hepnos/hepnos.hpp"
 #include "services/mobject/mobject.hpp"
 #include "services/sdskv/sdskv.hpp"
+#include "services/sdskv/store.hpp"
 #include "services/sonata/sonata.hpp"
 #include "simkit/cluster.hpp"
+#include "simkit/rng.hpp"
 #include "sofi/fabric.hpp"
 
 namespace sim = sym::sim;
@@ -61,15 +63,16 @@ struct ServiceWorld {
   margo::Instance client;
 };
 
-/// Copy the pairs of an in-place backend scan out (must run in a ULT).
+/// Decode the pairs of a backend scan (must run in a ULT).
 std::vector<sdskv::KeyValue> collect(sdskv::Backend& db,
                                      const std::string& start_key,
                                      std::size_t max) {
-  std::vector<sdskv::KeyValue> out;
-  db.list_keyvals(start_key, max,
-                  [&out](const std::string& k, const std::string& v) {
-                    out.emplace_back(k, v);
-                  });
+  hg::BufWriter w;
+  const std::size_t n = db.list_keyvals(start_key, max, w);
+  hg::BufReader r(w.buffer());
+  std::vector<sdskv::KeyValue> out(n);
+  for (auto& kv : out) hg::get(r, kv);
+  EXPECT_EQ(r.remaining(), 0u);
   return out;
 }
 
@@ -195,6 +198,108 @@ TEST(SdskvBackend, LevelDbFlushesOnMemtableLimit) {
   w.eng.run();
 }
 
+// The paged store against a std::map model, over seeded random operations:
+// inserts, overwrites that keep, grow or shrink a value, erases, lookups,
+// and scans from random starts with random bounds that cross pages. Values
+// run up to a little over HEPnOS's 512 bytes, so the store holds dozens of
+// pages that split, compact and empty out.
+TEST(SdskvStore, MatchesAMapModel) {
+  for (const std::uint64_t seed : {1u, 2u, 3u}) {
+    SCOPED_TRACE(seed);
+    sim::Rng rng(seed);
+    sdskv::Store store;
+    std::map<std::string, std::string> model;
+    const auto draw_key = [&rng] {
+      return "key/" + std::to_string(10000 + rng.uniform(3000));
+    };
+    const auto draw_value = [&rng](int op) {
+      const std::uint64_t lengths[] = {0, 1 + rng.uniform(40), 512, 512,
+                                       512 + rng.uniform(100)};
+      return std::string(lengths[rng.uniform(5)],
+                         static_cast<char>('a' + op % 26));
+    };
+    const auto check_scan = [&](const std::string& start, std::size_t max) {
+      hg::BufWriter want;
+      std::size_t n = 0;
+      for (auto it = model.upper_bound(start); it != model.end() && n < max;
+           ++it, ++n) {
+        hg::put(want, *it);
+      }
+      hg::BufWriter got;
+      EXPECT_EQ(store.scan(start, max, got), n) << start << " max " << max;
+      EXPECT_EQ(got.buffer(), want.buffer()) << start << " max " << max;
+    };
+    const auto nth_key = [&](std::uint64_t bound) {
+      return std::next(model.begin(),
+                       static_cast<std::ptrdiff_t>(rng.uniform(bound)))
+          ->first;
+    };
+    const auto check_all = [&] {
+      ASSERT_EQ(store.size(), model.size());
+      check_scan("", model.size() + 1);
+      for (int i = 0; i < 4; ++i) {
+        const std::string start =
+            rng.uniform(2) == 0 || model.empty() ? draw_key()
+                                                 : nth_key(model.size());
+        check_scan(start, rng.uniform(700));
+      }
+    };
+
+    std::size_t most_pages = 0;
+    for (int op = 0; op < 30000; ++op) {
+      const std::string key = draw_key();
+      const auto it = model.find(key);
+      const std::uint64_t kind = rng.uniform(10);
+      if (kind < 6) {
+        const std::string value = draw_value(op);
+        EXPECT_EQ(store.put(key, value), it == model.end()) << key;
+        model[key] = value;
+      } else if (kind < 8) {
+        const auto erased = store.erase(key);
+        ASSERT_EQ(erased.has_value(), it != model.end()) << key;
+        if (erased) {
+          EXPECT_EQ(*erased, key.size() + it->second.size());
+          model.erase(it);
+        }
+      } else {
+        std::string value;
+        ASSERT_EQ(store.get(key, &value), it != model.end()) << key;
+        if (it != model.end()) {
+          EXPECT_EQ(value, it->second);
+        }
+      }
+      most_pages = std::max(most_pages, store.page_count());
+      if (op % 500 == 0) check_all();
+    }
+    check_all();
+    EXPECT_GT(most_pages, 10u) << "the model run must cross many pages";
+
+    // Erase a contiguous third of the keys, emptying whole pages, then
+    // everything else in a random order.
+    std::vector<std::string> keys;
+    for (const auto& kv : model) keys.push_back(kv.first);
+    const std::size_t pages_before = store.page_count();
+    for (std::size_t i = keys.size() / 3; i < 2 * keys.size() / 3; ++i) {
+      ASSERT_TRUE(store.erase(keys[i]));
+      model.erase(keys[i]);
+    }
+    EXPECT_LT(store.page_count(), pages_before);
+    check_all();
+    while (!model.empty()) {
+      const std::string victim = nth_key(model.size());
+      ASSERT_TRUE(store.erase(victim));
+      model.erase(victim);
+      if (model.size() % 97 == 0) check_all();
+    }
+    EXPECT_EQ(store.page_count(), 0u);
+    hg::BufWriter none;
+    EXPECT_EQ(store.scan("", 10, none), 0u);
+    EXPECT_EQ(none.size(), 0u);
+    EXPECT_FALSE(store.erase("key/10000"));
+    EXPECT_FALSE(store.get("key/10000", nullptr));
+  }
+}
+
 // ---------------------------------------------------------------------------
 // SDSKV over RPC
 // ---------------------------------------------------------------------------
@@ -282,9 +387,9 @@ TEST_P(InPlaceScanTest, BytesAndCostMatchTheEncodedVector) {
       db.put(k, v);
       model[k] = v;
     };
-    // Four 1 MiB values fill the LevelDB memtable and flush it to the
-    // levels; the later keys and the overwrite stay in the memtable, so
-    // its scan merges both and the newer value shadows the flushed one.
+    // Four 1 MiB values fill the LevelDB memtable and charge its flush;
+    // the later overwrite must shadow the first value of big/1, and each
+    // 1 MiB record outgrows a store page on its own.
     for (int i = 0; i < 4; ++i) {
       put("big/" + std::to_string(i),
           std::string(1 << 20, static_cast<char>('a' + i)));
@@ -316,8 +421,8 @@ TEST_P(InPlaceScanTest, BytesAndCostMatchTheEncodedVector) {
 
       // Virtual cost: the backend's base plus a per-pair charge.
       const sim::TimeNs t0 = w.eng.now();
-      const std::size_t n = db.list_keyvals(
-          start, max, [](const std::string&, const std::string&) {});
+      hg::BufWriter scanned;
+      const std::size_t n = db.list_keyvals(start, max, scanned);
       EXPECT_EQ(n, want.size());
       EXPECT_EQ(w.eng.now() - t0,
                 list_base + static_cast<sim::DurationNs>(2000 * n));
