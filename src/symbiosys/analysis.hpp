@@ -16,7 +16,6 @@
 #include <cstdint>
 #include <map>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "symbiosys/records.hpp"
@@ -114,13 +113,10 @@ struct RequestTrace {
 };
 
 struct TraceSummary {
-  std::vector<RequestTrace> requests;
+  std::vector<RequestTrace> requests;  ///< ascending by request_id
   /// Estimated per-endpoint clock offsets (relative to the reference
   /// endpoint) recovered by the skew-correction pass.
   std::map<std::uint32_t, double> clock_offset_ns;
-  /// request_id -> index into `requests`, built once so find() is O(1)
-  /// instead of a linear scan per lookup.
-  std::unordered_map<std::uint64_t, std::size_t> request_index;
   std::size_t total_events = 0;
   std::size_t total_spans = 0;
 
@@ -129,6 +125,7 @@ struct TraceSummary {
   /// Text Gantt rendering of one request (Fig. 5 equivalent).
   [[nodiscard]] std::string format_request(const RequestTrace& rt) const;
 
+  /// Binary search of `requests`; nullptr when the id has no spans.
   [[nodiscard]] const RequestTrace* find(std::uint64_t request_id) const;
 };
 
