@@ -537,7 +537,8 @@ void Request::respond(std::vector<std::byte> output) {
 
 void Request::bulk_pull(std::uint64_t bytes) {
   abt::Eventual done;
-  inst_.hg_class().bulk_transfer(h_, bytes, [&done] { done.set(); });
+  inst_.hg_class().bulk_transfer(h_, bytes,
+                                 [&done](const hg::HandlePtr&) { done.set(); });
   done.wait();
 }
 

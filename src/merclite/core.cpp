@@ -54,7 +54,7 @@ void Class::register_pvars() {
   pvars_.add({"num_posted_handles", "Number of currently posted RPC handles",
               PvarClass::kLevel, PvarBind::kNoObject},
              [this](const Handle*) {
-               return static_cast<double>(posted_.size());
+               return static_cast<double>(posted_handles_);
              });
   pvars_.add({"completion_queue_size",
               "Number of events in the completion callback queue",
@@ -213,7 +213,6 @@ void Class::charge_compute(sim::DurationNs d) {
 void Class::forward(const HandlePtr& h, std::vector<std::byte> input,
                     CompletionCallback on_complete) {
   assert(!h->target_side_ && "forward() on a target-side handle");
-  h->header.op_seq = next_op_seq_++;
   h->header.body_size = input.size();
 
   // t2 -> t3: input serialization on the origin, charged to the calling ULT
@@ -222,8 +221,8 @@ void Class::forward(const HandlePtr& h, std::vector<std::byte> input,
   h->set_timer(kHtInputSer, static_cast<double>(cost));
   charge_compute(cost);
 
-  posted_[h->header.op_seq] = h;
-  completion_cbs_[h->header.op_seq] = std::move(on_complete);
+  h->header.op_seq = add_op(OpKind::kResponse, h, std::move(on_complete));
+  ++posted_handles_;
   ++num_rpcs_invoked_;
 
   // The wire message is the input itself plus the header trailer. If the
@@ -271,34 +270,26 @@ void Class::respond(const HandlePtr& h, std::vector<std::byte> output,
   }
 
   // Register the sent-completion continuation (t13) before posting.
-  const std::uint64_t ctx = next_ctx_++;
-  if (on_sent) {
-    HandlePtr hp = h;
-    SentCallback cb = std::move(on_sent);
-    pending_ctx_[ctx] = [this, hp, cb = std::move(cb)](const ofi::CqEntry&) {
-      enqueue_callback([hp, cb] { cb(hp); });
-    };
-  }
+  const std::uint64_t ctx =
+      on_sent ? add_op(OpKind::kSent, h, std::move(on_sent)) : 0;
   endpoint_.post_send(h->peer_, kTagResponse, frame(std::move(output), resp),
                       ctx, wire_bytes, std::move(attachment));
 }
 
 void Class::bulk_transfer(const HandlePtr& h, std::uint64_t bytes,
-                          std::function<void()> done) {
+                          OpCallback done) {
   bulk_bytes_total_ += bytes;
-  const std::uint64_t ctx = next_ctx_++;
-  pending_ctx_[ctx] = [this, done = std::move(done)](const ofi::CqEntry&) {
-    enqueue_callback(done);
-  };
-  endpoint_.post_rdma(h->peer_, bytes, ctx);
+  endpoint_.post_rdma(h->peer_, bytes,
+                      add_op(OpKind::kBulk, h, std::move(done)));
 }
 
 bool Class::cancel(const HandlePtr& h) {
-  const auto seq = h->header.op_seq;
-  const bool was_posted = posted_.erase(seq) > 0;
-  completion_cbs_.erase(seq);
-  if (was_posted) ++cancellations_;
-  return was_posted;
+  Op* op = find_op(h->header.op_seq);
+  if (op == nullptr || op->kind != OpKind::kResponse) return false;
+  release_op(*op);
+  --posted_handles_;
+  ++cancellations_;
+  return true;
 }
 
 void Class::charge_output_deserialize(const HandlePtr& h) {
@@ -342,8 +333,44 @@ bool Class::unframe(std::vector<std::byte>& msg, RpcHeader& h) {
   return true;
 }
 
-void Class::enqueue_callback(std::function<void()> fn) {
-  callback_queue_.push_back(QueuedCallback{std::move(fn)});
+std::uint64_t Class::add_op(OpKind kind, HandlePtr h, OpCallback done) {
+  std::uint32_t slot = 0;
+  if (free_ops_.empty()) {
+    slot = static_cast<std::uint32_t>(ops_.size());
+    ops_.emplace_back().slot = slot;
+  } else {
+    slot = free_ops_.back();
+    free_ops_.pop_back();
+  }
+  Op& op = ops_[slot];
+  op.handle = std::move(h);
+  op.done = std::move(done);
+  op.kind = kind;
+  return (std::uint64_t{op.gen} << 32) | slot;
+}
+
+Class::Op* Class::find_op(std::uint64_t key) noexcept {
+  const auto slot = static_cast<std::uint32_t>(key);
+  if (slot >= ops_.size()) return nullptr;
+  Op& op = ops_[slot];
+  if (op.gen != key >> 32 || op.kind == OpKind::kFree || op.queued) {
+    return nullptr;
+  }
+  return &op;
+}
+
+void Class::release_op(Op& op) noexcept {
+  op.handle.reset();
+  op.done = nullptr;
+  op.kind = OpKind::kFree;
+  op.queued = false;
+  if (++op.gen == 0) op.gen = 1;  // keys are never 0
+  free_ops_.push_back(op.slot);
+}
+
+void Class::enqueue_op(Op& op) {
+  op.queued = true;
+  callback_queue_.push_back(op.slot);
   if (callback_queue_.size() > callback_queue_hwm_) {
     callback_queue_hwm_ = callback_queue_.size();
   }
@@ -365,8 +392,8 @@ void Class::handle_request_arrival(ofi::CqEntry&& entry) {
   if (it == rpc_handlers_.end()) return;  // unknown RPC: drop
   // Borrow the handler through its stable slot: deque storage never moves
   // on growth and re-registration overwrites in place, so the pointer stays
-  // valid across map mutations — no per-request copy of the std::function.
-  const ArrivalCallback* arrival = &arrival_slots_[it->second];
+  // valid across map mutations — no per-request copy of the callback.
+  ArrivalCallback* arrival = &arrival_slots_[it->second];
 
   if ((h->header.flags & kFlagEagerOverflow) != 0) {
     // t3 -> t4: fetch the overflowing request metadata via internal RDMA,
@@ -375,26 +402,30 @@ void Class::handle_request_arrival(ofi::CqEntry&& entry) {
         h->header.body_size > config_.eager_limit
             ? h->header.body_size - config_.eager_limit
             : 0;
-    const std::uint64_t ctx = next_ctx_++;
     const sim::TimeNs started = engine().now();
-    pending_ctx_[ctx] = [this, h, arrival, started](const ofi::CqEntry&) {
-      h->set_timer(kHtInternalRdma,
-                   static_cast<double>(engine().now() - started));
-      (*arrival)(h);
-    };
-    endpoint_.post_rdma(h->peer_, remaining, ctx);
+    const ofi::EpAddr peer = h->peer_;
+    const std::uint64_t ctx = add_op(
+        OpKind::kFetch, std::move(h),
+        [this, arrival, started](const HandlePtr& fetched) {
+          fetched->set_timer(kHtInternalRdma,
+                             static_cast<double>(engine().now() - started));
+          (*arrival)(fetched);
+        });
+    endpoint_.post_rdma(peer, remaining, ctx);
   } else {
-    (*arrival)(h);
+    (*arrival)(std::move(h));
   }
 }
 
 void Class::handle_response_arrival(ofi::CqEntry&& entry) {
   RpcHeader resp;
   if (!unframe(entry.data, resp)) return;
-  auto it = posted_.find(resp.op_seq);
-  if (it == posted_.end()) return;  // stale/duplicate
-  HandlePtr h = std::move(it->second);
-  posted_.erase(it);
+  Op* op = find_op(resp.op_seq);
+  if (op == nullptr || op->kind != OpKind::kResponse) {
+    return;  // stale, duplicate or cancelled
+  }
+  --posted_handles_;
+  Handle* h = op->handle.get();
   if ((resp.flags & kFlagBusy) != 0) {
     // The input and attachment, handed back for a retry.
     h->body = std::move(entry.data);
@@ -409,16 +440,12 @@ void Class::handle_response_arrival(ofi::CqEntry&& entry) {
   h->header.lamport = resp.lamport;
   h->header.flags |= (resp.flags & (kFlagError | kFlagBusy));
 
-  auto cbit = completion_cbs_.find(resp.op_seq);
-  if (cbit == completion_cbs_.end()) return;
-  CompletionCallback cb = std::move(cbit->second);
-  completion_cbs_.erase(cbit);
-  enqueue_callback([this, h, cb = std::move(cb)] {
-    // t12 -> t14: origin completion-callback delay.
-    h->set_timer(kHtOriginCb,
-                 static_cast<double>(engine().now() - h->response_queued_at_));
-    cb(h);
-  });
+  // With no completion callback there is nothing to trigger.
+  if (op->done) {
+    enqueue_op(*op);
+  } else {
+    release_op(*op);
+  }
 }
 
 std::size_t Class::progress() {
@@ -448,12 +475,17 @@ std::size_t Class::progress() {
         break;
       case ofi::CqKind::kSendComplete:
       case ofi::CqKind::kRdmaComplete: {
-        auto it = pending_ctx_.find(ev.context);
-        if (it != pending_ctx_.end()) {
-          auto fn = std::move(it->second);
-          pending_ctx_.erase(it);
-          fn(ev);
+        Op* op = find_op(ev.context);
+        if (op == nullptr || op->kind == OpKind::kResponse) break;
+        if (op->kind != OpKind::kFetch) {
+          enqueue_op(*op);
+          break;
         }
+        // The request is whole: dispatch it now (t4), not from trigger().
+        HandlePtr h = std::move(op->handle);
+        OpCallback dispatch = std::move(op->done);
+        release_op(*op);
+        dispatch(h);
         break;
       }
     }
@@ -464,10 +496,21 @@ std::size_t Class::progress() {
 std::size_t Class::trigger(std::size_t max) {
   std::size_t ran = 0;
   while (ran < max && !callback_queue_.empty()) {
-    QueuedCallback item = std::move(callback_queue_.front());
+    // Take the operation out of its slot before running anything: the
+    // continuation may forward again and reuse the slot.
+    Op& op = ops_[callback_queue_.front()];
     callback_queue_.pop_front();
+    const bool origin = op.kind == OpKind::kResponse;
+    HandlePtr h = std::move(op.handle);
+    OpCallback done = std::move(op.done);
+    release_op(op);
     charge_compute(config_.trigger_dispatch_cost);
-    item.fn();
+    if (origin) {
+      // t12 -> t14: origin completion-callback delay.
+      h->set_timer(kHtOriginCb, static_cast<double>(
+                                    engine().now() - h->response_queued_at_));
+    }
+    if (done) done(h);
     ++ran;
   }
   return ran;

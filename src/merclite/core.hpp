@@ -19,7 +19,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -28,6 +27,7 @@
 #include "merclite/proc.hpp"
 #include "merclite/pvar.hpp"
 #include "simkit/cluster.hpp"
+#include "simkit/smallfn.hpp"
 #include "simkit/time.hpp"
 #include "sofi/fabric.hpp"
 
@@ -173,11 +173,15 @@ using HandlePtr = std::shared_ptr<Handle>;
 
 /// Target-side: invoked from progress() when a request is ready to execute
 /// (the paper's t4). margolite spawns the handler ULT here.
-using ArrivalCallback = std::function<void(HandlePtr)>;
+using ArrivalCallback = sim::SmallFunction<void(HandlePtr)>;
+/// A continuation run from trigger() with the operation's handle: a
+/// forward's completion (t14), a response's sent notice (t13), a bulk
+/// transfer's completion. Move-only, stored inline in the operation's slot.
+using OpCallback = sim::SmallFunction<void(const HandlePtr&)>;
 /// Origin-side: invoked from trigger() when the response is available (t14).
-using CompletionCallback = std::function<void(HandlePtr)>;
+using CompletionCallback = OpCallback;
 /// Target-side: invoked from trigger() when the response has been sent (t13).
-using SentCallback = std::function<void(HandlePtr)>;
+using SentCallback = OpCallback;
 
 /// One RPC library instance per simulated process.
 class Class {
@@ -216,7 +220,8 @@ class Class {
   /// the completion callback. Must run in ULT context. `input` itself goes
   /// on the wire and becomes the target's body, and the handle's attachment
   /// goes with it; the origin handle holds neither unless a busy
-  /// early-reject hands them back.
+  /// early-reject hands them back. An empty `on_complete` is allowed: the
+  /// response is still matched and stored on the handle.
   void forward(const HandlePtr& h, std::vector<std::byte> input,
                CompletionCallback on_complete);
 
@@ -229,9 +234,9 @@ class Class {
 
   /// Target: pull `bytes` of bulk data from the origin of `h` (Mercury's
   /// bulk interface used by BAKE and sdskv_put_packed). `done` runs from
-  /// trigger() when the transfer completes.
+  /// trigger() with `h` when the transfer completes.
   void bulk_transfer(const HandlePtr& h, std::uint64_t bytes,
-                     std::function<void()> done);
+                     OpCallback done);
 
   /// Cancel a posted origin-side operation: the handle is unposted and its
   /// completion callback is dropped, so a late response is silently
@@ -271,7 +276,7 @@ class Class {
 
   // --- raw metrics backing the NO_OBJECT PVARs ---
   [[nodiscard]] std::size_t num_posted_handles() const noexcept {
-    return posted_.size();
+    return posted_handles_;
   }
   [[nodiscard]] std::size_t completion_queue_size() const noexcept {
     return callback_queue_.size();
@@ -309,8 +314,25 @@ class Class {
   }
 
  private:
-  struct QueuedCallback {
-    std::function<void()> fn;
+  /// What an operation in the op table waits for.
+  enum class OpKind : std::uint8_t {
+    kFree,
+    kResponse,  ///< origin forward: the response, matched by op_seq
+    kSent,      ///< target respond: the send completion, matched by context
+    kBulk,      ///< bulk transfer: the RDMA completion, matched by context
+    kFetch,     ///< eager overflow: the RDMA of the request's remainder
+  };
+  /// One outstanding operation. Its key, carried as the request's op_seq or
+  /// as the CQ context, is the slot index in the low 32 bits and the slot's
+  /// generation in the high 32; the generation changes whenever the slot is
+  /// released, so a late or cancelled completion finds no operation.
+  struct Op {
+    HandlePtr handle;
+    OpCallback done;
+    std::uint32_t slot = 0;
+    std::uint32_t gen = 1;
+    OpKind kind = OpKind::kFree;
+    bool queued = false;  ///< completed, waiting in callback_queue_
   };
 
   void handle_request_arrival(ofi::CqEntry&& entry);
@@ -322,7 +344,14 @@ class Class {
   /// Read the header trailer off a received message and truncate it, so
   /// `msg` holds just the body. False (and counted) if `msg` is too short.
   bool unframe(std::vector<std::byte>& msg, RpcHeader& h);
-  void enqueue_callback(std::function<void()> fn);
+  /// Put an operation in a free slot; returns its key (never 0).
+  std::uint64_t add_op(OpKind kind, HandlePtr h, OpCallback done);
+  /// The operation still waiting under `key`, or nullptr.
+  Op* find_op(std::uint64_t key) noexcept;
+  /// Empty the slot of `op` and make it reusable under a new generation.
+  void release_op(Op& op) noexcept;
+  /// Queue a completed operation for trigger().
+  void enqueue_op(Op& op);
   void charge_compute(sim::DurationNs d);
   [[nodiscard]] sim::DurationNs ser_cost(std::size_t bytes) const noexcept;
   [[nodiscard]] sim::DurationNs deser_cost(std::size_t bytes) const noexcept;
@@ -334,21 +363,21 @@ class Class {
   ofi::Endpoint& endpoint_;
 
   // Arrival callbacks live in stable slots (deque: no reallocation on
-  // growth) so dispatch borrows a pointer instead of copying the
-  // std::function per request; the map only indexes into the slots.
+  // growth) so dispatch borrows a pointer instead of copying the callback
+  // per request; the map only indexes into the slots.
   std::deque<ArrivalCallback> arrival_slots_;
   std::unordered_map<RpcId, std::size_t> rpc_handlers_;  // id -> slot index
   std::unordered_map<RpcId, std::string> rpc_names_;
 
-  std::uint64_t next_op_seq_ = 1;
-  std::unordered_map<std::uint64_t, HandlePtr> posted_;  // op_seq -> handle
-  std::unordered_map<std::uint64_t, CompletionCallback> completion_cbs_;
-
-  std::uint64_t next_ctx_ = 1;
-  std::unordered_map<std::uint64_t, std::function<void(const ofi::CqEntry&)>>
-      pending_ctx_;  // send-complete / rdma-complete continuations
-
-  std::deque<QueuedCallback> callback_queue_;
+  // The op table, by slot. A deque: records never move, and the table
+  // grows in small blocks. Grown by doubling, a server's table passed
+  // glibc's mmap threshold, and freeing the old blocks raised that
+  // threshold for the trace analysis that follows the run, which then
+  // took up to a quarter longer.
+  std::deque<Op> ops_;
+  std::vector<std::uint32_t> free_ops_;  ///< released slots, reused last-first
+  std::size_t posted_handles_ = 0;      ///< kResponse ops not yet answered
+  std::deque<std::uint32_t> callback_queue_;  ///< slots of completed ops
 
   PvarRegistry pvars_;
   std::uint32_t next_session_id_ = 1;

@@ -27,11 +27,23 @@ Server::Server(margo::Instance& mid, ServerConfig config)
 // EventId / DataStore
 // ---------------------------------------------------------------------------
 
+void EventId::write_key_suffix(char* out) const noexcept {
+  static constexpr char kHex[] = "0123456789abcdef";
+  const auto field = [&out](std::uint64_t v, int digits) {
+    *out++ = '%';
+    for (int i = digits - 1; i >= 0; --i, v >>= 4) out[i] = kHex[v & 0xF];
+    out += digits;
+  };
+  field(run, 8);
+  field(subrun, 8);
+  field(event, 16);
+}
+
 std::string EventId::key() const {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%%%08x%%%08x%%%016llx", run, subrun,
-                static_cast<unsigned long long>(event));
-  return dataset + buf;
+  std::string k(dataset.size() + kKeySuffixBytes, '\0');
+  dataset.copy(k.data(), dataset.size());
+  write_key_suffix(k.data() + dataset.size());
+  return k;
 }
 
 DataStore::DataStore(margo::Instance& mid, std::vector<ofi::EpAddr> servers,
@@ -43,17 +55,17 @@ DataStore::DataStore(margo::Instance& mid, std::vector<ofi::EpAddr> servers,
       sdskv_provider_(sdskv_provider),
       dbs_per_server_(dbs_per_server) {}
 
-std::uint32_t DataStore::db_of_key(const std::string& key) const {
-  const auto h = sim::fnv1a64(key.data(), key.size());
+std::uint32_t DataStore::db_of_key(std::string_view key,
+                                   std::string_view key_tail) const {
+  const auto h = sim::fnv1a64(key_tail.data(), key_tail.size(),
+                              sim::fnv1a64(key.data(), key.size()));
   return static_cast<std::uint32_t>(h % total_databases());
 }
 
-void DataStore::store_event(const EventId& id, std::string payload) {
-  const std::string key = id.key();
-  const std::uint32_t db = db_of_key(key);
-  const std::uint32_t server = db / dbs_per_server_;
-  kv_.put_packed(servers_.at(server), sdskv_provider_, db % dbs_per_server_,
-                 {{key, std::move(payload)}});
+void DataStore::store_event(const EventId& id, std::string_view payload) {
+  WriteBatch batch(*this);
+  batch.store(id, payload);
+  batch.flush();
 }
 
 bool DataStore::load_event(const EventId& id, std::string* payload) {
@@ -64,10 +76,13 @@ bool DataStore::load_event(const EventId& id, std::string* payload) {
                  key, payload) == sdskv::Status::kOk;
 }
 
-void DataStore::WriteBatch::store(const EventId& id, std::string payload) {
-  std::string key = id.key();
-  groups_[store_.db_of_key(key)].emplace_back(std::move(key),
-                                              std::move(payload));
+void DataStore::WriteBatch::store(const EventId& id,
+                                  std::string_view payload) {
+  char suffix[EventId::kKeySuffixBytes];
+  id.write_key_suffix(suffix);
+  const std::string_view tail(suffix, sizeof suffix);
+  groups_[store_.db_of_key(id.dataset, tail)].append(id.dataset, tail,
+                                                     payload);
   ++pending_;
 }
 
@@ -136,13 +151,14 @@ DataLoaderStats run_data_loader(DataStore& store, const EventFileModel& model,
 
     DataStore::WriteBatch batch(store);
     EventId id{.dataset = dataset, .run = client_rank, .subrun = f};
+    const std::string payload(model.payload_bytes, 'x');
     for (std::uint32_t e = 0; e < model.events_per_file; ++e) {
       abt::compute(model.serialize_per_event);
       // Cooperative yield so the (possibly ES-sharing) progress ULT can run
       // between event serializations, as margo-aware client code does.
       if ((e & 63u) == 63u) abt::yield();
       id.event = event_no++;
-      batch.store(id, std::string(model.payload_bytes, 'x'));
+      batch.store(id, payload);
       ++stats.events;
       if (batch.pending() >= batch_size) {
         auto ops = batch.flush_async();

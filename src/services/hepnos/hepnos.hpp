@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "margolite/instance.hpp"
@@ -59,7 +60,13 @@ struct EventId {
   std::uint32_t subrun = 0;
   std::uint64_t event = 0;
 
+  /// The dataset name followed by kKeySuffixBytes of
+  /// "%<run:08x>%<subrun:08x>%<event:016x>" (lowercase hex).
   [[nodiscard]] std::string key() const;
+
+  static constexpr std::size_t kKeySuffixBytes = 1 + 8 + 1 + 8 + 1 + 16;
+  /// Write this event's key suffix at `out` (kKeySuffixBytes, no NUL).
+  void write_key_suffix(char* out) const noexcept;
 };
 
 /// Client-side view of a deployed HEPnOS service: a set of provider
@@ -73,20 +80,24 @@ class DataStore {
   [[nodiscard]] std::uint32_t total_databases() const noexcept {
     return static_cast<std::uint32_t>(servers_.size()) * dbs_per_server_;
   }
-  [[nodiscard]] std::uint32_t db_of_key(const std::string& key) const;
+  /// The database of the key `key` followed by `key_tail`.
+  [[nodiscard]] std::uint32_t db_of_key(std::string_view key,
+                                        std::string_view key_tail = {}) const;
 
   /// Synchronous single-event store (batch size 1 path).
-  void store_event(const EventId& id, std::string payload);
+  void store_event(const EventId& id, std::string_view payload);
 
   /// A batch of events accumulated client-side, grouped per database and
   /// flushed as one sdskv_put_packed per non-empty group, in ascending
-  /// database order.
+  /// database order. Each group is a put_packed list in its wire encoding,
+  /// in a buffer of exactly its size: store() writes the event's key and
+  /// payload into it, and flushing sends it as it is.
   class WriteBatch {
    public:
     explicit WriteBatch(DataStore& store)
         : store_(store), groups_(store.total_databases()) {}
 
-    void store(const EventId& id, std::string payload);
+    void store(const EventId& id, std::string_view payload);
     [[nodiscard]] std::size_t pending() const noexcept { return pending_; }
 
     /// Issue all put_packed RPCs asynchronously, then wait for every one.
@@ -98,7 +109,7 @@ class DataStore {
 
    private:
     DataStore& store_;
-    std::vector<std::vector<sdskv::KeyValue>> groups_;  ///< by database
+    std::vector<sdskv::KeyValueList> groups_;  ///< by database
     std::size_t pending_ = 0;
   };
 

@@ -55,26 +55,39 @@ void Provider::handle_migrate(margo::Request& req) {
   }
 
   // Read the whole source database: chunked scans through the backend,
-  // each decoded from the encoded pairs it appends.
+  // appended one after the other to a put_packed list. The scans write the
+  // pairs in that list's encoding, so the batch is never decoded; only the
+  // last key of each chunk is read back, as the next chunk's start key.
   auto& db = local_kv_.db(src_db);
-  std::vector<sdskv::KeyValue> all;
+  hg::BufWriter all;
+  hg::put(all, std::uint32_t{0});
+  std::uint32_t items = 0;
   std::string cursor;
   for (;;) {
-    hg::BufWriter chunk;
-    const std::size_t n = db.list_keyvals(cursor, 256, chunk);
+    const std::size_t chunk = all.size();
+    const std::size_t n = db.list_keyvals(cursor, 256, all);
     if (n == 0) break;
-    hg::BufReader r(chunk.buffer());
-    for (std::size_t i = 0; i < n; ++i) hg::get(r, all.emplace_back());
-    cursor = all.back().first;
+    items += static_cast<std::uint32_t>(n);
+    hg::BufReader r(all.buffer());
+    r.skip(chunk);
+    for (std::size_t i = 1; i < n; ++i) {
+      for (int field = 0; field < 2; ++field) {
+        std::uint32_t len = 0;
+        hg::get(r, len);
+        r.skip(len);
+      }
+    }
+    hg::get(r, cursor);
   }
-  const std::uint64_t bytes = sdskv::payload_bytes(all);
-  const auto items = static_cast<std::uint32_t>(all.size());
+  all.patch_raw(0, &items, sizeof items);
+  sdskv::KeyValueList batch(all.take());
+  const std::uint64_t bytes = batch.pair_bytes();
   // The keys to erase after the transfer are taken now, so the batch can
   // go to the destination with no reference left here.
   std::vector<std::string> erase_keys;
   if (erase_source) {
-    erase_keys.reserve(all.size());
-    for (const auto& kv : all) erase_keys.push_back(kv.first);
+    erase_keys.reserve(batch.size());
+    for (const auto [key, value] : batch) erase_keys.emplace_back(key);
   }
 
   // Ship the fileset to the destination REMI provider: small metadata RPC,
@@ -85,7 +98,7 @@ void Provider::handle_migrate(margo::Request& req) {
   hg::put(w, bytes);
   auto op = mid_.forward_async(
       destination, destination_provider, receive_id_, w.take(),
-      std::make_shared<std::vector<sdskv::KeyValue>>(std::move(all)), bytes);
+      std::make_shared<sdskv::KeyValueList>(std::move(batch)), bytes);
   const auto resp = op->wait();
   const auto status = static_cast<Status>(hg::decode<std::uint8_t>(resp));
 
@@ -115,7 +128,7 @@ void Provider::handle_receive(margo::Request& req) {
 
   // Pull the fileset content through the bulk interface...
   req.bulk_pull(bytes);
-  auto* kvs = req.handle()->attached<std::vector<sdskv::KeyValue>>();
+  auto* kvs = req.handle()->attached<sdskv::KeyValueList>();
   if (kvs == nullptr) {
     req.respond_value(static_cast<std::uint8_t>(Status::kTransferFailed));
     return;
@@ -123,7 +136,7 @@ void Provider::handle_receive(margo::Request& req) {
   // ...and load it into the local SDSKV database through the RPC stack
   // (self-addressed put_packed), extending the distributed callpath to
   // depth 3 for the end client. The source kept no reference to the batch,
-  // so its pairs move on without a copy.
+  // so its encoding moves on without a copy.
   assert(req.handle()->attachment.use_count() == 1);
   const auto status = kv_client_->put_packed(
       mid_.addr(), local_kv_provider_id_, dst_db, std::move(*kvs));

@@ -1,6 +1,7 @@
 #include "services/sdskv/backend.hpp"
 
 #include <cmath>
+#include <cstring>
 #include <utility>
 
 #include "argolite/runtime.hpp"
@@ -36,11 +37,85 @@ const char* to_string(BackendType t) noexcept {
 }
 
 // ---------------------------------------------------------------------------
+// KeyValueList
+// ---------------------------------------------------------------------------
+
+namespace {
+
+std::uint32_t load_u32(const std::byte* p) noexcept {
+  std::uint32_t v = 0;
+  std::memcpy(&v, p, sizeof v);
+  return v;
+}
+
+std::string_view view_at(const std::byte* p) noexcept {
+  return {reinterpret_cast<const char*>(p + sizeof(std::uint32_t)),
+          load_u32(p)};
+}
+
+}  // namespace
+
+KeyValueList::KeyValueList(std::vector<std::byte> encoded)
+    : buf_(std::move(encoded)) {
+  // Walk the whole list once, so iteration never needs a bounds check.
+  hg::BufReader r(buf_);
+  hg::get(r, count_);
+  for (std::uint64_t i = 0; i < 2 * std::uint64_t{count_}; ++i) {
+    std::uint32_t n = 0;
+    hg::get(r, n);
+    r.skip(n);
+  }
+  end_ = r.position();
+}
+
+void KeyValueList::append(std::string_view key_head, std::string_view key_tail,
+                          std::string_view value) {
+  const auto klen =
+      static_cast<std::uint32_t>(key_head.size() + key_tail.size());
+  const auto vlen = static_cast<std::uint32_t>(value.size());
+  if (end_ == 0) end_ = sizeof count_;
+  const std::size_t size = end_ + 2 * sizeof(std::uint32_t) + klen + vlen;
+  buf_.reserve(size);
+  buf_.resize(size);
+  ++count_;
+  std::memcpy(buf_.data(), &count_, sizeof count_);
+  std::byte* p = buf_.data() + end_;
+  for (const std::string_view part :
+       {std::string_view(reinterpret_cast<const char*>(&klen), sizeof klen),
+        key_head, key_tail,
+        std::string_view(reinterpret_cast<const char*>(&vlen), sizeof vlen),
+        value}) {
+    if (!part.empty()) std::memcpy(p, part.data(), part.size());
+    p += part.size();
+  }
+  end_ = size;
+}
+
+KeyValueList::iterator KeyValueList::begin() const noexcept {
+  return iterator(buf_.data() + (count_ == 0 ? end_ : sizeof(count_)));
+}
+
+KeyValueList::iterator KeyValueList::end() const noexcept {
+  return iterator(buf_.data() + end_);
+}
+
+KeyValueList::value_type KeyValueList::iterator::operator*() const noexcept {
+  const std::string_view key = view_at(p_);
+  return {key, view_at(p_ + sizeof(std::uint32_t) + key.size())};
+}
+
+KeyValueList::iterator& KeyValueList::iterator::operator++() noexcept {
+  const auto [key, value] = **this;
+  p_ += 2 * sizeof(std::uint32_t) + key.size() + value.size();
+  return *this;
+}
+
+// ---------------------------------------------------------------------------
 // Backend
 // ---------------------------------------------------------------------------
 
-void Backend::put_multi(std::vector<KeyValue> kvs) {
-  for (const auto& [k, v] : kvs) put(k, v);
+void Backend::put_multi(const KeyValueList& kvs) {
+  for (const auto [k, v] : kvs) put(k, v);
 }
 
 bool Backend::get(const std::string& key, std::string* value) {
@@ -65,7 +140,7 @@ bool Backend::erase(const std::string& key) {
   return true;
 }
 
-void Backend::insert(const std::string& key, const std::string& value) {
+void Backend::insert(std::string_view key, std::string_view value) {
   if (!store_.put(key, value)) return;
   const auto bytes = key.size() + value.size();
   stored_bytes_ += bytes;
@@ -81,23 +156,23 @@ MapBackend::MapBackend(sim::Process& process)
                         .scan_base = kListBase,
                         .erase = kMapGetBase}) {}
 
-void MapBackend::put_locked(const std::string& key, const std::string& value) {
+void MapBackend::put_locked(std::string_view key, std::string_view value) {
   const auto bytes = key.size() + value.size();
   abt::compute(kMapPutBase + static_cast<sim::DurationNs>(
                                  std::llround(bytes * kMapPutPerByte)));
   insert(key, value);
 }
 
-void MapBackend::put(const std::string& key, const std::string& value) {
+void MapBackend::put(std::string_view key, std::string_view value) {
   abt::LockGuard g(lock_);
   put_locked(key, value);
 }
 
-void MapBackend::put_multi(std::vector<KeyValue> kvs) {
+void MapBackend::put_multi(const KeyValueList& kvs) {
   // The whole batch inserts under one lock acquisition — batching pays off,
   // but concurrent batches to the same database fully serialize.
   abt::LockGuard g(lock_);
-  for (const auto& [k, v] : kvs) put_locked(k, v);
+  for (const auto [k, v] : kvs) put_locked(k, v);
 }
 
 // ---------------------------------------------------------------------------
@@ -110,7 +185,7 @@ LevelDbBackend::LevelDbBackend(sim::Process& process)
                .scan_base = 2 * kListBase,            // merge of both
                .erase = kWalAppendBase}) {}
 
-void LevelDbBackend::put(const std::string& key, const std::string& value) {
+void LevelDbBackend::put(std::string_view key, std::string_view value) {
   const auto bytes = key.size() + value.size();
   {
     // Short WAL critical section.
@@ -139,7 +214,7 @@ BerkeleyDbBackend::BerkeleyDbBackend(sim::Process& process)
                         .scan_base = kListBase,
                         .erase = kBtreeBase}) {}
 
-void BerkeleyDbBackend::put(const std::string& key, const std::string& value) {
+void BerkeleyDbBackend::put(std::string_view key, std::string_view value) {
   abt::LockGuard g(lock_);
   const auto bytes = key.size() + value.size();
   const double logn =

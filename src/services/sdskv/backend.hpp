@@ -16,8 +16,10 @@
 #pragma once
 
 #include <cstdint>
+#include <iterator>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -35,6 +37,69 @@ enum class BackendType : std::uint8_t { kMap, kLevelDb, kBerkeleyDb };
 
 using KeyValue = std::pair<std::string, std::string>;
 
+/// An encoded pair list viewed in place: a list_keyvals response or a
+/// put_packed batch. It owns the buffer (encoded exactly like
+/// hg::encode(std::vector<KeyValue>): u32 count, then per pair u32 key
+/// length, key, u32 value length, value — the records a Store page holds)
+/// and iterates (key, value) string_views into it, so a reader copies only
+/// the pairs it keeps. The views live as long as the list.
+class KeyValueList {
+ public:
+  using value_type = std::pair<std::string_view, std::string_view>;
+
+  class iterator {
+   public:
+    using iterator_category = std::input_iterator_tag;  // yields by value
+    using value_type = KeyValueList::value_type;
+    using difference_type = std::ptrdiff_t;
+    using pointer = void;
+    using reference = value_type;
+
+    iterator() = default;
+    [[nodiscard]] value_type operator*() const noexcept;
+    iterator& operator++() noexcept;
+    iterator operator++(int) noexcept {
+      iterator old = *this;
+      ++*this;
+      return old;
+    }
+    bool operator==(const iterator& o) const noexcept { return p_ == o.p_; }
+
+   private:
+    friend class KeyValueList;
+    explicit iterator(const std::byte* p) noexcept : p_(p) {}
+    const std::byte* p_ = nullptr;
+  };
+
+  KeyValueList() = default;
+  /// Adopt an encoded pair list; throws std::out_of_range if malformed.
+  explicit KeyValueList(std::vector<std::byte> encoded);
+
+  /// Append one pair whose key is `key_head` followed by `key_tail`, so a
+  /// caller can compose a key without building it. The buffer grows to
+  /// exactly its new size.
+  void append(std::string_view key_head, std::string_view key_tail,
+              std::string_view value);
+
+  [[nodiscard]] std::size_t size() const noexcept { return count_; }
+  /// Bytes of the pair records, without the count: what put_packed moves.
+  [[nodiscard]] std::uint64_t pair_bytes() const noexcept {
+    return end_ > sizeof(count_) ? end_ - sizeof(count_) : 0;
+  }
+  [[nodiscard]] bool empty() const noexcept { return count_ == 0; }
+  [[nodiscard]] iterator begin() const noexcept;
+  [[nodiscard]] iterator end() const noexcept;
+  /// The encoded list, as received.
+  [[nodiscard]] const std::vector<std::byte>& bytes() const noexcept {
+    return buf_;
+  }
+
+ private:
+  std::vector<std::byte> buf_;
+  std::uint32_t count_ = 0;
+  std::size_t end_ = 0;  ///< offset just past the last pair
+};
+
 /// A database: one ordered Store, one lock, and a backend's cost model.
 /// The backends differ only in what a put costs and how it locks, and in
 /// the fixed charges of a lookup, a scan and an erase.
@@ -47,11 +112,11 @@ class Backend {
   [[nodiscard]] virtual BackendType type() const noexcept = 0;
 
   /// Insert or overwrite one pair.
-  virtual void put(const std::string& key, const std::string& value) = 0;
+  virtual void put(std::string_view key, std::string_view value) = 0;
 
-  /// Insert a batch (put_packed), taking its pairs. Default: sequential
-  /// puts; backends may amortize locking.
-  virtual void put_multi(std::vector<KeyValue> kvs);
+  /// Insert a batch (put_packed) straight from its encoding. Default:
+  /// sequential puts; backends may amortize locking.
+  virtual void put_multi(const KeyValueList& kvs);
 
   /// Lookup. Returns false if absent.
   bool get(const std::string& key, std::string* value);
@@ -89,7 +154,7 @@ class Backend {
 
   /// Insert or overwrite a pair. A new pair adds its key and value bytes
   /// to the accounting; an overwrite changes no accounting.
-  void insert(const std::string& key, const std::string& value);
+  void insert(std::string_view key, std::string_view value);
 
   sim::Process& process_;
   const Costs costs_;
@@ -107,11 +172,11 @@ class MapBackend final : public Backend {
   [[nodiscard]] BackendType type() const noexcept override {
     return BackendType::kMap;
   }
-  void put(const std::string& key, const std::string& value) override;
-  void put_multi(std::vector<KeyValue> kvs) override;
+  void put(std::string_view key, std::string_view value) override;
+  void put_multi(const KeyValueList& kvs) override;
 
  private:
-  void put_locked(const std::string& key, const std::string& value);
+  void put_locked(std::string_view key, std::string_view value);
 };
 
 /// LSM-tree model: WAL append under a short lock, lock-free memtable
@@ -123,7 +188,7 @@ class LevelDbBackend final : public Backend {
   [[nodiscard]] BackendType type() const noexcept override {
     return BackendType::kLevelDb;
   }
-  void put(const std::string& key, const std::string& value) override;
+  void put(std::string_view key, std::string_view value) override;
 
   [[nodiscard]] std::uint64_t flush_count() const noexcept {
     return flushes_;
@@ -145,7 +210,7 @@ class BerkeleyDbBackend final : public Backend {
   [[nodiscard]] BackendType type() const noexcept override {
     return BackendType::kBerkeleyDb;
   }
-  void put(const std::string& key, const std::string& value) override;
+  void put(std::string_view key, std::string_view value) override;
 
  private:
   std::uint64_t inserts_since_split_ = 0;

@@ -1,8 +1,5 @@
 #include "services/sdskv/sdskv.hpp"
 
-#include <cassert>
-#include <cstring>
-
 #include "argolite/runtime.hpp"
 
 namespace sym::sdskv {
@@ -16,65 +13,6 @@ constexpr const char* kLengthRpc = "sdskv_length_rpc";
 constexpr const char* kEraseRpc = "sdskv_erase_rpc";
 
 }  // namespace
-
-std::uint64_t payload_bytes(const std::vector<KeyValue>& kvs) {
-  std::uint64_t n = 0;
-  for (const auto& [k, v] : kvs) n += k.size() + v.size() + 8;
-  return n;
-}
-
-// ---------------------------------------------------------------------------
-// KeyValueList
-// ---------------------------------------------------------------------------
-
-namespace {
-
-// Encoded pair list: u32 count, then per pair u32 key length, key bytes,
-// u32 value length, value bytes (the proc encoding of vector<pair>).
-std::uint32_t load_u32(const std::byte* p) noexcept {
-  std::uint32_t v = 0;
-  std::memcpy(&v, p, sizeof v);
-  return v;
-}
-
-std::string_view view_at(const std::byte* p) noexcept {
-  return {reinterpret_cast<const char*>(p + sizeof(std::uint32_t)),
-          load_u32(p)};
-}
-
-}  // namespace
-
-KeyValueList::KeyValueList(std::vector<std::byte> encoded)
-    : buf_(std::move(encoded)) {
-  // Walk the whole list once, so iteration never needs a bounds check.
-  hg::BufReader r(buf_);
-  hg::get(r, count_);
-  for (std::uint64_t i = 0; i < 2 * std::uint64_t{count_}; ++i) {
-    std::uint32_t n = 0;
-    hg::get(r, n);
-    r.skip(n);
-  }
-  end_ = r.position();
-}
-
-KeyValueList::iterator KeyValueList::begin() const noexcept {
-  return iterator(buf_.data() + (count_ == 0 ? end_ : sizeof(count_)));
-}
-
-KeyValueList::iterator KeyValueList::end() const noexcept {
-  return iterator(buf_.data() + end_);
-}
-
-KeyValueList::value_type KeyValueList::iterator::operator*() const noexcept {
-  const std::string_view key = view_at(p_);
-  return {key, view_at(p_ + sizeof(std::uint32_t) + key.size())};
-}
-
-KeyValueList::iterator& KeyValueList::iterator::operator++() noexcept {
-  const auto [key, value] = **this;
-  p_ += 2 * sizeof(std::uint32_t) + key.size() + value.size();
-  return *this;
-}
 
 // ---------------------------------------------------------------------------
 // Provider
@@ -169,13 +107,12 @@ void Provider::handle_put_packed(margo::Request& req) {
   abt::compute(sim::nsec(600) +
                static_cast<sim::DurationNs>(static_cast<double>(bytes) *
                                             kPackedDecodeNsPerByte));
-  // The handler owns the attachment (the client kept no reference to the
-  // batch), so the batch moves into the database, which copies each pair's
-  // bytes into its store once.
-  auto* kvs = req.handle()->attached<std::vector<KeyValue>>();
-  if (kvs != nullptr) {
-    assert(req.handle()->attachment.use_count() == 1);
-    db->put_multi(std::move(*kvs));
+  // The batch arrives in the encoding the store keeps, so the database
+  // copies each pair's bytes from it into a page once. It is freed at
+  // once: the handle lives on until the response has been sent.
+  if (const auto* kvs = req.handle()->attached<KeyValueList>()) {
+    db->put_multi(*kvs);
+    req.handle()->attachment.reset();
   }
   req.respond_value(static_cast<std::uint8_t>(Status::kOk));
 }
@@ -280,9 +217,8 @@ Status Client::get(ofi::EpAddr target, std::uint16_t provider,
 
 margo::PendingOpPtr Client::iput_packed(ofi::EpAddr target,
                                         std::uint16_t provider,
-                                        std::uint32_t db,
-                                        std::vector<KeyValue> kvs) {
-  const auto bytes = payload_bytes(kvs);
+                                        std::uint32_t db, KeyValueList kvs) {
+  const std::uint64_t bytes = kvs.pair_bytes();
   const auto count = static_cast<std::uint32_t>(kvs.size());
   hg::BufWriter w;
   hg::put(w, db);
@@ -291,7 +227,7 @@ margo::PendingOpPtr Client::iput_packed(ofi::EpAddr target,
   // The batch goes to the provider: no reference to it stays here.
   return mid_.forward_async(
       target, provider, put_packed_id_, w.take(),
-      std::make_shared<std::vector<KeyValue>>(std::move(kvs)), bytes);
+      std::make_shared<KeyValueList>(std::move(kvs)), bytes);
 }
 
 Status Client::finish_put_packed(const margo::PendingOpPtr& op) {
@@ -304,8 +240,13 @@ Status Client::finish_put_packed(const margo::PendingOpPtr& op) {
 }
 
 Status Client::put_packed(ofi::EpAddr target, std::uint16_t provider,
-                          std::uint32_t db, std::vector<KeyValue> kvs) {
+                          std::uint32_t db, KeyValueList kvs) {
   return finish_put_packed(iput_packed(target, provider, db, std::move(kvs)));
+}
+
+Status Client::put_packed(ofi::EpAddr target, std::uint16_t provider,
+                          std::uint32_t db, const std::vector<KeyValue>& kvs) {
+  return put_packed(target, provider, db, KeyValueList(hg::encode(kvs)));
 }
 
 KeyValueList Client::list_keyvals(ofi::EpAddr target, std::uint16_t provider,

@@ -7,20 +7,18 @@
 // RPCs:
 //   sdskv_put_rpc           single pair, eager payload
 //   sdskv_get_rpc           lookup
-//   sdskv_put_packed_rpc    key-value list; content moves via the bulk
-//                           interface (target-issued RDMA pull), as used by
-//                           the HEPnOS data-loader
+//   sdskv_put_packed_rpc    key-value list in the list_keyvals encoding;
+//                           content moves via the bulk interface (target-
+//                           issued RDMA pull), as used by the HEPnOS
+//                           data-loader
 //   sdskv_list_keyvals_rpc  range scan (Mobject's dominant dependency)
 //   sdskv_length_rpc        value length probe
 //   sdskv_erase_rpc         delete
 #pragma once
 
 #include <cstdint>
-#include <iterator>
 #include <memory>
 #include <string>
-#include <string_view>
-#include <utility>
 #include <vector>
 
 #include "margolite/instance.hpp"
@@ -40,57 +38,6 @@ enum class Status : std::uint8_t {
 struct ProviderConfig {
   BackendType backend = BackendType::kMap;
   std::uint32_t db_count = 1;
-};
-
-/// A list_keyvals response viewed in place. It owns the response buffer
-/// (encoded exactly like hg::encode(std::vector<KeyValue>)) and iterates
-/// (key, value) string_views into it, so a caller copies only the pairs it
-/// keeps. The views live as long as the list.
-class KeyValueList {
- public:
-  using value_type = std::pair<std::string_view, std::string_view>;
-
-  class iterator {
-   public:
-    using iterator_category = std::input_iterator_tag;  // yields by value
-    using value_type = KeyValueList::value_type;
-    using difference_type = std::ptrdiff_t;
-    using pointer = void;
-    using reference = value_type;
-
-    iterator() = default;
-    [[nodiscard]] value_type operator*() const noexcept;
-    iterator& operator++() noexcept;
-    iterator operator++(int) noexcept {
-      iterator old = *this;
-      ++*this;
-      return old;
-    }
-    bool operator==(const iterator& o) const noexcept { return p_ == o.p_; }
-
-   private:
-    friend class KeyValueList;
-    explicit iterator(const std::byte* p) noexcept : p_(p) {}
-    const std::byte* p_ = nullptr;
-  };
-
-  KeyValueList() = default;
-  /// Adopt an encoded pair list; throws std::out_of_range if malformed.
-  explicit KeyValueList(std::vector<std::byte> encoded);
-
-  [[nodiscard]] std::size_t size() const noexcept { return count_; }
-  [[nodiscard]] bool empty() const noexcept { return count_ == 0; }
-  [[nodiscard]] iterator begin() const noexcept;
-  [[nodiscard]] iterator end() const noexcept;
-  /// The encoded response, as received.
-  [[nodiscard]] const std::vector<std::byte>& bytes() const noexcept {
-    return buf_;
-  }
-
- private:
-  std::vector<std::byte> buf_;
-  std::uint32_t count_ = 0;
-  std::size_t end_ = 0;  ///< offset just past the last pair
 };
 
 /// Server-side SDSKV provider: registers handlers on a margolite instance.
@@ -138,14 +85,19 @@ class Client {
   Status get(ofi::EpAddr target, std::uint16_t provider, std::uint32_t db,
              const std::string& key, std::string* value);
 
-  /// Batched put: the pair list content is exposed as a registered-memory
-  /// attachment and pulled by the target through the bulk interface.
+  /// Batched put: the encoded pair list is exposed as a registered-memory
+  /// attachment, pulled by the target through the bulk interface and
+  /// inserted from its encoding. The batch goes to the provider.
   Status put_packed(ofi::EpAddr target, std::uint16_t provider,
-                    std::uint32_t db, std::vector<KeyValue> kvs);
+                    std::uint32_t db, KeyValueList kvs);
+  /// Convenience for tests and benchmarks: encodes `kvs` and sends it as
+  /// above.
+  Status put_packed(ofi::EpAddr target, std::uint16_t provider,
+                    std::uint32_t db, const std::vector<KeyValue>& kvs);
 
   /// Asynchronous put_packed; complete with finish_put_packed(op).
   margo::PendingOpPtr iput_packed(ofi::EpAddr target, std::uint16_t provider,
-                                  std::uint32_t db, std::vector<KeyValue> kvs);
+                                  std::uint32_t db, KeyValueList kvs);
   static Status finish_put_packed(const margo::PendingOpPtr& op);
 
   /// Up to `max` pairs with key > `start_key`, ascending. An unknown
@@ -164,8 +116,5 @@ class Client {
   margo::Instance& mid_;
   hg::RpcId put_id_, get_id_, put_packed_id_, list_id_, length_id_, erase_id_;
 };
-
-/// Byte volume of a kv list (used for bulk sizing on both sides).
-[[nodiscard]] std::uint64_t payload_bytes(const std::vector<KeyValue>& kvs);
 
 }  // namespace sym::sdskv

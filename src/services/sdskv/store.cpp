@@ -188,14 +188,13 @@ void Store::rebuild(std::size_t p) {
     right.bytes.reserve(std::max(kPageBytes, live));
     copy_out(cut, count, right);
   }
-  // This page keeps its buffer (already the size of a full page) and takes
-  // back its own records in key order.
+  // This page's records are copied once, in key order, into a buffer of
+  // the old one's capacity (already the size of a full page), which then
+  // replaces it.
   Page left;
-  left.bytes.reserve(live);
+  left.bytes.reserve(pg.bytes.capacity());
   copy_out(0, cut, left);
-  pg.bytes.assign(left.bytes.begin(), left.bytes.end());
-  pg.offsets = std::move(left.offsets);
-  pg.dead = 0;
+  pg = std::move(left);
   if (cut < count) {
     pages_.insert(pages_.begin() + static_cast<std::ptrdiff_t>(p) + 1,
                   std::move(right));

@@ -94,9 +94,12 @@ class Rng {
   std::array<std::uint64_t, 4> state_{};
 };
 
-/// 64-bit FNV-1a hash, used for RPC name hashing across the stack.
-constexpr std::uint64_t fnv1a64(const char* data, std::size_t len) noexcept {
-  std::uint64_t h = 0xCBF29CE484222325ULL;
+/// 64-bit FNV-1a hash, used for RPC name hashing across the stack. Passing
+/// the hash of a prefix as `h` continues it: the result equals the hash of
+/// the prefix followed by `data`.
+constexpr std::uint64_t fnv1a64(
+    const char* data, std::size_t len,
+    std::uint64_t h = 0xCBF29CE484222325ULL) noexcept {
   for (std::size_t i = 0; i < len; ++i) {
     h ^= static_cast<std::uint8_t>(data[i]);
     h *= 0x100000001B3ULL;

@@ -3,6 +3,11 @@
 // paper's §VII future work).
 #include <gtest/gtest.h>
 
+#include <iterator>
+#include <map>
+#include <string>
+#include <vector>
+
 #include "margolite/policy.hpp"
 #include "services/remi/remi.hpp"
 #include "services/sdskv/sdskv.hpp"
@@ -177,7 +182,7 @@ TEST(Remi, MigratesDatabaseBetweenProviders) {
 
 // The source hands its only reference to the batch over with the request:
 // the destination's handler owns the attachment alone, so it can move the
-// pairs out. Here a bare handler stands in for the destination REMI
+// encoded pairs on. Here a bare handler stands in for the destination REMI
 // provider to look at what arrives.
 TEST(Remi, DestinationOwnsTheMigratedBatch) {
   MultiWorld w(2);
@@ -196,8 +201,9 @@ TEST(Remi, DestinationOwnsTheMigratedBatch) {
     sym::hg::get(r, bytes);
     req.bulk_pull(bytes);
     owners = req.handle()->attachment.use_count();
-    auto* kvs = req.handle()->attached<std::vector<sdskv::KeyValue>>();
-    if (kvs != nullptr) received = std::move(*kvs);
+    if (const auto* kvs = req.handle()->attached<sdskv::KeyValueList>()) {
+      for (const auto [k, v] : *kvs) received.emplace_back(k, v);
+    }
     req.respond_value(static_cast<std::uint8_t>(remi::Status::kOk));
   });
 
@@ -219,6 +225,61 @@ TEST(Remi, DestinationOwnsTheMigratedBatch) {
   EXPECT_EQ(received, sent);  // every pair, in key order
   EXPECT_EQ(kv_src.db(0).size(), 0u);
   EXPECT_EQ(kv_src.db(0).stored_bytes(), 0u);
+}
+
+// A migration carries the source's scan chunks to the destination in the
+// put_packed encoding, undecoded. Every pair must arrive byte-equal: binary
+// values (every byte value, NULs included), empty values, and a database
+// spanning several 256-pair scan chunks and several store pages.
+TEST(Remi, MigrationRoundTripIsByteExact) {
+  MultiWorld w(2);
+  sdskv::Provider kv_src(*w.instances[0], 1, sdskv::ProviderConfig{});
+  sdskv::Provider kv_dst(*w.instances[1], 1, sdskv::ProviderConfig{});
+  remi::Provider remi_src(*w.instances[0], 7, kv_src, 1);
+  remi::Provider remi_dst(*w.instances[1], 7, kv_dst, 1);
+  remi::Client rc(*w.client);
+  sdskv::Client kvc(*w.client);
+
+  std::map<std::string, std::string> want;
+  for (int i = 0; i < 700; ++i) {
+    std::string key = "rt-" + std::to_string(100000 + i);
+    if (i % 5 == 0) key.push_back('\0');  // keys may hold NULs too
+    std::string value;
+    if (i % 7 != 0) {
+      value.resize(static_cast<std::size_t>(1 + (i * 37) % 700));
+      for (std::size_t b = 0; b < value.size(); ++b) {
+        value[b] = static_cast<char>((i + b) % 256);
+      }
+    }
+    want.emplace(std::move(key), std::move(value));
+  }
+  std::vector<sdskv::KeyValue> seed(want.begin(), want.end());
+
+  remi::MigrationResult result;
+  std::map<std::string, std::string> got;
+  w.run_client([&] {
+    ASSERT_EQ(kvc.put_packed(w.instances[0]->addr(), 1, 0, seed),
+              sdskv::Status::kOk);
+    result = rc.migrate(w.instances[0]->addr(), 7, 0, w.instances[1]->addr(),
+                        7, 0, /*erase_source=*/true);
+    std::string cursor;
+    for (;;) {
+      const auto chunk =
+          kvc.list_keyvals(w.instances[1]->addr(), 1, 0, cursor, 128);
+      if (chunk.empty()) break;
+      for (const auto [k, v] : chunk) got.emplace(k, v);
+      cursor = std::prev(got.end())->first;
+    }
+  });
+
+  EXPECT_EQ(result.status, remi::Status::kOk);
+  EXPECT_EQ(result.items, want.size());
+  std::uint64_t bytes = 0;
+  for (const auto& [k, v] : want) bytes += 8 + k.size() + v.size();
+  EXPECT_EQ(result.bytes, bytes);
+  EXPECT_EQ(got, want);
+  EXPECT_EQ(kv_dst.db(0).stored_bytes(), bytes - 8 * want.size());
+  EXPECT_EQ(kv_src.db(0).size(), 0u);
 }
 
 TEST(Remi, CopySemanticsKeepSource) {

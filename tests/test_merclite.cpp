@@ -358,7 +358,8 @@ TEST(HgClass, BulkTransferCompletesViaTrigger) {
   ASSERT_NE(arrived, nullptr);
 
   bool done = false;
-  f.server.bulk_transfer(arrived, 1 << 20, [&] { done = true; });
+  f.server.bulk_transfer(arrived, 1 << 20,
+                         [&](const hg::HandlePtr&) { done = true; });
   f.eng.run();
   f.server.progress();
   EXPECT_FALSE(done);
@@ -426,6 +427,83 @@ TEST(HgClass, CancelDropsLateResponse) {
   f.client.progress();
   f.client.trigger();
   EXPECT_FALSE(completed);
+}
+
+// The op table reuses a cancelled op's slot under a new generation, so the
+// cancelled op's late response must not complete the op now in that slot.
+TEST(HgClass, LateResponseAfterSlotReuseIsDropped) {
+  HgFixture f;
+  std::vector<hg::HandlePtr> arrived;
+  f.server.register_rpc("reuse",
+                        [&](hg::HandlePtr h) { arrived.push_back(h); });
+  const auto rpc = f.client.register_rpc("reuse", nullptr);
+
+  auto first = f.client.create_handle(f.server.addr(), rpc, 0);
+  bool first_completed = false;
+  f.client.forward(first, hg::encode(std::string("first")),
+                   [&](const hg::HandlePtr&) { first_completed = true; });
+  EXPECT_TRUE(f.client.cancel(first));
+
+  auto second = f.client.create_handle(f.server.addr(), rpc, 0);
+  std::string second_reply;
+  f.client.forward(second, hg::encode(std::string("second")),
+                   [&](const hg::HandlePtr& done) {
+                     second_reply =
+                         hg::decode<std::string>(done->response_body);
+                   });
+  // Same slot, different generation.
+  EXPECT_EQ(static_cast<std::uint32_t>(second->header.op_seq),
+            static_cast<std::uint32_t>(first->header.op_seq));
+  EXPECT_NE(second->header.op_seq, first->header.op_seq);
+  EXPECT_EQ(f.client.num_posted_handles(), 1u);
+
+  f.eng.run();
+  f.server.progress();
+  ASSERT_EQ(arrived.size(), 2u);
+  ASSERT_EQ(hg::decode<std::string>(arrived[0]->body), "first");
+
+  // Only the cancelled op's response comes back: nothing completes.
+  f.server.respond(arrived[0], hg::encode(std::string("late")), nullptr);
+  f.eng.run();
+  f.client.progress();
+  EXPECT_EQ(f.client.completion_queue_size(), 0u);
+  EXPECT_EQ(f.client.trigger(), 0u);
+  EXPECT_FALSE(first_completed);
+  EXPECT_TRUE(second_reply.empty());
+  EXPECT_EQ(f.client.num_posted_handles(), 1u);
+  EXPECT_TRUE(second->response_body.empty());
+
+  // The live op still completes with its own response.
+  f.server.respond(arrived[1], hg::encode(std::string("pong")), nullptr);
+  f.eng.run();
+  f.client.progress();
+  EXPECT_EQ(f.client.num_posted_handles(), 0u);
+  EXPECT_EQ(f.client.trigger(), 1u);
+  EXPECT_EQ(second_reply, "pong");
+  EXPECT_FALSE(first_completed);
+}
+
+// A forward without a completion callback still receives its response;
+// there is just nothing to run for it.
+TEST(HgClass, EmptyCompletionCallbackIsSkipped) {
+  HgFixture f;
+  hg::HandlePtr target_handle;
+  f.server.register_rpc("fire", [&](hg::HandlePtr h) { target_handle = h; });
+  const auto rpc = f.client.register_rpc("fire", nullptr);
+  auto h = f.client.create_handle(f.server.addr(), rpc, 0);
+  f.client.forward(h, hg::encode(std::string("ping")), nullptr);
+  EXPECT_EQ(f.client.num_posted_handles(), 1u);
+
+  f.eng.run();
+  f.server.progress();
+  ASSERT_NE(target_handle, nullptr);
+  f.server.respond(target_handle, hg::encode(std::string("pong")), nullptr);
+  f.eng.run();
+  f.client.progress();
+  EXPECT_EQ(f.client.num_posted_handles(), 0u);
+  EXPECT_NO_THROW(f.client.trigger());
+  EXPECT_EQ(hg::decode<std::string>(h->response_body), "pong");
+  EXPECT_EQ(f.client.completion_queue_size(), 0u);
 }
 
 TEST(HgClass, BodyExactlyAtEagerLimitStaysEager) {

@@ -141,7 +141,7 @@ TEST_P(BackendTest, PutMultiStoresAll) {
     for (int i = 0; i < 100; ++i) {
       kvs.emplace_back("k" + std::to_string(i), std::string(64, 'v'));
     }
-    backend->put_multi(kvs);
+    backend->put_multi(sdskv::KeyValueList(hg::encode(kvs)));
     EXPECT_EQ(backend->size(), 100u);
     EXPECT_GT(backend->stored_bytes(), 6400u);
   });
@@ -169,7 +169,7 @@ TEST(SdskvBackend, MapSerializesWriters) {
         kvs.emplace_back("w" + std::to_string(i) + "-" + std::to_string(k),
                          std::string(512, 'x'));
       }
-      backend.put_multi(kvs);
+      backend.put_multi(sdskv::KeyValueList(hg::encode(kvs)));
       max_waiters = std::max<std::uint64_t>(max_waiters,
                                             backend.lock_waiters());
     });
@@ -442,6 +442,26 @@ INSTANTIATE_TEST_SUITE_P(AllBackends, InPlaceScanTest,
                                            sdskv::BackendType::kLevelDb,
                                            sdskv::BackendType::kBerkeleyDb));
 
+// A list built pair by pair holds the bytes hg::encode gives the same pairs,
+// and each buffer is exactly the size of its encoding.
+TEST(Sdskv, KeyValueListAppendMatchesEncode) {
+  std::vector<sdskv::KeyValue> kvs = {
+      {"ds%01", std::string(512, 'x')}, {"", "v"}, {"k", ""},
+      {std::string("a\0b", 3), std::string("\0\xff", 2)}};
+  sdskv::KeyValueList list;
+  EXPECT_EQ(list.pair_bytes(), 0u);
+  for (const auto& [k, v] : kvs) {
+    list.append(std::string_view(k).substr(0, k.size() / 2),
+                std::string_view(k).substr(k.size() / 2), v);
+  }
+  const auto encoded = hg::encode(kvs);
+  EXPECT_EQ(list.bytes(), encoded);
+  EXPECT_EQ(list.bytes().capacity(), encoded.size());
+  EXPECT_EQ(list.size(), kvs.size());
+  EXPECT_EQ(list.pair_bytes(), encoded.size() - sizeof(std::uint32_t));
+  EXPECT_EQ(collect(list), kvs);
+}
+
 TEST(Sdskv, KeyValueListRejectsMalformedResponses) {
   auto truncated = hg::encode(std::vector<sdskv::KeyValue>{{"key", "value"}});
   truncated.pop_back();
@@ -700,6 +720,23 @@ TEST(Hepnos, EventKeyEncodesHierarchy) {
   EXPECT_EQ(a.key().substr(0, 4), "NOvA");
   // Keys of the same subrun sort adjacently.
   EXPECT_LT(a.key(), b.key());
+}
+
+// Event keys hash to databases, so their bytes must not change: the hex
+// formatter writes what "%08x%08x%016llx" printed.
+TEST(Hepnos, EventKeyMatchesPrintfFormat) {
+  sim::Rng rng(11);
+  for (int i = 0; i < 1000; ++i) {
+    hepnos::EventId id{.dataset = i % 2 == 0 ? "NOvA" : "",
+                       .run = static_cast<std::uint32_t>(rng.next()),
+                       .subrun = static_cast<std::uint32_t>(rng.next() >> 7),
+                       .event = rng.next() >> (i % 64)};
+    if (i == 0) id.run = id.subrun = 0, id.event = ~std::uint64_t{0};
+    char buf[64];
+    std::snprintf(buf, sizeof buf, "%%%08x%%%08x%%%016llx", id.run, id.subrun,
+                  static_cast<unsigned long long>(id.event));
+    EXPECT_EQ(id.key(), id.dataset + buf);
+  }
 }
 
 TEST(Hepnos, StoreAndLoadEvent) {
