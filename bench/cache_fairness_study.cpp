@@ -195,7 +195,7 @@ Cell run_cell(Study& study, const char* scenario,
       .count("workers_checked", workers.size())
       .flag("deterministic", c.deterministic)
       .real("virtual_ms", o.virtual_ms, 6)
-      .wall(c.m.wall)
+      .measured(c.m)
       .count("backend_reads", o.backend_reads)
       .count("backend_read_bytes", o.backend_read_bytes)
       .real("hit_ratio", o.hit_ratio, 4)

@@ -129,37 +129,55 @@ inline WallStats wall_stats(std::vector<double> ms) {
   return w;
 }
 
-/// Accumulates the wall time of the region one repetition measures. A
-/// repetition may start and stop it several times (once per seed, say).
-class Stopwatch {
- public:
-  void start() { t0_ = std::chrono::steady_clock::now(); }
-  void stop() {
-    ms_ += std::chrono::duration<double, std::milli>(
-               std::chrono::steady_clock::now() - t0_)
-               .count();
-  }
-  [[nodiscard]] double ms() const noexcept { return ms_; }
-
- private:
-  std::chrono::steady_clock::time_point t0_{};
-  double ms_ = 0;
-};
-
-/// A repeated measurement: repetition 1's deterministic result and the wall
-/// time over all repetitions.
-template <class R>
-struct Measured {
-  R result;
-  WallStats wall;
-};
-
 /// Process-wide resident-set high-water mark (ru_maxrss is KiB on Linux).
 inline std::uint64_t peak_rss_bytes() {
   rusage ru{};
   getrusage(RUSAGE_SELF, &ru);
   return static_cast<std::uint64_t>(ru.ru_maxrss) * 1024;
 }
+
+/// Process-wide minor page faults so far: mostly first touches of memory
+/// the allocator took from (or gave back to) the kernel, so a timed region
+/// that re-grows a trimmed heap shows here and not in its own code.
+inline std::uint64_t minor_faults() {
+  rusage ru{};
+  getrusage(RUSAGE_SELF, &ru);
+  return static_cast<std::uint64_t>(ru.ru_minflt);
+}
+
+/// Accumulates the wall time and minor faults of the region one repetition
+/// measures. A repetition may start and stop it several times (once per
+/// seed, say).
+class Stopwatch {
+ public:
+  void start() {
+    faults0_ = minor_faults();
+    t0_ = std::chrono::steady_clock::now();
+  }
+  void stop() {
+    ms_ += std::chrono::duration<double, std::milli>(
+               std::chrono::steady_clock::now() - t0_)
+               .count();
+    faults_ += minor_faults() - faults0_;
+  }
+  [[nodiscard]] double ms() const noexcept { return ms_; }
+  [[nodiscard]] std::uint64_t faults() const noexcept { return faults_; }
+
+ private:
+  std::chrono::steady_clock::time_point t0_{};
+  double ms_ = 0;
+  std::uint64_t faults0_ = 0;
+  std::uint64_t faults_ = 0;
+};
+
+/// A repeated measurement: repetition 1's deterministic result, the wall
+/// time over all repetitions and each repetition's minor faults.
+template <class R>
+struct Measured {
+  R result;
+  WallStats wall;
+  std::vector<std::uint64_t> minor_faults;
+};
 
 /// One flat JSON object; fields are written in insertion order.
 class Row {
@@ -180,11 +198,19 @@ class Row {
   Row& flag(std::string_view key, bool v) {
     return field(key, v ? "true" : "false");
   }
-  /// The three wall columns every study reports for a measured cell.
-  Row& wall(const WallStats& w) {
-    return real("wall_ms", w.median_ms, 3)
-        .real("wall_ms_min", w.min_ms, 3)
-        .real("wall_ms_max", w.max_ms, 3);
+  /// The columns every study reports for a measured cell: the median, min
+  /// and max wall time, and the minor faults of each repetition in order.
+  template <class R>
+  Row& measured(const Measured<R>& m) {
+    std::string faults = "[";
+    for (std::size_t i = 0; i < m.minor_faults.size(); ++i) {
+      if (i > 0) faults += ", ";
+      faults += std::to_string(m.minor_faults[i]);
+    }
+    return real("wall_ms", m.wall.median_ms, 3)
+        .real("wall_ms_min", m.wall.min_ms, 3)
+        .real("wall_ms_max", m.wall.max_ms, 3)
+        .field("minor_faults", faults + "]");
   }
 
   /// The fields joined by `sep`, without braces.
@@ -257,10 +283,12 @@ class Study {
     using R = std::invoke_result_t<Fn&, Stopwatch&>;
     std::optional<R> first;
     std::vector<double> ms;
+    std::vector<std::uint64_t> faults;
     for (int i = 0; i < reps_; ++i) {
       Stopwatch sw;
       R r = rep(sw);
       ms.push_back(sw.ms());
+      faults.push_back(sw.faults());
       if (!first) {
         first.emplace(std::move(r));
       } else if (!(r == *first)) {
@@ -268,7 +296,8 @@ class Study {
         std::printf("!! repetition %d diverged from repetition 1\n", i + 1);
       }
     }
-    return Measured<R>{std::move(*first), wall_stats(std::move(ms))};
+    return Measured<R>{std::move(*first), wall_stats(std::move(ms)),
+                       std::move(faults)};
   }
 
   /// Extra top-level fields, written after the shared header.

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "argolite/runtime.hpp"
+#include "bench/common.hpp"
 #include "margolite/instance.hpp"
 #include "merclite/core.hpp"
 #include "merclite/proc.hpp"
@@ -345,10 +346,16 @@ static void BM_TraceSummaryBuild(benchmark::State& state) {
       emit(i + 1, child, 4 * (c + 1), t1, t1 + 4'800);
     }
   }
+  const std::uint64_t faults0 = bench::minor_faults();
   for (auto _ : state) {
     auto summary = prof::TraceSummary::build({&origin, &target});
     benchmark::DoNotOptimize(summary);
   }
+  // Faults per build: glibc trims and re-grows the heap around each one,
+  // and this tells that cost apart from the stitching.
+  state.counters["minor_faults"] = benchmark::Counter(
+      static_cast<double>(bench::minor_faults() - faults0),
+      benchmark::Counter::kAvgIterations);
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(n_spans));
 }
@@ -551,6 +558,7 @@ static void BM_SdskvPutPacked(benchmark::State& state) {
   client.start();
   client.spawn([&] {
     std::uint32_t db = 0;
+    const std::uint64_t faults0 = bench::minor_faults();
     for (auto _ : state) {
       std::vector<sdskv::KeyValue> batch;
       batch.reserve(kBatch);
@@ -565,6 +573,11 @@ static void BM_SdskvPutPacked(benchmark::State& state) {
             sdskv::Status::kOk;
       db = (db + 1) % kDbs;
     }
+    // Faults per batch: the encoded batch meets glibc's mmap threshold, so
+    // each one may cost fresh pages as well as the store's inserts.
+    state.counters["minor_faults"] = benchmark::Counter(
+        static_cast<double>(bench::minor_faults() - faults0),
+        benchmark::Counter::kAvgIterations);
     client.finalize();
     server.finalize();
   });

@@ -99,7 +99,7 @@ int main(int argc, char** argv) {
     study.row("stages")
         .text("level", prof::to_string(level))
         .real("virtual_ms", r.virtual_ms, 6)
-        .wall(m.wall)
+        .measured(m)
         .real("slowdown_vs_off", slowdown, 4)
         .count("trace_events", r.trace_events)
         .count("profile_entries", r.profile_entries);

@@ -169,7 +169,7 @@ Run measure_cell(Study& study, const CellSpec& spec, std::uint32_t workers,
       .count("workers", workers)
       .count("clients", spec.clients)
       .real("horizon_ms", sim::to_millis(spec.horizon), 3)
-      .wall(m.wall)
+      .measured(m)
       .count("events", r.events)
       .real("events_per_sec", events_per_sec, 0)
       .count("generated", r.generated)

@@ -191,7 +191,7 @@ int main(int argc, char** argv) {
           .count("lanes", r.lanes)
           .count("workers", workers)
           .real("virtual_ms", r.virtual_ms, 6)
-          .wall(m.wall)
+          .measured(m)
           .count("events_processed", r.events_processed)
           .count("events_stored", r.events_stored)
           .count("final_virtual_ns", r.final_virtual_ns)

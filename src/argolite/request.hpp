@@ -1,7 +1,8 @@
 // argolite/request.hpp
 //
 // Lightweight request records: the scale companion to ULTs. An argolite ULT
-// carries a full fiber stack (128 KiB) — perfect for service handler code,
+// carries a fiber stack: 128 KiB of address space and, while its handler
+// stays shallow, one resident page — perfect for service handler code,
 // hopeless for simulating millions of concurrent client requests. A
 // RequestRec is a 48-byte POD slot in a lane-owned RequestArena: requests
 // queue through an intrusive FIFO link instead of blocking a fiber, and the

@@ -75,7 +75,6 @@ void KeyValueList::append(std::string_view key_head, std::string_view key_tail,
   const auto vlen = static_cast<std::uint32_t>(value.size());
   if (end_ == 0) end_ = sizeof count_;
   const std::size_t size = end_ + 2 * sizeof(std::uint32_t) + klen + vlen;
-  buf_.reserve(size);
   buf_.resize(size);
   ++count_;
   std::memcpy(buf_.data(), &count_, sizeof count_);

@@ -76,8 +76,8 @@ class KeyValueList {
   explicit KeyValueList(std::vector<std::byte> encoded);
 
   /// Append one pair whose key is `key_head` followed by `key_tail`, so a
-  /// caller can compose a key without building it. The buffer grows to
-  /// exactly its new size.
+  /// caller can compose a key without building it. The buffer grows
+  /// geometrically, so n appends copy O(n) bytes in all.
   void append(std::string_view key_head, std::string_view key_tail,
               std::string_view value);
 

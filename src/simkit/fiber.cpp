@@ -1,5 +1,8 @@
 #include "simkit/fiber.hpp"
 
+#include <sys/mman.h>
+#include <unistd.h>
+
 #include <cassert>
 #include <cstdlib>
 #include <cstring>
@@ -188,13 +191,21 @@ std::size_t stack_span(const FiberStack& stack) noexcept {
 // FiberStack / StackPool
 // ---------------------------------------------------------------------------
 
-FiberStack::FiberStack(std::size_t size) : size_(size) {
-  // Plain heap allocation: large blocks come from mmap and commit lazily,
-  // so thousands of mostly-idle fiber stacks stay cheap.
-  base_ = ::operator new(size);
+FiberStack::FiberStack(std::size_t size) {
+  // A page-aligned anonymous mapping of its own, committed lazily: the top
+  // slot and the first frames share the last page, and no allocator header
+  // or neighbouring block touches the others, so a shallow fiber's stack
+  // costs one resident page. MAP_STACK also keeps transparent huge pages
+  // off (on kernels that honour it) when neighbouring stacks merge into
+  // one area.
+  const auto page = static_cast<std::size_t>(::sysconf(_SC_PAGESIZE));
+  size_ = (size + page - 1) / page * page;
+  base_ = ::mmap(nullptr, size_, PROT_READ | PROT_WRITE,
+                 MAP_PRIVATE | MAP_ANONYMOUS | MAP_STACK, -1, 0);
+  if (base_ == MAP_FAILED) throw std::bad_alloc();
 }
 
-FiberStack::~FiberStack() { ::operator delete(base_); }
+FiberStack::~FiberStack() { ::munmap(base_, size_); }
 
 StackPool& StackPool::instance() {
   // One pool per thread: each engine lane is pinned to a single worker, so

@@ -1,16 +1,24 @@
 // simkit/fiber.hpp
 //
-// Cooperative user-level execution contexts ("fibers") built on ucontext.
-// These are the mechanism behind argolite ULTs: service handler code runs as
-// real C++ on a fiber stack and cooperatively switches back to the scheduler
-// (the simulation engine's main context) whenever it performs a simulated
-// blocking operation.
+// Cooperative user-level execution contexts ("fibers"). These are the
+// mechanism behind argolite ULTs: service handler code runs as real C++ on
+// a fiber stack and cooperatively switches back to the scheduler (the
+// simulation engine's main context) whenever it performs a simulated
+// blocking operation. Unsanitized x86-64 builds switch with a register
+// swap; sanitized and other builds use ucontext (see below).
+//
+// Each stack is its own page-aligned anonymous mapping, committed lazily
+// by the kernel. The first frames grow down from the top slot within the
+// mapping's last page and nothing else touches the block, so a shallow
+// handler's 128 KiB stack costs one resident page. A HEPnOS deployment
+// keeps thousands of handler ULTs blocked at once, which makes that page
+// count the bulk of the run's fiber memory.
 //
 // Stacks are recycled through a per-thread free list because the services
-// spawn one ULT per RPC request; allocation churn would otherwise dominate
-// host-side run time at scale. The pool is thread-local (one instance per
-// worker thread of the sharded engine) so lanes recycle stacks without
-// locking; each lane is pinned to one worker, so a fiber's stack is
+// spawn one ULT per RPC request; a mapping per spawn would otherwise
+// dominate host-side run time at scale. The pool is thread-local (one
+// instance per worker thread of the sharded engine) so lanes recycle stacks
+// without locking; each lane is pinned to one worker, so a fiber's stack is
 // acquired and released on the same thread's pool.
 //
 // A Fiber is 192 bytes on LP64 (pinned below), and argolite embeds it in
@@ -51,9 +59,12 @@
 
 namespace sym::sim {
 
-/// A reusable fiber stack. Obtained from and returned to StackPool.
+/// A reusable fiber stack: a private anonymous mapping of whole pages.
+/// Obtained from and returned to StackPool.
 class FiberStack {
  public:
+  /// Maps `size` rounded up to a whole number of pages; throws
+  /// std::bad_alloc when the kernel refuses.
   explicit FiberStack(std::size_t size);
   ~FiberStack();
   FiberStack(const FiberStack&) = delete;

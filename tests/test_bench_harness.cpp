@@ -1,9 +1,12 @@
 // Tests for the study harness in bench/common.hpp that every trajectory
 // study (overhead, scaling, scale, cache fairness) runs on: the wall-time
-// statistics, the command-line parser, the repetition check and the JSON
-// writer.
+// statistics, the fault counts, the command-line parser, the repetition
+// check and the JSON writer.
 #include <gtest/gtest.h>
+#include <sys/mman.h>
+#include <unistd.h>
 
+#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -85,13 +88,14 @@ TEST(Study, WritesHeaderTablesAndGates) {
   EXPECT_EQ(calls, 2);
   EXPECT_EQ(m.result, 7);
   EXPECT_GE(m.wall.max_ms, m.wall.min_ms);
+  EXPECT_EQ(m.minor_faults.size(), 2u);
   study.meta().count("seeds", 3);
   study.row("cells")
       .text("name", "a \"quoted\" cell")
       .count("events", 42)
       .real("virtual_ms", 1.25, 3)
       .flag("ok", true)
-      .wall(m.wall);
+      .measured(m);
   study.row("cells").count("events", 43);
   study.gate("always", true, "a gate that holds");
   study.skip("host_gate", "smoke run");
@@ -114,12 +118,43 @@ TEST(Study, WritesHeaderTablesAndGates) {
   EXPECT_NE(cells[0].find("wall_ms"), nullptr);
   EXPECT_NE(cells[0].find("wall_ms_min"), nullptr);
   EXPECT_NE(cells[0].find("wall_ms_max"), nullptr);
+  const auto& faults = cells[0].find("minor_faults")->as_array();
+  ASSERT_EQ(faults.size(), 2u);
+  for (std::size_t i = 0; i < faults.size(); ++i) {
+    EXPECT_EQ(faults[i].as_int(),
+              static_cast<std::int64_t>(m.minor_faults[i]));
+  }
   EXPECT_EQ(cells[1].find("events")->as_int(), 43);
   const json::Value* gates = doc.find("gates");
   ASSERT_NE(gates, nullptr);
   EXPECT_EQ(gates->find("always")->as_string(), "PASS");
   EXPECT_EQ(gates->find("host_gate")->as_string(), "SKIPPED");
   EXPECT_EQ(gates->find("reps_reproduce")->as_string(), "PASS");
+}
+
+// The timed region's first touch of fresh pages is a minor fault, counted
+// in the repetition that made it.
+TEST(Stopwatch, CountsMinorFaultsOfTheTimedRegionOnly) {
+  constexpr std::size_t kPages = 64;
+  const auto page = static_cast<std::size_t>(::sysconf(_SC_PAGESIZE));
+  void* untimed = ::mmap(nullptr, kPages * page, PROT_READ | PROT_WRITE,
+                         MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  void* timed = ::mmap(nullptr, kPages * page, PROT_READ | PROT_WRITE,
+                       MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  ASSERT_NE(untimed, MAP_FAILED);
+  ASSERT_NE(timed, MAP_FAILED);
+  // One fault per page, even where the host backs memory with huge pages.
+  ::madvise(untimed, kPages * page, MADV_NOHUGEPAGE);
+  ::madvise(timed, kPages * page, MADV_NOHUGEPAGE);
+  bench::Stopwatch sw;
+  std::memset(untimed, 1, kPages * page);
+  sw.start();
+  std::memset(timed, 1, kPages * page);
+  sw.stop();
+  EXPECT_GE(sw.faults(), kPages);
+  EXPECT_LT(sw.faults(), 2 * kPages);
+  ::munmap(untimed, kPages * page);
+  ::munmap(timed, kPages * page);
 }
 
 TEST(Study, DivergingRepetitionFailsReproduceGate) {

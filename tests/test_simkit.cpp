@@ -1,6 +1,8 @@
 // Unit tests for simkit: engine ordering/cancellation, RNG determinism,
 // fibers, cluster NIC/clock models.
 #include <gtest/gtest.h>
+#include <sys/mman.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <cstdint>
@@ -282,17 +284,69 @@ TEST(Fiber, ManySequentialFibersRecycleStacks) {
 }
 
 TEST(Fiber, DeepStackUsage) {
-  // Exercise a few KB of genuine stack usage inside the fiber.
+  // 96 KiB of locals: most of the 128 KiB stack, below the ucontext save
+  // areas and across many lazily committed pages.
+  constexpr int kBytes = 96 * 1024;
   int result = 0;
   sim::Fiber f([&] {
-    volatile char buf[8192];
-    for (int i = 0; i < 8192; ++i) buf[i] = static_cast<char>(i & 0x7F);
+    volatile char buf[kBytes];
+    for (int i = 0; i < kBytes; ++i) buf[i] = static_cast<char>(i & 0x7F);
     int sum = 0;
-    for (int i = 0; i < 8192; ++i) sum += buf[i];
+    for (int i = 0; i < kBytes; ++i) sum += buf[i];
     result = sum;
   });
   f.switch_in();
+  EXPECT_TRUE(f.finished());
   EXPECT_GT(result, 0);
+}
+
+namespace {
+
+std::uintptr_t page_size() {
+  return static_cast<std::uintptr_t>(::sysconf(_SC_PAGESIZE));
+}
+
+}  // namespace
+
+TEST(FiberStack, PooledBlockIsWholePagesAndPageAligned) {
+  auto& pool = sim::StackPool::instance();
+  for (const std::size_t size : {sim::Fiber::kDefaultStackSize,
+                                 std::size_t{100'001}}) {
+    auto stack = pool.acquire(size);
+    const auto base = reinterpret_cast<std::uintptr_t>(stack->base());
+    EXPECT_EQ(base % page_size(), 0u);
+    EXPECT_EQ(stack->size() % page_size(), 0u);
+    EXPECT_GE(stack->size(), size);
+    pool.release(std::move(stack));
+  }
+}
+
+// Under the fast switch the trampoline slot and a shallow fiber's frames
+// share the block's last page and nothing else touches it. The ucontext
+// path keeps its save areas there too, and its frames may spill below.
+TEST(FiberStack, ShallowFiberLeavesOneResidentPage) {
+#ifndef SYM_FIBER_FAST_SWITCH
+  GTEST_SKIP() << "the ucontext path keeps its save areas in the stack";
+#else
+  auto& pool = sim::StackPool::instance();
+  pool.drain();
+  bool ran = false;
+  {
+    sim::Fiber f([&] { ran = true; });
+    f.switch_in();
+    ASSERT_TRUE(f.finished());
+  }
+  ASSERT_TRUE(ran);
+  ASSERT_EQ(pool.pooled(), 1u);
+  auto stack = pool.acquire(sim::Fiber::kDefaultStackSize);
+  std::vector<unsigned char> resident(stack->size() / page_size());
+  ASSERT_EQ(::mincore(stack->base(), stack->size(), resident.data()), 0);
+  std::size_t pages = 0;
+  for (const unsigned char r : resident) pages += r & 1u;
+  EXPECT_EQ(pages, 1u);
+  EXPECT_EQ(resident.back() & 1u, 1u);
+  pool.release(std::move(stack));
+#endif
 }
 
 // ---------------------------------------------------------------------------
